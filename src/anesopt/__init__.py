@@ -16,8 +16,8 @@ from .patient import (BisParameters, EquilibriumState, PatientDemographics,
 from .problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                       build_problem, sample_trajectory)
 from .shooting import (ExtremalCertificate, augmented_dynamics, bang_control,
-                       default_seed_grid, extremal_trajectory, hamiltonian,
-                       shooting_residual, solve_shooting)
+                       default_seed_grid, extremal_trajectory, full_rate_onset,
+                       hamiltonian, shooting_residual, solve_shooting)
 from .strategies import (Pattern, StrategyResult, enumerate_patterns,
                          schedule_endpoint, solve_all_patterns, solve_pattern,
                          solve_time_optimal)
@@ -34,8 +34,8 @@ __all__ = [
     "augmented_dynamics", "bang_control", "bis", "bis_inverse",
     "build_problem", "constant_input_propagator", "default_seed_grid",
     "enumerate_patterns", "equilibrium", "expm", "extremal_trajectory",
-    "hamiltonian", "integrate", "integrate_with_sign_event", "kalman_rank",
-    "lean_body_mass", "propagate_constant", "sample_trajectory",
+    "full_rate_onset", "hamiltonian", "integrate", "integrate_with_sign_event",
+    "kalman_rank", "lean_body_mass", "propagate_constant", "sample_trajectory",
     "schedule_endpoint", "schnider_parameters", "shooting_residual",
     "solve_all_patterns", "solve_pattern", "solve_shooting",
     "solve_time_optimal",

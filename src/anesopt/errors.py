@@ -24,10 +24,12 @@ class IntegrationError(RuntimeError):
 class NoConvergenceError(RuntimeError):
     """No shooting seed converged; carries diagnostics."""
 
-    def __init__(self, message, best_residual=None, seeds_tried=0):
+    def __init__(self, message, best_residual=None, seeds_tried=0,
+                 residual_evals=0):
         super().__init__(message)
         self.best_residual = best_residual
         self.seeds_tried = seeds_tried
+        self.residual_evals = residual_evals
 
 
 class InfeasibleError(RuntimeError):

@@ -6,22 +6,27 @@ strategy-enumeration answer; both must land on the same switching structure.
 import numpy as np
 import pytest
 
+from anesopt import shooting
 from anesopt.errors import DomainError, NoConvergenceError
-from anesopt.lti import expm
+from anesopt.lti import expm, propagate_constant
+from anesopt.patient import PatientDemographics, equilibrium, schnider_parameters
 from anesopt.shooting import (
     RESIDUAL_ACCEPT,
-    SEED_T_F,
+    T_F_SEED_FACTORS,
+    THETA_SEEDS,
+    TRANSVERSALITY_ACCEPT,
     ExtremalCertificate,
     augmented_dynamics,
     bang_control,
     default_seed_grid,
     extremal_trajectory,
+    full_rate_onset,
     hamiltonian,
     shooting_residual,
     solve_shooting,
 )
-from anesopt.strategies import schedule_endpoint
-from anesopt.problem import ControlSchedule
+from anesopt.strategies import schedule_endpoint, solve_time_optimal
+from anesopt.problem import ControlSchedule, build_problem
 
 from conftest import FROZEN, U_MAX_REF
 
@@ -108,16 +113,24 @@ def test_costate_scaling_preserves_the_flight_but_not_the_hamiltonian(ref_proble
 
 # ----------------------------------------------------------------- seed grid
 
+def test_full_rate_onset_bounds_t_f_from_below(ref_problem):
+    t_on = full_rate_onset(ref_problem)
+    x = propagate_constant(ref_problem.sys, ref_problem.x0, U_MAX_REF, t_on)
+    assert x[3] == pytest.approx(ref_problem.target_fast[1], abs=1e-9)
+    assert 0.0 < t_on < FROZEN["t_f"]
+
+
 def test_default_seed_grid_order_and_size():
-    seeds = default_seed_grid()
-    assert len(seeds) == 4 ** 4 * 3
-    psi, t = seeds[0]
-    assert np.array_equal(psi, [-0.05, -0.05, -0.05, -0.05]) and t == 1.0
-    psi, t = seeds[1]
-    assert np.array_equal(psi, [-0.05, -0.05, -0.05, -0.05]) and t == 2.0
-    psi, t = seeds[3]
-    assert np.array_equal(psi, [-0.05, -0.05, -0.05, -0.01]) and t == 1.0
-    assert all(t in SEED_T_F for _, t in seeds)
+    t_on = 0.9
+    seeds = default_seed_grid(t_on)
+    assert len(THETA_SEEDS) == 16
+    assert len(seeds) == 16 * 3
+    assert seeds[0] == (-np.pi / 2, 1.5 * t_on)
+    assert seeds[1] == (-np.pi / 2, 1.05 * t_on)
+    theta, t = seeds[3]
+    assert theta == pytest.approx(-np.pi / 2 + np.pi / 8, abs=1e-15)
+    assert t == 1.5 * t_on
+    assert all(any(t == f * t_on for f in T_F_SEED_FACTORS) for _, t in seeds)
 
 
 def test_solver_rejects_empty_seed_list(ref_problem):
@@ -126,12 +139,22 @@ def test_solver_rejects_empty_seed_list(ref_problem):
 
 
 def test_solver_reports_no_convergence_with_best_residual(ref_problem):
-    # from this seed the state never leaves zero, so the residual cannot move
-    hopeless = [(np.array([0.05, 0.0, 0.0, 0.0]), 1.0)]
+    # theta = 0 puts psi(t_f) = e1, which keeps psi1 > 0 throughout: the
+    # state never leaves zero, so the residual cannot move and H stays 1
+    hopeless = [(0.0, 1.0)]
     with pytest.raises(NoConvergenceError) as exc:
         solve_shooting(ref_problem, initial_guesses=hopeless)
     assert exc.value.seeds_tried == 1
     assert exc.value.best_residual == pytest.approx(14.944307411185035, abs=1e-6)
+
+
+def test_solver_stops_at_the_residual_evaluation_cap(ref_problem, monkeypatch):
+    monkeypatch.setattr(shooting, "MAX_RESIDUAL_EVALS", 5)
+    with pytest.raises(NoConvergenceError) as exc:
+        solve_shooting(ref_problem)
+    assert exc.value.residual_evals == 5
+    assert exc.value.seeds_tried == 1
+    assert np.isfinite(exc.value.best_residual)
 
 
 # --------------------------------------------------------------- certificate
@@ -143,6 +166,16 @@ def test_certificate_matches_frozen_solution(certificate):
     assert abs(certificate.switch_times[0] - FROZEN["t_c"]) < 1e-6
     assert certificate.schedule.levels == (U_MAX_REF, 0.0)
     assert certificate.schedule.breakpoints == certificate.switch_times
+
+
+def test_solver_psi0_matches_frozen_root(certificate):
+    assert np.max(np.abs(certificate.psi0 - FROZEN["psi0"])) < 1e-9
+
+
+def test_certificate_satisfies_transversality(certificate):
+    psi_f = certificate.terminal_costate
+    assert certificate.transversality_residual < TRANSVERSALITY_ACCEPT
+    assert np.max(np.abs(psi_f[1:3])) < TRANSVERSALITY_ACCEPT * np.linalg.norm(psi_f)
 
 
 def test_certificate_transversality_identity(certificate):
@@ -193,7 +226,8 @@ def test_extremal_control_is_right_continuous_at_the_switch(ref_problem,
 def test_certificate_invariants_rejected():
     sched = ControlSchedule(levels=(1.0, 0.0), breakpoints=(0.5,), t_f=1.0)
     ok = dict(psi0=np.zeros(4), t_f=1.0, switch_times=(0.5,),
-              residual_norm=1e-10, schedule=sched)
+              residual_norm=1e-10, terminal_costate=np.array([1.0, 0, 0, 0.5]),
+              schedule=sched)
     ExtremalCertificate(**ok)  # sanity: the base case is accepted
     with pytest.raises(DomainError):
         ExtremalCertificate(**{**ok, "residual_norm": 1e-6})
@@ -201,3 +235,34 @@ def test_certificate_invariants_rejected():
         ExtremalCertificate(**{**ok, "switch_times": (0.1, 0.2, 0.3, 0.4)})
     with pytest.raises(DomainError):
         ExtremalCertificate(**{**ok, "switch_times": (1.5,)})
+    with pytest.raises(DomainError):  # psi2(t_f) != 0 on a free compartment
+        ExtremalCertificate(**{**ok, "terminal_costate": np.array([1.0, 1e-4, 0, 0])})
+    with pytest.raises(DomainError):  # a zero costate is no multiplier
+        ExtremalCertificate(**{**ok, "terminal_costate": np.zeros(4)})
+
+
+# ------------------------------------------------------- off-reference cases
+
+def _panel_problem(sex, age, weight, height, ratio=None, x0_frac=None):
+    params = schnider_parameters(PatientDemographics(sex, age, weight, height))
+    eq = equilibrium(params)
+    u_max = U_MAX_REF if ratio is None else ratio * eq.u_e
+    x0 = None if x0_frac is None else x0_frac * eq.x_e
+    return build_problem(params, u_max, x0=x0)
+
+
+@pytest.mark.parametrize("case", [
+    dict(sex="female", age=30.0, weight=55.0, height=160.0, ratio=17.4),
+    dict(sex="male", age=80.0, weight=70.0, height=170.0, ratio=17.4),
+    dict(sex="male", age=53.0, weight=77.0, height=177.0, x0_frac=0.3),
+    dict(sex="male", age=53.0, weight=77.0, height=177.0, ratio=2.0),
+], ids=["female30-17.4ue", "male80-17.4ue", "redose0.3", "bound2ue"])
+def test_shooting_agrees_with_strategies_off_reference(case):
+    prob = _panel_problem(**case)
+    cert = solve_shooting(prob)
+    best = solve_time_optimal(prob)
+    assert cert.schedule.levels == best.schedule.levels
+    assert abs(cert.t_f - best.t_f) < 1e-6
+    gaps = [abs(a - b) for a, b in zip(cert.switch_times,
+                                       best.schedule.breakpoints)]
+    assert max(gaps, default=0.0) < 1e-6
