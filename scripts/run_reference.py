@@ -5,7 +5,6 @@ Writes the usual solver artifacts under --out and prints a small table:
     python scripts/run_reference.py [--config configs/reference.json] [--out out]
 """
 import argparse
-import json
 import os
 import sys
 
@@ -14,11 +13,10 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from anesopt.cli import load_config, main as cli_main
-from anesopt.patient import (PatientDemographics, bis, equilibrium,
-                             schnider_parameters)
-from anesopt.problem import build_problem
+from anesopt.patient import PatientDemographics, bis, schnider_parameters
+from anesopt.problem import build_problem, sample_trajectory
 from anesopt.shooting import solve_shooting
-from anesopt.strategies import schedule_endpoint, solve_all_patterns, solve_time_optimal
+from anesopt.strategies import solve_all_patterns, solve_time_optimal
 
 
 def run(config_path: str, out_dir: str) -> int:
@@ -56,7 +54,8 @@ def run(config_path: str, out_dir: str) -> int:
     print(f"{'delta':<10} {abs(best.t_f - cert.t_f):>12.2e} "
           f"{abs(best.schedule.breakpoints[0] - cert.switch_times[0]):>12.2e}")
 
-    x_end = schedule_endpoint(prob.sys, best.schedule)
+    x_end = sample_trajectory(prob.sys, best.schedule,
+                              step=best.schedule.t_f).states[-1]
     print()
     print(f"endpoint state: {np.array2string(x_end, precision=4)}")
     print(f"endpoint BIS:   {bis(x_end[3]):.4f}")

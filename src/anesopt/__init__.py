@@ -7,20 +7,18 @@ that must agree on the optimal schedule.
 from .errors import (ConfigError, DegenerateDemographicsError, DomainError,
                      InfeasibleError, IntegrationError, NoConvergenceError,
                      ParameterRangeError)
-from .lti import (LTISystem, Trajectory, constant_input_propagator, expm,
-                  integrate, integrate_with_sign_event, kalman_rank,
-                  propagate_constant)
+from .lti import (LTISystem, Trajectory, constant_input_propagator,
+                  integrate, integrate_with_sign_event, kalman_rank)
 from .patient import (BisParameters, EquilibriumState, PatientDemographics,
                       PKPDParameters, assemble_system, bis, bis_inverse,
                       equilibrium, lean_body_mass, schnider_parameters)
 from .problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                       build_problem, sample_trajectory)
-from .shooting import (ExtremalCertificate, augmented_dynamics, bang_control,
-                       default_seed_grid, extremal_trajectory, full_rate_onset,
-                       hamiltonian, shooting_residual, solve_shooting)
+from .shooting import (ExtremalCertificate, bang_control, default_seed_grid,
+                       extremal_trajectory, full_rate_onset, hamiltonian,
+                       shooting_residual, solve_shooting)
 from .strategies import (Pattern, StrategyResult, enumerate_patterns,
-                         schedule_endpoint, solve_all_patterns, solve_pattern,
-                         solve_time_optimal)
+                         solve_all_patterns, solve_pattern, solve_time_optimal)
 
 __version__ = "0.1.0"
 
@@ -30,13 +28,12 @@ __all__ = [
     "ExtremalCertificate", "FAST_IDX", "InfeasibleError", "IntegrationError",
     "LTISystem", "NoConvergenceError", "ParameterRangeError", "Pattern",
     "PatientDemographics", "PKPDParameters", "StrategyResult",
-    "TimeOptimalProblem", "Trajectory", "assemble_system",
-    "augmented_dynamics", "bang_control", "bis", "bis_inverse",
-    "build_problem", "constant_input_propagator", "default_seed_grid",
-    "enumerate_patterns", "equilibrium", "expm", "extremal_trajectory",
-    "full_rate_onset", "hamiltonian", "integrate", "integrate_with_sign_event",
-    "kalman_rank", "lean_body_mass", "propagate_constant", "sample_trajectory",
-    "schedule_endpoint", "schnider_parameters", "shooting_residual",
+    "TimeOptimalProblem", "Trajectory", "assemble_system", "bang_control",
+    "bis", "bis_inverse", "build_problem", "constant_input_propagator",
+    "default_seed_grid", "enumerate_patterns", "equilibrium",
+    "extremal_trajectory", "full_rate_onset", "hamiltonian", "integrate",
+    "integrate_with_sign_event", "kalman_rank", "lean_body_mass",
+    "sample_trajectory", "schnider_parameters", "shooting_residual",
     "solve_all_patterns", "solve_pattern", "solve_shooting",
     "solve_time_optimal",
 ]

@@ -157,12 +157,6 @@ def cmd_params(cfg: RunConfig) -> int:
     return 0
 
 
-def _solve_one(method: str, prob):
-    if method == "strategy":
-        return solve_time_optimal(prob).schedule
-    return solve_shooting(prob).schedule
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     _, params, _ = _resolve(cfg)
     prob = build_problem(params, cfg.u_max, cfg.bis_target, x0=np.array(cfg.x0))
@@ -171,7 +165,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     schedules = {}
     summary = {}
     for method in methods:
-        sched = _solve_one(method, prob)
+        solve = solve_time_optimal if method == "strategy" else solve_shooting
+        sched = solve(prob).schedule
         schedules[method] = sched
         _write_json(os.path.join(cfg.out, f"schedule_{method}.json"),
                     sched.as_dict())

@@ -1,5 +1,6 @@
-"""Linear-systems kernel: matrix exponential, exact constant-input propagation,
-adaptive Runge-Kutta integration with sign-event detection, controllability rank.
+"""Linear-systems kernel: matrix exponential, exact constant-input propagation
+in modal form, adaptive Runge-Kutta integration with sign-event detection,
+controllability rank.
 
 Time is in minutes and states in mg throughout the package, but nothing in this
 module depends on that convention.
@@ -103,20 +104,6 @@ def _expm_series(M, terms=18):
     return E
 
 
-def expm(A, t: float) -> np.ndarray:
-    """e^(A t) via eigendecomposition when the spectrum is clean, else series."""
-    A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise DomainError("expm: non-finite entries")
-    lam, V = np.linalg.eig(A)
-    if np.max(np.abs(lam.imag)) < _REAL_TOL:
-        data = _check_spectral(A, lam.real, V.real)
-        if data is not None:
-            Vr, Vi = data
-            return (Vr * np.exp(lam.real * t)) @ Vi
-    return _expm_series(A * t)
-
-
 def _augmented(A, B, u):
     n = A.shape[0]
     M = np.zeros((n + 1, n + 1))
@@ -128,39 +115,47 @@ def _augmented(A, B, u):
 def constant_input_propagator(sys: LTISystem, u: float):
     """Exact flow map (x0, dt) -> x(dt) for constant input u.
 
-    Decomposes the augmented matrix [[A, B u], [0, 0]] once so repeated calls
-    (multistart root searches) cost one small matvec chain each.
+    With the system's spectral cache this is the modal form
+    x(dt) = V (e^(lam dt) * Vi x0 + phi1(lam, dt) * Vi B u), where
+    phi1 = expm1(lam dt) / lam and phi1 = dt at lam = 0, so a singular A
+    needs no inverse. Without the cache each call exponentiates the
+    augmented matrix [[A, B u], [0, 0]] by the series. dt is a scalar or a
+    1-D array; an array gives one state per entry, as rows.
     """
     n = sys.n
-    M = _augmented(sys.A, sys.B, u)
-    lam, V = np.linalg.eig(M)
-    if np.max(np.abs(lam.imag)) < _REAL_TOL:
-        data = _check_spectral(M, lam.real, V.real)
-        if data is not None:
-            Vr, Vi = data
-            lam = lam.real
+    if sys.spectral_valid:
+        lam, V, Vi = sys.eigenvalues, sys.V, sys.Vi
+        zero = lam == 0
+        w = Vi @ (sys.B * u)
+        w_lam = np.divide(w, lam, out=np.zeros(n), where=~zero)
+        w_zero = np.where(zero, w, 0.0)
 
-            def step(x0, dt):
-                z = Vi @ np.append(x0, 1.0)
-                return (Vr[:n] @ (z * np.exp(lam * dt)))
+        def flow(x0, dt):
+            ldt = lam * dt
+            y = np.exp(ldt) * (Vi @ x0) + np.expm1(ldt) * w_lam + dt * w_zero
+            return y @ V.T
+    else:
+        M = _augmented(sys.A, sys.B, u)
 
-            return step
+        def flow(x0, dt):
+            E = np.array([_expm_series(M * d) for d in np.ravel(dt)])
+            out = E[:, :n, :n] @ x0 + E[:, :n, n]
+            return out if np.ndim(dt) else out[0]
 
     def step(x0, dt):
-        E = _expm_series(M * dt)
-        return E[:n, :n] @ x0 + E[:n, n]
+        x0 = np.asarray(x0, dtype=float)
+        if np.ndim(dt) == 0:
+            if not dt >= 0:
+                raise DomainError("propagation time must be >= 0")
+            return flow(x0, dt) if dt > 0 else x0.copy()
+        dt = np.asarray(dt, dtype=float)
+        if not (dt >= 0).all():
+            raise DomainError("propagation time must be >= 0")
+        out = flow(x0, dt[:, None])
+        out[dt == 0] = x0
+        return out
 
     return step
-
-
-def propagate_constant(sys: LTISystem, x0, u: float, dt: float) -> np.ndarray:
-    """x(dt) under constant input, via the augmented-matrix exponential."""
-    if dt < 0:
-        raise DomainError("propagate_constant: dt must be >= 0")
-    x0 = np.asarray(x0, dtype=float)
-    if dt == 0:
-        return x0.copy()
-    return constant_input_propagator(sys, u)(x0, dt)
 
 
 @dataclass

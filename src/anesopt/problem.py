@@ -3,8 +3,7 @@ reachability problem for the fast state pair (x1, x4).
 """
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +38,16 @@ class ControlSchedule:
         if any(a == b for a, b in zip(self.levels, self.levels[1:])):
             raise DomainError("adjacent levels must differ (null switch)")
 
-    def u_at(self, t: float) -> float:
-        """Right-continuous control value."""
-        return self.levels[bisect.bisect_right(self.breakpoints, t)]
+    def u_at(self, t):
+        """Right-continuous control value; t may be an array of times."""
+        i = np.searchsorted(self.breakpoints, t, side="right")
+        return np.array(self.levels)[i]
 
     def segments(self):
         """Yields (u, t_start, t_end) per constant piece."""
         knots = (0.0,) + self.breakpoints + (self.t_f,)
         for u, a, b in zip(self.levels, knots, knots[1:]):
             yield u, a, b
-
-    def durations(self) -> np.ndarray:
-        knots = np.concatenate([[0.0], self.breakpoints, [self.t_f]])
-        return np.diff(knots)
 
     def as_dict(self) -> dict:
         return {"u_levels": list(self.levels),
@@ -99,14 +95,6 @@ class TimeOptimalProblem:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "target_fast", target)
 
-    @property
-    def C(self) -> np.ndarray:
-        """Selection matrix picking the fast components."""
-        C = np.zeros((2, self.sys.n))
-        C[0, FAST_IDX[0]] = 1.0
-        C[1, FAST_IDX[1]] = 1.0
-        return C
-
     def fast_residual(self, x) -> np.ndarray:
         return np.array([x[FAST_IDX[0]] - self.target_fast[0],
                          x[FAST_IDX[1]] - self.target_fast[1]])
@@ -128,31 +116,24 @@ def sample_trajectory(sys: LTISystem, schedule: ControlSchedule, step: float,
                       x0=None) -> Trajectory:
     """Exact piecewise propagation sampled every `step` minutes.
 
-    Sample times are i*step plus the exact final time; each value comes from
-    closed-form propagation, never from an ODE solve.
+    Sample times are i*step plus the exact final time. One pass over the
+    segments propagates each segment's samples from its start state in a
+    single closed-form call, never an ODE solve.
     """
     if step <= 0:
         raise DomainError("step must be positive")
-    x = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
     n_whole = int(np.floor(schedule.t_f / step + 1e-9))
-    times = [i * step for i in range(n_whole + 1)]
+    times = np.arange(n_whole + 1) * step
     if schedule.t_f - times[-1] > 1e-12:
-        times.append(schedule.t_f)
+        times = np.append(times, schedule.t_f)
     else:
         times[-1] = schedule.t_f
-    props = {u: constant_input_propagator(sys, u) for u in set(schedule.levels)}
-    # walk the merged grid of sample times and breakpoints carrying the state
-    states = [x.copy()]
-    controls = [schedule.u_at(0.0)]
-    cursor = 0.0
-    for t in times[1:]:
-        for u, a, b in schedule.segments():
-            if b <= cursor + 1e-15 or a >= t - 1e-15:
-                continue
-            lo, hi = max(a, cursor), min(b, t)
-            if hi > lo:
-                x = props[u](x, hi - lo)
-        cursor = t
-        states.append(x.copy())
-        controls.append(schedule.u_at(t))
-    return Trajectory(np.array(times), np.array(states), np.array(controls))
+    states = np.empty((times.size, sys.n))
+    states[0] = x
+    for u, a, b in schedule.segments():
+        prop = constant_input_propagator(sys, u)
+        lo, hi = np.searchsorted(times, (a, b), side="right")  # (a, b]
+        states[lo:hi] = prop(x, times[lo:hi] - a)
+        x = prop(x, b - a)
+    return Trajectory(times, states, schedule.u_at(times))

@@ -64,16 +64,6 @@ def hamiltonian(prob: TimeOptimalProblem, x, u: float, psi) -> float:
     return 1.0 + float(np.dot(np.asarray(psi, dtype=float), drift))
 
 
-def augmented_dynamics(prob: TimeOptimalProblem, z) -> np.ndarray:
-    """State/costate right-hand side with the control set by the sign law."""
-    z = np.asarray(z, dtype=float)
-    n = prob.sys.n
-    x, psi = z[:n], z[n:]
-    u = bang_control(psi[0], prob.u_max)
-    return np.concatenate([prob.sys.A @ x + prob.sys.B * u,
-                           -prob.sys.A.T @ psi])
-
-
 def _flight(prob, psi0, t_f, rtol, atol):
     """Integrate the extremal with event-exact switch restarts.
 

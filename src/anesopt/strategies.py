@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .lti import LTISystem, constant_input_propagator, kalman_rank
+from .lti import constant_input_propagator, kalman_rank
 from .problem import ControlSchedule, TimeOptimalProblem
 
 T_MAX_DEFAULT = 30.0
@@ -82,15 +82,6 @@ class StrategyResult:
     @property
     def t_f(self):
         return None if self.schedule is None else self.schedule.t_f
-
-
-def schedule_endpoint(sys: LTISystem, schedule: ControlSchedule, x0=None) -> np.ndarray:
-    """State at t_f under the schedule, by exact per-segment propagation."""
-    x = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    props = {u: constant_input_propagator(sys, u) for u in set(schedule.levels)}
-    for u, a, b in schedule.segments():
-        x = props[u](x, b - a)
-    return x
 
 
 class _GapSolver:
@@ -178,6 +169,9 @@ class _GapSolver:
             if nr < 1e-12:
                 break
             J = self.jac(levels, g)
+            # pin gaps held at zero by the projection, so the step runs
+            # along the face instead of being clipped back every time
+            J[:, (g == 0) & (J.T @ r > 0)] = 0.0
             improved = False
             for _ in range(30):
                 try:

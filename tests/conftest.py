@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from anesopt.lti import LTISystem
 from anesopt.patient import (PatientDemographics, assemble_system, equilibrium,
                              schnider_parameters)
-from anesopt.problem import build_problem
+from anesopt.problem import build_problem, sample_trajectory
 from anesopt.shooting import solve_shooting
 from anesopt.strategies import solve_all_patterns, solve_time_optimal
 
@@ -43,6 +44,17 @@ EXPECTED_X_E = np.array([14.518, 64.2371, 813.008, 3.4])
 EXPECTED_U_E = 6.0907
 EXPECTED_T_C = 0.5467
 EXPECTED_T_F = 1.8397
+
+
+def endpoint(sys, schedule, x0=None):
+    """State at t_f under the schedule: the sampler's last row."""
+    return sample_trajectory(sys, schedule, step=schedule.t_f, x0=x0).states[-1]
+
+
+def expm(A, t):
+    """e^(A t) through a system built on A."""
+    A = np.asarray(A, dtype=float)
+    return LTISystem.from_matrices(A, np.zeros(A.shape[0])).expm(t)
 
 
 @pytest.fixture(scope="session")

@@ -5,15 +5,15 @@ with the measured value, so `pytest -v -rA` reads as a checklist.
 """
 import numpy as np
 
-from anesopt.lti import LTISystem, expm, integrate, kalman_rank, propagate_constant
+from anesopt.lti import (LTISystem, constant_input_propagator, integrate,
+                         kalman_rank)
 from anesopt.patient import (BisParameters, PatientDemographics, bis,
                              bis_inverse, equilibrium, schnider_parameters)
 from anesopt.problem import ControlSchedule
 from anesopt.shooting import extremal_trajectory, hamiltonian
-from anesopt.strategies import schedule_endpoint
 
 from conftest import (EXPECTED_A, EXPECTED_EIGS, EXPECTED_T_C, EXPECTED_T_F,
-                      EXPECTED_U_E, EXPECTED_X_E, U_MAX_REF)
+                      EXPECTED_U_E, EXPECTED_X_E, U_MAX_REF, endpoint, expm)
 
 
 def test_criterion_01_system_matrix_reproduction(ref_sys):
@@ -85,7 +85,7 @@ def test_criterion_07_certificate_properties(ref_problem, certificate):
 
 def test_criterion_08_oracle_equivalence(ref_sys, optimal):
     sched = optimal.schedule
-    closed = schedule_endpoint(ref_sys, sched)
+    closed = endpoint(ref_sys, sched)
     x = np.zeros(4)
     t = 0.0
     for u, a, b in sched.segments():
@@ -100,7 +100,7 @@ def test_criterion_08_oracle_equivalence(ref_sys, optimal):
 
 
 def test_criterion_09_bis_endpoint(ref_sys, optimal):
-    x = schedule_endpoint(ref_sys, optimal.schedule)
+    x = endpoint(ref_sys, optimal.schedule)
     score = bis(x[3])
     assert abs(score - 50.0) < 0.5
     print(f"criterion 9 PASS: BIS(x4(t_f)) = {score:.4f} within 50 +/- 0.5")
@@ -148,15 +148,17 @@ def test_criterion_10_property_suites(ref_sys, ref_eq):
     assert kalman_rank(ref_sys) == 4
 
     worst_split = 0.0
+    on = constant_input_propagator(ref_sys, U_MAX_REF)
+    off = constant_input_propagator(ref_sys, 0.0)
     for _ in range(25):
         d1, d2 = rng.uniform(0.1, 2.0, size=2)
         theta = rng.uniform(0.05, 0.95)
         sched = ControlSchedule(levels=(U_MAX_REF, 0.0), breakpoints=(d1,),
                                 t_f=d1 + d2)
-        whole = schedule_endpoint(ref_sys, sched)
-        x = propagate_constant(ref_sys, np.zeros(4), U_MAX_REF, theta * d1)
-        x = propagate_constant(ref_sys, x, U_MAX_REF, (1 - theta) * d1)
-        x = propagate_constant(ref_sys, x, 0.0, d2)
+        whole = endpoint(ref_sys, sched)
+        x = on(np.zeros(4), theta * d1)
+        x = on(x, (1 - theta) * d1)
+        x = off(x, d2)
         worst_split = max(worst_split, float(np.max(np.abs(whole - x))))
     assert worst_split < 1e-10
 

@@ -8,9 +8,8 @@ import pytest
 from anesopt.cli import CSV_HEADER, _g10, load_config, main
 from anesopt.errors import ConfigError
 from anesopt.problem import ControlSchedule
-from anesopt.strategies import schedule_endpoint
 
-from conftest import FROZEN, U_MAX_REF
+from conftest import FROZEN, U_MAX_REF, endpoint
 
 BASE = {
     "sex": "male",
@@ -200,8 +199,8 @@ def test_schedule_quantization_preserves_the_endpoint(ref_sys, optimal):
                "breakpoints": [_g10(b) for b in d["breakpoints"]],
                "t_f": _g10(d["t_f"])}
     again = ControlSchedule.from_dict(rounded)
-    x1 = schedule_endpoint(ref_sys, optimal.schedule)
-    x2 = schedule_endpoint(ref_sys, again)
+    x1 = endpoint(ref_sys, optimal.schedule)
+    x2 = endpoint(ref_sys, again)
     assert np.max(np.abs(x1 - x2)) < 1e-9
 
 

@@ -15,14 +15,25 @@ from anesopt.lti import (
     LTISystem,
     Trajectory,
     constant_input_propagator,
-    expm,
     integrate,
     integrate_with_sign_event,
     kalman_rank,
-    propagate_constant,
 )
 
-from conftest import EXPECTED_EIGS, FROZEN, U_MAX_REF
+from conftest import EXPECTED_EIGS, FROZEN, U_MAX_REF, expm
+
+
+def propagate(sys, x0, u, dt):
+    return constant_input_propagator(sys, u)(x0, dt)
+
+
+def augmented_flow(sys, x0, u, dt):
+    """Third route: scipy's exponential of [[A, B u], [0, 0]] on (x0, 1)."""
+    n = sys.n
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = sys.A
+    M[:n, n] = sys.B * u
+    return (scipy.linalg.expm(M * dt) @ np.append(x0, 1.0))[:n]
 
 
 def taylor_expm(M, terms=30, squarings=20):
@@ -145,31 +156,31 @@ def test_reference_spectrum(ref_sys):
 
 def test_propagate_zero_state_zero_input(ref_sys):
     for dt in (0.0, 0.3, 7.0):
-        out = propagate_constant(ref_sys, np.zeros(4), 0.0, dt)
+        out = propagate(ref_sys, np.zeros(4), 0.0, dt)
         assert np.array_equal(out, np.zeros(4))
 
 
 def test_propagate_holds_equilibrium(ref_sys, ref_eq):
     for dt in (0.1, 1.0, 25.0):
-        out = propagate_constant(ref_sys, ref_eq.x_e, ref_eq.u_e, dt)
+        out = propagate(ref_sys, ref_eq.x_e, ref_eq.u_e, dt)
         assert np.allclose(out, ref_eq.x_e, rtol=0, atol=1e-9)
 
 
 def test_propagate_bolus_then_drift_hits_published_targets(ref_sys):
-    x_tc = propagate_constant(ref_sys, np.zeros(4), U_MAX_REF, 0.5467)
-    x_tf = propagate_constant(ref_sys, x_tc, 0.0, 1.8397 - 0.5467)
+    x_tc = propagate(ref_sys, np.zeros(4), U_MAX_REF, 0.5467)
+    x_tf = propagate(ref_sys, x_tc, 0.0, 1.8397 - 0.5467)
     assert abs(x_tf[0] - 14.518) < 1e-3
     assert abs(x_tf[3] - 3.4) < 1e-3
 
 
 def test_propagate_rejects_negative_dt(ref_sys):
     with pytest.raises(DomainError):
-        propagate_constant(ref_sys, np.zeros(4), 1.0, -0.1)
+        propagate(ref_sys, np.zeros(4), 1.0, -0.1)
 
 
 def test_propagate_zero_dt_returns_independent_copy(ref_sys):
     x0 = np.array([1.0, 2.0, 3.0, 4.0])
-    out = propagate_constant(ref_sys, x0, 50.0, 0.0)
+    out = propagate(ref_sys, x0, 50.0, 0.0)
     assert np.array_equal(out, x0)
     out[0] = 99.0
     assert x0[0] == 1.0
@@ -180,7 +191,7 @@ def test_propagator_closure_matches_one_shot(ref_sys):
     x0 = np.array([0.5, 0.0, 1.0, 0.2])
     for dt in (0.05, 0.9, 4.0):
         a = step(x0, dt)
-        b = propagate_constant(ref_sys, x0, 42.0, dt)
+        b = propagate(ref_sys, x0, 42.0, dt)
         assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -192,9 +203,9 @@ def test_propagator_closure_matches_one_shot(ref_sys):
 )
 def test_propagate_half_step_composition(ref_sys, x0, u, dt):
     x0 = np.array(x0)
-    full = propagate_constant(ref_sys, x0, u, dt)
-    half = propagate_constant(ref_sys, x0, u, dt / 2)
-    two = propagate_constant(ref_sys, half, u, dt / 2)
+    full = propagate(ref_sys, x0, u, dt)
+    half = propagate(ref_sys, x0, u, dt / 2)
+    two = propagate(ref_sys, half, u, dt / 2)
     assert np.max(np.abs(two - full)) < 1e-10
 
 
@@ -206,8 +217,50 @@ def test_propagate_matches_integrator(ref_sys):
 
     x0 = np.zeros(4)
     traj = integrate(f, x0, 0.0, 0.7, tol=1e-12, atol=1e-14)
-    exact = propagate_constant(ref_sys, x0, u, 0.7)
+    exact = propagate(ref_sys, x0, u, 0.7)
     assert np.max(np.abs(traj.states[-1] - exact)) < 1e-8
+
+
+def test_propagator_array_dt_matches_scalar_calls(ref_sys):
+    step = constant_input_propagator(ref_sys, 42.0)
+    x0 = np.array([0.5, 0.0, 1.0, 0.2])
+    dts = np.array([0.0, 0.05, 0.9, 4.0, 30.0])
+    rows = step(x0, dts)
+    assert rows.shape == (dts.size, 4)
+    for dt, row in zip(dts, rows):
+        assert np.max(np.abs(row - step(x0, dt))) < 1e-12
+    with pytest.raises(DomainError):
+        step(x0, np.array([0.1, -0.1]))
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[-1.0, 1.0], [0.0, -1.0 + 1e-9]]),  # clustered spectrum
+    np.array([[0.0, 1.0], [-1.0, 0.0]]),          # complex spectrum
+])
+def test_propagator_series_fallback_matches_scipy(A):
+    sys = LTISystem.from_matrices(A, [1.0, 0.5])
+    assert not sys.spectral_valid
+    step = constant_input_propagator(sys, 3.0)
+    x0 = np.array([0.7, -0.2])
+    dts = np.array([0.0, 0.3, 2.0])
+    rows = step(x0, dts)
+    for dt, row in zip(dts, rows):
+        exact = augmented_flow(sys, x0, 3.0, dt)
+        assert np.max(np.abs(step(x0, dt) - exact)) < 1e-12
+        assert np.max(np.abs(row - exact)) < 1e-12
+
+
+def test_propagator_singular_system_takes_the_phi1_limit():
+    # a pure integrator mode (eigenvalue 0): x2' = u grows linearly in dt
+    A = np.array([[-2.0, 0.0], [1.0, 0.0]])
+    sys = LTISystem.from_matrices(A, [1.0, 1.0])
+    assert sys.spectral_valid and 0.0 in sys.eigenvalues
+    step = constant_input_propagator(sys, 1.5)
+    x0 = np.array([0.4, -1.0])
+    for dt in (1e-6, 0.5, 3.0):
+        x = step(x0, dt)
+        assert np.all(np.isfinite(x))
+        assert np.max(np.abs(x - augmented_flow(sys, x0, 1.5, dt))) < 1e-12
 
 
 # ------------------------------------------------------------- integrate

@@ -3,12 +3,14 @@
 The frozen costate root in conftest is the independent cross-check for the
 strategy-enumeration answer; both must land on the same switching structure.
 """
+import ast
+
 import numpy as np
 import pytest
 
 from anesopt import shooting
 from anesopt.errors import DomainError, NoConvergenceError
-from anesopt.lti import expm, propagate_constant
+from anesopt.lti import constant_input_propagator
 from anesopt.patient import PatientDemographics, equilibrium, schnider_parameters
 from anesopt.shooting import (
     RESIDUAL_ACCEPT,
@@ -16,7 +18,6 @@ from anesopt.shooting import (
     THETA_SEEDS,
     TRANSVERSALITY_ACCEPT,
     ExtremalCertificate,
-    augmented_dynamics,
     bang_control,
     default_seed_grid,
     extremal_trajectory,
@@ -25,10 +26,10 @@ from anesopt.shooting import (
     shooting_residual,
     solve_shooting,
 )
-from anesopt.strategies import schedule_endpoint, solve_time_optimal
+from anesopt.strategies import solve_time_optimal
 from anesopt.problem import ControlSchedule, build_problem
 
-from conftest import FROZEN, U_MAX_REF
+from conftest import FROZEN, U_MAX_REF, endpoint, expm
 
 
 # ------------------------------------------------------------- pointwise law
@@ -51,14 +52,21 @@ def test_hamiltonian_at_equilibrium_is_one_for_any_costate(ref_problem, ref_eq):
         assert h == pytest.approx(1.0, abs=1e-12)
 
 
-def test_augmented_dynamics_costate_row(ref_problem, ref_eq):
-    z = np.concatenate([ref_eq.x_e, [1.0, 0.0, 0.0, 0.0]])
-    dz = augmented_dynamics(ref_problem, z)
-    # psi1 = 1 > 0 shuts the pump off, so the state drifts under u = 0
-    assert np.allclose(dz[:4], ref_problem.sys.A @ ref_eq.x_e, atol=1e-12)
-    assert np.allclose(dz[4:], [0.9175, -0.0683, -0.0035, 0.0], atol=1e-4)
-    assert np.allclose(dz[4:], -ref_problem.sys.A.T @ np.array([1.0, 0, 0, 0]),
-                       atol=1e-15)
+def test_shooting_route_takes_only_the_integrator_from_lti():
+    # the two routes must share nothing past the problem statement: the
+    # shooting route may not reach the closed-form propagation kernel
+    tree = ast.parse(open(shooting.__file__).read())
+    from_lti = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("lti" in a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            if "lti" in (node.module or ""):
+                from_lti |= names
+            else:
+                assert "lti" not in names
+    assert from_lti == {"integrate", "integrate_with_sign_event", "Trajectory"}
 
 
 # ------------------------------------------------------------------ residual
@@ -115,7 +123,8 @@ def test_costate_scaling_preserves_the_flight_but_not_the_hamiltonian(ref_proble
 
 def test_full_rate_onset_bounds_t_f_from_below(ref_problem):
     t_on = full_rate_onset(ref_problem)
-    x = propagate_constant(ref_problem.sys, ref_problem.x0, U_MAX_REF, t_on)
+    full = constant_input_propagator(ref_problem.sys, U_MAX_REF)
+    x = full(ref_problem.x0, t_on)
     assert x[3] == pytest.approx(ref_problem.target_fast[1], abs=1e-9)
     assert 0.0 < t_on < FROZEN["t_f"]
 
@@ -184,7 +193,7 @@ def test_certificate_transversality_identity(certificate):
 
 
 def test_certificate_endpoint_reaches_target(ref_problem, certificate):
-    x = schedule_endpoint(ref_problem.sys, certificate.schedule)
+    x = endpoint(ref_problem.sys, certificate.schedule)
     assert np.max(np.abs(ref_problem.fast_residual(x))) < 1e-6
 
 

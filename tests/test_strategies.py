@@ -9,21 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anesopt.errors import DomainError, InfeasibleError
-from anesopt.lti import LTISystem, integrate, propagate_constant
+from anesopt.lti import LTISystem, constant_input_propagator, integrate
 from anesopt.problem import ControlSchedule, TimeOptimalProblem, build_problem, sample_trajectory
 from anesopt.strategies import (
     FEAS_TOL,
+    T_MAX_DEFAULT,
     Pattern,
     StrategyResult,
+    _GapSolver,
     _select,
     enumerate_patterns,
-    schedule_endpoint,
     solve_all_patterns,
     solve_pattern,
     solve_time_optimal,
 )
 
-from conftest import FROZEN, U_MAX_REF
+from conftest import FROZEN, U_MAX_REF, endpoint
 
 
 # ------------------------------------------------------------- enumeration
@@ -67,18 +68,18 @@ def test_pattern_levels_alternate():
     assert q.levels(2.0) == (0.0, 2.0, 0.0)
 
 
-# -------------------------------------------------------- schedule_endpoint
+# ---------------------------------------------------------- schedule endpoint
 
 def test_endpoint_equilibrium_hold(ref_sys, ref_eq):
     s = ControlSchedule(levels=(ref_eq.u_e,), breakpoints=(), t_f=5.0)
-    x = schedule_endpoint(ref_sys, s, x0=ref_eq.x_e)
+    x = endpoint(ref_sys, s, x0=ref_eq.x_e)
     assert np.allclose(x, ref_eq.x_e, rtol=0, atol=1e-9)
 
 
 def test_endpoint_published_schedule_hits_targets(ref_sys):
     s = ControlSchedule(levels=(U_MAX_REF, 0.0), breakpoints=(0.5467,),
                         t_f=1.8397)
-    x = schedule_endpoint(ref_sys, s)
+    x = endpoint(ref_sys, s)
     assert abs(x[0] - 14.518) < 1e-3
     assert abs(x[3] - 3.4) < 1e-3
 
@@ -95,7 +96,7 @@ def test_endpoint_matches_ode_integration(ref_sys, optimal):
 
     mid = integrate(on, np.zeros(4), 0.0, tc, tol=1e-12, atol=1e-14)
     end = integrate(off, mid.states[-1], tc, s.t_f, tol=1e-12, atol=1e-14)
-    assert np.max(np.abs(end.states[-1] - schedule_endpoint(ref_sys, s))) < 1e-8
+    assert np.max(np.abs(end.states[-1] - endpoint(ref_sys, s))) < 1e-8
 
 
 @settings(max_examples=40, deadline=None)
@@ -106,10 +107,11 @@ def test_endpoint_matches_ode_integration(ref_sys, optimal):
 )
 def test_endpoint_invariant_under_segment_split(ref_sys, d1, d2, theta):
     s = ControlSchedule(levels=(U_MAX_REF, 0.0), breakpoints=(d1,), t_f=d1 + d2)
-    whole = schedule_endpoint(ref_sys, s)
-    x = propagate_constant(ref_sys, np.zeros(4), U_MAX_REF, theta * d1)
-    x = propagate_constant(ref_sys, x, U_MAX_REF, (1 - theta) * d1)
-    x = propagate_constant(ref_sys, x, 0.0, d2)
+    whole = endpoint(ref_sys, s)
+    on = constant_input_propagator(ref_sys, U_MAX_REF)
+    x = on(np.zeros(4), theta * d1)
+    x = on(x, (1 - theta) * d1)
+    x = constant_input_propagator(ref_sys, 0.0)(x, d2)
     assert np.max(np.abs(whole - x)) < 1e-10
 
 
@@ -147,6 +149,19 @@ def test_redundant_families_collapse_to_the_one_switch_root(all_results):
     assert "2-switch" in by_id[8].note
 
 
+def test_lm_zero_slides_along_a_pinned_gap(ref_problem):
+    # strategy 7 from its first multistart point (3.75, 0, 0, 0): the
+    # descent direction pushes the zero gaps negative, so an unpinned
+    # projected step is clipped back and stalls near FEAS_TOL
+    levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
+    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    g0 = sol.starts(4)[0]
+    assert np.array_equal(g0, [3.75, 0.0, 0.0, 0.0])
+    g, r = sol.lm_zero(levels, g0)
+    assert np.linalg.norm(r, np.inf) < 1e-12
+    assert np.all(g >= 0.0)
+
+
 def test_rootless_patterns_report_the_residual_floor(all_results):
     by_id = {r.strategy: r for r in all_results}
     for sid in (1, 2, 4):
@@ -163,7 +178,7 @@ def test_optimal_selection(optimal):
 
 
 def test_optimal_endpoint_full_state(ref_sys, optimal):
-    x = schedule_endpoint(ref_sys, optimal.schedule)
+    x = endpoint(ref_sys, optimal.schedule)
     assert np.allclose(x, FROZEN["x_tf"], rtol=0, atol=1e-6)
 
 
