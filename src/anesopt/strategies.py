@@ -1,8 +1,9 @@
 """Bang-bang strategy enumeration for the minimum-time induction problem.
 
 Candidate controls alternate between 0 and u_max with at most n-1 switches.
-The unknowns of each pattern are its segment durations; endpoints come from
-closed-form propagation, so the root searches never touch an ODE solver.
+The unknowns of each pattern are its segment durations; endpoints and their
+exact switching-time derivatives come from closed-form propagation, so the
+Newton and Levenberg-Marquardt root searches never touch an ODE solver.
 A pattern is reported through its minimum-time representative: families of
 roots (underdetermined patterns) are descended along the zero manifold, and
 a representative whose segment collapses to length zero is rejected rather
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError
 from .lti import constant_input_propagator, kalman_rank
-from .problem import ControlSchedule, TimeOptimalProblem
+from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
 T_MAX_DEFAULT = 30.0
 FEAS_TOL = 1e-9      # inf-norm residual bound for a feasible root
@@ -100,13 +101,17 @@ class _GapSolver:
         return self.prob.fast_residual(x)
 
     def jac(self, levels, gaps) -> np.ndarray:
-        J = np.zeros((2, len(gaps)))
-        for j in range(len(gaps)):
-            h = 1e-7 * max(abs(gaps[j]), 1e-2)
-            gp, gm = gaps.copy(), gaps.copy()
-            gp[j] += h
-            gm[j] = max(gm[j] - h, 0.0)  # durations stay nonnegative
-            J[:, j] = (self.resid(levels, gp) - self.resid(levels, gm)) / (gp[j] - gm[j])
+        """Exact switching-time Jacobian (Kaya and Noakes 1996): column j is
+        e^(A tau_j) (A x_j + B u_j), x_j the state after segment j and tau_j
+        the time left after it; at d_j = 0 it is the right-derivative."""
+        sys = self.prob.sys
+        tau = np.append(np.cumsum(gaps[:0:-1])[::-1], 0.0)
+        J = np.empty((2, len(gaps)))
+        x = self.prob.x0
+        for j, (u, d) in enumerate(zip(levels, gaps)):
+            if d > 0:
+                x = self.props[u](x, d)
+            J[:, j] = sys.expm(tau[j])[FAST_IDX, :] @ (sys.A @ x + sys.B * u)
         return J
 
     def _clip(self, gaps) -> np.ndarray:
@@ -180,6 +185,8 @@ class _GapSolver:
                     lam *= 10
                     continue
                 gn = self._clip(g + step)
+                if np.array_equal(gn, g):
+                    break  # a larger lambda only shrinks a step that moves nothing
                 rn = self.resid(levels, gn)
                 if np.linalg.norm(rn) < nr:
                     g, r = gn, rn
@@ -289,8 +296,11 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
     if len(lv2) > 0:
         g2, r2 = sol.lm_zero(lv2, gp2)
         if np.linalg.norm(r2, np.inf) < FEAS_TOL and g2.sum() <= g.sum() + 1e-9:
+            # past one switch the collapsed pattern has a family of roots,
+            # and the one reached depends on the start: no t_f to report
+            what = f"pattern (t_f = {g2.sum():.4f})" if len(lv2) <= 2 else "family"
             note = (f"minimum-time representative collapses to a "
-                    f"{len(lv2) - 1}-switch pattern (t_f = {g2.sum():.4f})")
+                    f"{len(lv2) - 1}-switch {what}")
             return StrategyResult(pattern.strategy, None, r_bound, False, note)
     return StrategyResult(pattern.strategy, None, r_bound, False,
                           "minimum-time search hit the vanishing-segment boundary")

@@ -8,7 +8,7 @@ import ast
 import numpy as np
 import pytest
 
-from anesopt import shooting
+from anesopt import shooting, strategies
 from anesopt.errors import DomainError, NoConvergenceError
 from anesopt.lti import constant_input_propagator
 from anesopt.patient import PatientDemographics, equilibrium, schnider_parameters
@@ -67,6 +67,22 @@ def test_shooting_route_takes_only_the_integrator_from_lti():
             else:
                 assert "lti" not in names
     assert from_lti == {"integrate", "integrate_with_sign_event", "Trajectory"}
+
+
+def test_strategy_route_takes_no_integrator():
+    # the mirror guard: the closed-form route may not reach the RK route
+    tree = ast.parse(open(strategies.__file__).read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("shooting" in a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {a.name for a in node.names}
+            assert "shooting" not in (node.module or "")
+            assert "shooting" not in names
+            if "lti" in (node.module or ""):
+                assert not names & {"integrate", "integrate_with_sign_event"}
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in {"integrate", "integrate_with_sign_event"}
 
 
 # ------------------------------------------------------------------ residual

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anesopt import strategies
 from anesopt.errors import DomainError, InfeasibleError
 from anesopt.lti import LTISystem, constant_input_propagator, integrate
 from anesopt.problem import ControlSchedule, TimeOptimalProblem, build_problem, sample_trajectory
@@ -147,6 +148,59 @@ def test_redundant_families_collapse_to_the_one_switch_root(all_results):
         assert "1-switch" in by_id[sid].note
     assert "collapses" in by_id[8].note
     assert "2-switch" in by_id[8].note
+    # the collapsed 2-switch pattern is a family: no one t_f to report
+    assert "t_f =" not in by_id[8].note
+
+
+# ------------------------------------------------- switching-time Jacobian
+
+def _central(sol, levels, gaps, h=1e-5):
+    J = np.empty((2, len(gaps)))
+    for j in range(len(gaps)):
+        e = np.zeros(len(gaps))
+        e[j] = h
+        J[:, j] = (sol.resid(levels, gaps + e) - sol.resid(levels, gaps - e)) / (2 * h)
+    return J
+
+
+@pytest.mark.parametrize("strategy", [3, 5, 7])
+def test_jacobian_matches_central_differences(ref_problem, strategy):
+    pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
+    levels = pat.levels(U_MAX_REF)
+    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    rng = np.random.default_rng(strategy)
+    for _ in range(4):
+        g = rng.uniform(0.2, 3.0, pat.switches + 1)
+        np.testing.assert_allclose(sol.jac(levels, g), _central(sol, levels, g),
+                                   rtol=1e-6)
+
+
+def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
+    levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
+    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    g = np.array([0.8, 0.0, 0.6, 0.5])
+    h = 1e-5
+    e = np.array([0.0, h, 0.0, 0.0])
+    # second-order forward difference: no point with a negative duration
+    fwd = (-3 * sol.resid(levels, g) + 4 * sol.resid(levels, g + e)
+           - sol.resid(levels, g + 2 * e)) / (2 * h)
+    np.testing.assert_allclose(sol.jac(levels, g)[:, 1], fwd, rtol=1e-6)
+
+
+def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
+    A = np.array([[-1.0, 0.3, 0.1, 0.2],
+                  [0.0, -1.0 + 1e-9, 0.2, 0.0],
+                  [0.0, 0.0, -0.5, 0.1],
+                  [0.0, 0.0, 0.0, -0.2]])
+    sys = LTISystem.from_matrices(A, [1.0, 0.5, 0.2, 0.1])
+    assert sys.real_spectrum and not sys.spectral_valid
+    prob = TimeOptimalProblem(sys=sys, target_fast=(1.0, 0.5), u_max=3.0)
+    levels = (3.0, 0.0, 3.0)
+    sol = _GapSolver(prob, levels, T_MAX_DEFAULT)
+    for g in ([0.4, 1.1, 0.7], [2.0, 0.3, 1.5]):
+        g = np.array(g)
+        np.testing.assert_allclose(sol.jac(levels, g), _central(sol, levels, g),
+                                   rtol=1e-6)
 
 
 def test_lm_zero_slides_along_a_pinned_gap(ref_problem):
@@ -160,6 +214,29 @@ def test_lm_zero_slides_along_a_pinned_gap(ref_problem):
     g, r = sol.lm_zero(levels, g0)
     assert np.linalg.norm(r, np.inf) < 1e-12
     assert np.all(g >= 0.0)
+
+
+def test_rootless_searches_stop_once_the_step_moves_nothing(ref_problem, monkeypatch):
+    # a converged multistart used to run out its lambda escalations: with
+    # central-difference Jacobians the three searches took 1,048 propagations
+    calls = []
+
+    def counting(sys, u):
+        step = constant_input_propagator(sys, u)
+
+        def counted(x0, dt):
+            calls.append(dt)
+            return step(x0, dt)
+        return counted
+
+    monkeypatch.setattr(strategies, "constant_input_propagator", counting)
+    best = {1: 3.2858202287560356, 2: 14.517999999999999, 4: 7.8595577427756265}
+    for sid, floor in best.items():
+        pat = Pattern(strategy=sid, starts_high=sid % 2 == 1, switches=(sid - 1) // 2)
+        r = solve_pattern(ref_problem, pat)
+        assert not r.feasible and r.note.startswith("no root")
+        assert np.linalg.norm(r.residual, np.inf) == pytest.approx(floor, rel=1e-9)
+    assert len(calls) < 1048 // 2
 
 
 def test_rootless_patterns_report_the_residual_floor(all_results):
