@@ -6,10 +6,10 @@ repeated runs of the same config are bitwise identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +23,11 @@ from .shooting import solve_shooting
 from .strategies import solve_time_optimal
 
 _METHODS = ("shooting", "strategy", "both")
-_REQUIRED = ("sex", "age", "weight", "height", "u_max")
-_OPTIONAL = ("bis_target", "method", "out", "step", "x0")
 
 CSV_HEADER = "t,x1,x2,x3,x4,u,bis"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     sex: str
     age: float
@@ -51,6 +49,11 @@ class RunConfig:
             raise ConfigError("x0 must have four components")
 
 
+# coercion per annotation; annotations are strings under postponed evaluation
+_COERCE = {"str": str, "float": float,
+           "tuple": lambda v: tuple(float(x) for x in v)}
+
+
 def load_config(path: str, **overrides) -> RunConfig:
     """Read the flat JSON config; command-line overrides (non-None) win."""
     try:
@@ -62,33 +65,22 @@ def load_config(path: str, **overrides) -> RunConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = sorted(set(doc) - set(_REQUIRED) - set(_OPTIONAL))
+    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    for key in _REQUIRED:
-        if key not in doc:
-            raise ConfigError(f"missing required config field: {key}")
+    for f in fields.values():
+        if f.default is dataclasses.MISSING and f.name not in doc:
+            raise ConfigError(f"missing required config field: {f.name}")
     merged = dict(doc)
     for key, val in overrides.items():
         if val is not None:
             merged[key] = val
     try:
-        return RunConfig(
-            sex=str(merged["sex"]),
-            age=float(merged["age"]),
-            weight=float(merged["weight"]),
-            height=float(merged["height"]),
-            u_max=float(merged["u_max"]),
-            bis_target=float(merged.get("bis_target", 50.0)),
-            method=str(merged.get("method", "both")),
-            out=str(merged.get("out", "out")),
-            step=float(merged.get("step", 0.001)),
-            x0=tuple(float(v) for v in merged.get("x0", (0.0, 0.0, 0.0, 0.0))),
-        )
+        kwargs = {k: _COERCE[fields[k].type](v) for k, v in merged.items()}
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"config field has the wrong type: {exc}") from exc
+    return RunConfig(**kwargs)
 
 
 def _g10(x) -> float:
@@ -196,28 +188,16 @@ def cmd_simulate(cfg: RunConfig, schedule_path: str) -> int:
     sys_ = assemble_system(params)
     try:
         with open(schedule_path) as fh:
-            doc = json.load(fh)
+            schedule = ControlSchedule.from_dict(json.load(fh))
     except OSError as exc:
         raise ConfigError(f"cannot read schedule file: {exc}") from exc
+    except DomainError as exc:  # before ValueError, its base class
+        raise ConfigError(f"schedule file {schedule_path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"schedule file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "t_f" not in doc:
-        raise ConfigError("schedule document must be an object with a t_f field")
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, "simulated.csv")
-    x0 = np.array(cfg.x0, dtype=float)
-    if doc["t_f"] == 0:
-        levels = doc.get("u_levels", [])
-        u0 = float(levels[0]) if levels else 0.0
-        b0 = bis(max(float(x0[3]), 0.0))
-        cells = [0.0, x0[0], x0[1], x0[2], x0[3], u0, b0]
-        with open(out_path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            fh.write(",".join(f"{_g10(c):.10g}" for c in cells) + "\n")
-        print(out_path)
-        return 0
-    schedule = ControlSchedule.from_dict(doc)
-    traj = sample_trajectory(sys_, schedule, cfg.step, x0=x0)
+    traj = sample_trajectory(sys_, schedule, cfg.step, x0=np.array(cfg.x0))
     _write_trajectory_csv(out_path, traj)
     print(out_path)
     return 0
@@ -258,10 +238,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NoConvergenceError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return 3
-    except (InfeasibleError, IntegrationError) as exc:
+    except (InfeasibleError, IntegrationError, NoConvergenceError) as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return 3
 

@@ -259,37 +259,18 @@ def _dense(y, h, K, theta):
     return y + h * ((K.T @ _P) @ p)
 
 
-def integrate(f, x0, t0, t1, tol=1e-10, atol=1e-12, max_step=np.inf,
-              t_eval=None) -> Trajectory:
-    """Adaptive RK 5(4) integration of x' = f(t, x) from t0 to t1.
-
-    tol is the relative tolerance. With t_eval given, states are sampled at
-    those times from the per-step quartic interpolant.
-    """
+def integrate(f, x0, t0, t1, tol=1e-10, atol=1e-12, max_step=np.inf) -> Trajectory:
+    """Adaptive RK 5(4) integration of x' = f(t, x) from t0 to t1, returning
+    the accepted step nodes; tol is the relative tolerance."""
     if t1 < t0:
         raise DomainError("integrate: t1 < t0")
     x0 = np.asarray(x0, dtype=float)
-    if t_eval is None:
-        ts = [t0]
-        ys = [x0.copy()]
-        for t, y, h, K, y1 in _steps(f, x0, t0, t1, tol, atol, max_step):
-            ts.append(min(t + h, t1))
-            ys.append(y1)
-        return Trajectory(np.array(ts), np.array(ys))
-    t_eval = np.asarray(t_eval, dtype=float)
-    out = np.empty((t_eval.size, x0.size))
-    filled = np.zeros(t_eval.size, dtype=bool)
-    out[t_eval == t0] = x0
-    filled[t_eval == t0] = True
+    ts = [t0]
+    ys = [x0.copy()]
     for t, y, h, K, y1 in _steps(f, x0, t0, t1, tol, atol, max_step):
-        hi = min(t + h, t1)
-        mask = ~filled & (t_eval > t) & (t_eval <= hi)
-        for idx in np.nonzero(mask)[0]:
-            out[idx] = _dense(y, h, K, (t_eval[idx] - t) / h)
-            filled[idx] = True
-    if not np.all(filled):
-        raise DomainError("t_eval outside [t0, t1]")
-    return Trajectory(t_eval, out)
+        ts.append(min(t + h, t1))
+        ys.append(y1)
+    return Trajectory(np.array(ts), np.array(ys))
 
 
 def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol=1e-10, atol=1e-12,

@@ -3,7 +3,7 @@
 Candidate controls alternate between 0 and u_max with at most n-1 switches.
 The unknowns of each pattern are its segment durations; endpoints and their
 exact switching-time derivatives come from closed-form propagation, so the
-Newton and Levenberg-Marquardt root searches never touch an ODE solver.
+one projected Gauss-Newton root search never touches an ODE solver.
 A pattern is reported through its minimum-time representative: families of
 roots (underdetermined patterns) are descended along the zero manifold, and
 a representative whose segment collapses to length zero is rejected rather
@@ -25,6 +25,7 @@ FEAS_TOL = 1e-9      # inf-norm residual bound for a feasible root
 FLOOR_TOL = 1e-6     # best residual above this declares nonexistence
 COLLAPSE_TOL = 1e-3  # segments shorter than this are vanishing
 GRID_POINTS = 8      # multistart points per time dimension
+STALL_TOL = 1e-6     # relative residual drop below which a search has stalled
 
 
 @dataclass(frozen=True)
@@ -121,81 +122,51 @@ class _GapSolver:
             g = g * (self.t_max / total)
         return g
 
-    def starts(self, ndim: int) -> list:
-        pts = [self.t_max * (i + 1) / GRID_POINTS for i in range(GRID_POINTS)]
-        return self._simplex(pts, ndim)
-
-    def newton_starts(self, ndim: int) -> list:
-        # dyadic refinement of the horizon: Newton needs starts near the
-        # sub-minute root scale, which a uniform horizon grid never reaches
+    def starts(self, ndim: int):
+        """Multistart gap vectors, yielded lazily: ordered cut points on a
+        dyadic refinement of the horizon, which reaches the sub-minute root
+        scale that a uniform horizon grid never does."""
         pts = sorted(self.t_max / 2 ** i for i in range(GRID_POINTS))
-        return self._simplex(pts, ndim)
-
-    @staticmethod
-    def _simplex(pts, ndim: int) -> list:
-        out = []
         for combo in itertools.combinations_with_replacement(pts, ndim):
-            out.append(np.diff(np.concatenate([[0.0], combo])))
-        return out
+            yield np.diff(combo, prepend=0.0)
 
-    def newton(self, levels, gaps0):
-        """Damped Newton for the square one-switch case."""
+    def search(self, levels, gaps0, maxit: int = 100):
+        """Projected Gauss-Newton toward a residual zero.
+
+        The minimum-norm least-squares step (Ben-Israel 1966) serves square,
+        over- and underdetermined patterns alike; it is halved until the
+        clipped point lowers |r|.
+        """
         g = np.asarray(gaps0, dtype=float)
         r = self.resid(levels, g)
-        for _ in range(100):
-            if np.linalg.norm(r) < 1e-9:
-                break
-            try:
-                step = np.linalg.solve(self.jac(levels, g), -r)
-            except np.linalg.LinAlgError:
-                break
-            nr = np.linalg.norm(r)
-            scale = 1.0
-            while scale >= 1e-12:
-                gn = self._clip(g + scale * step)
-                rn = self.resid(levels, gn)
-                if np.linalg.norm(rn) < nr:
-                    break
-                scale *= 0.5
-            else:
-                break  # bisection damping exhausted
-            g, r = gn, rn
-            if np.linalg.norm(scale * step) < 1e-12:
-                break
-        return g, r
-
-    def lm_zero(self, levels, gaps0, maxit: int = 100):
-        """Levenberg-Marquardt toward a residual zero, projected to the simplex."""
-        g = np.asarray(gaps0, dtype=float)
-        r = self.resid(levels, g)
-        lam = 1e-3
+        nr = np.linalg.norm(r)
         for _ in range(maxit):
-            nr = np.linalg.norm(r)
             if nr < 1e-12:
                 break
             J = self.jac(levels, g)
             # pin gaps held at zero by the projection, so the step runs
             # along the face instead of being clipped back every time
-            J[:, (g == 0) & (J.T @ r > 0)] = 0.0
-            improved = False
-            for _ in range(30):
-                try:
-                    step = np.linalg.solve(J.T @ J + lam * np.eye(len(g)), -J.T @ r)
-                except np.linalg.LinAlgError:
-                    lam *= 10
-                    continue
-                gn = self._clip(g + step)
+            pinned = (g == 0) & (J.T @ r > 0)
+            J[:, pinned] = 0.0
+            step, _, rank, _ = np.linalg.lstsq(J, -r, rcond=None)
+            if rank < min(len(r), np.count_nonzero(~pinned)):
+                break  # a free gap the endpoint cannot see has no Newton step
+            scale = 1.0
+            while scale >= 1e-12:
+                gn = self._clip(g + scale * step)
                 if np.array_equal(gn, g):
-                    break  # a larger lambda only shrinks a step that moves nothing
+                    return g, r
                 rn = self.resid(levels, gn)
-                if np.linalg.norm(rn) < nr:
-                    g, r = gn, rn
-                    lam = max(lam / 3, 1e-12)
-                    improved = True
+                nrn = np.linalg.norm(rn)
+                if nrn < nr:
                     break
-                lam *= 10
-            if not improved:
-                break
+                scale *= 0.5
+            else:
+                break  # no halving lowers the residual
+            stalled = nr - nrn < STALL_TOL * nr
+            g, r, nr = gn, rn, nrn
+            if stalled:
+                break  # a least-squares minimum, not a root
         return g, r
 
     def descend_time(self, levels, gaps, max_steps: int = 400):
@@ -216,7 +187,7 @@ class _GapSolver:
             total0 = g.sum()
             stepped = False
             while alpha > 1e-10:
-                gc, rc = self.lm_zero(levels, np.maximum(g - alpha * d, 0.0), maxit=40)
+                gc, rc = self.search(levels, np.maximum(g - alpha * d, 0.0), maxit=40)
                 if np.linalg.norm(rc, np.inf) < FEAS_TOL and gc.sum() < total0 - 1e-14:
                     g = gc
                     alpha = min(alpha * 1.6, 1.0)
@@ -253,21 +224,19 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
                   t_max: float = T_MAX_DEFAULT) -> StrategyResult:
     """Solve one pattern for its minimum-time representative.
 
-    One-switch patterns are square systems handled by damped Newton; the
-    others run multistart least squares over the ordered duration simplex.
+    Every pattern runs the same projected Gauss-Newton search from each
+    start of the ordered duration simplex in turn, up to the first root.
     Families of roots are descended to their minimum total time, and a
     family whose minimum collapses a segment is reported infeasible.
     """
     levels = pattern.levels(prob.u_max)
     sol = _GapSolver(prob, levels, t_max)
     k = pattern.switches
-    find = sol.newton if k == 1 else sol.lm_zero
-    grid = sol.newton_starts(k + 1) if k == 1 else sol.starts(k + 1)
     best_nr = np.inf
     best_r = None
     zero = None
-    for g0 in grid:
-        g, r = find(levels, g0)
+    for g0 in sol.starts(k + 1):
+        g, r = sol.search(levels, g0)
         nr = np.linalg.norm(r, np.inf)
         if nr < best_nr:
             best_nr, best_r = nr, r
@@ -294,7 +263,7 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
     lv2, gp2 = sol.collapse(levels, g)
     r_bound = sol.resid(levels, g)
     if len(lv2) > 0:
-        g2, r2 = sol.lm_zero(lv2, gp2)
+        g2, r2 = sol.search(lv2, gp2)
         if np.linalg.norm(r2, np.inf) < FEAS_TOL and g2.sum() <= g.sum() + 1e-9:
             # past one switch the collapsed pattern has a family of roots,
             # and the one reached depends on the start: no t_f to report

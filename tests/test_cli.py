@@ -220,15 +220,15 @@ def test_simulate_constant_hold_at_equilibrium(tmp_path, capsys, ref_eq):
         assert r[6] == pytest.approx(50.0, abs=1e-6)
 
 
-def test_simulate_empty_schedule_is_a_single_row(tmp_path, capsys):
+def test_simulate_zero_horizon_schedule_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     sched = tmp_path / "empty.json"
     sched.write_text(json.dumps({"u_levels": [], "breakpoints": [], "t_f": 0}))
     rc = main(["simulate", "--config", cfg, str(sched),
                "--out", str(tmp_path / "o")])
-    assert rc == 0
-    rows = read_csv(tmp_path / "o" / "simulated.csv")
-    assert rows == [[0, 0, 0, 0, 0, 0, 100]]
+    assert rc == 2
+    assert "schedule" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "simulated.csv").exists()
 
 
 def test_simulate_malformed_schedule_exits_2(tmp_path, capsys):

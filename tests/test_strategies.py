@@ -4,6 +4,8 @@ The reference patient yields exactly one feasible bolus-first pattern (one
 switch); every other candidate either has no root or its minimum-time
 representative collapses into the one-switch solution.
 """
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from anesopt import strategies
 from anesopt.errors import DomainError, InfeasibleError
 from anesopt.lti import LTISystem, constant_input_propagator, integrate
+from anesopt.patient import (PatientDemographics, bis_inverse, equilibrium,
+                             schnider_parameters)
 from anesopt.problem import ControlSchedule, TimeOptimalProblem, build_problem, sample_trajectory
 from anesopt.strategies import (
     FEAS_TOL,
@@ -203,17 +207,74 @@ def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
                                    rtol=1e-6)
 
 
-def test_lm_zero_slides_along_a_pinned_gap(ref_problem):
-    # strategy 7 from its first multistart point (3.75, 0, 0, 0): the
-    # descent direction pushes the zero gaps negative, so an unpinned
-    # projected step is clipped back and stalls near FEAS_TOL
+def test_search_slides_along_a_pinned_gap(ref_problem):
+    # strategy 7 from (3.75, 0, 0, 0): the descent direction pushes the zero
+    # gaps negative, so an unpinned projected step is clipped back and
+    # stalls near FEAS_TOL
     levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
     sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
-    g0 = sol.starts(4)[0]
-    assert np.array_equal(g0, [3.75, 0.0, 0.0, 0.0])
-    g, r = sol.lm_zero(levels, g0)
+    g, r = sol.search(levels, np.array([3.75, 0.0, 0.0, 0.0]))
     assert np.linalg.norm(r, np.inf) < 1e-12
     assert np.all(g >= 0.0)
+
+
+def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch):
+    drawn, searched = [], []
+    combos = itertools.combinations_with_replacement
+
+    def counting_combos(pts, ndim):
+        for c in combos(pts, ndim):
+            drawn.append(c)
+            yield c
+
+    search = _GapSolver.search
+
+    def counting_search(self, levels, gaps0, maxit=100):
+        g, r = search(self, levels, gaps0, maxit)
+        searched.append(np.linalg.norm(r, np.inf))
+        return g, r
+
+    monkeypatch.setattr(itertools, "combinations_with_replacement", counting_combos)
+    monkeypatch.setattr(_GapSolver, "search", counting_search)
+    r = solve_pattern(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
+    assert r.feasible
+    assert len(drawn) == len(searched) < len(list(combos(range(strategies.GRID_POINTS), 2)))
+    assert searched[-1] < FEAS_TOL and all(nr >= FEAS_TOL for nr in searched[:-1])
+
+
+def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
+    # strategy 4 from rest: the leading rest segment leaves x = 0, so its
+    # Jacobian column is exactly zero and no start earns a Newton step
+    jacs, searches = [], []
+    jac, search = _GapSolver.jac, _GapSolver.search
+
+    def counting_jac(self, levels, gaps):
+        jacs.append(gaps)
+        return jac(self, levels, gaps)
+
+    def counting_search(self, levels, gaps0, maxit=100):
+        searches.append(gaps0)
+        return search(self, levels, gaps0, maxit)
+
+    monkeypatch.setattr(_GapSolver, "jac", counting_jac)
+    monkeypatch.setattr(_GapSolver, "search", counting_search)
+    r = solve_pattern(ref_problem, Pattern(strategy=4, starts_high=False, switches=1))
+    assert not r.feasible and r.note.startswith("no root")
+    assert len(searches) == len(list(itertools.combinations_with_replacement(
+        range(strategies.GRID_POINTS), 2)))
+    assert len(jacs) == len(searches)
+
+
+def test_restoration_searches_run_to_a_root_not_to_a_small_step():
+    # a search stopped on a small step leaves descend_time short of the
+    # collapse, and strategy 5 turns into a false interior minimum
+    demo = PatientDemographics(sex="male", age=80.0, weight=70.0, height=170.0)
+    params = schnider_parameters(demo)
+    u_max = 5.0 * equilibrium(params, bis_inverse(50.0)).u_e
+    prob = build_problem(params, u_max=u_max, bis_target=50.0)
+    r = solve_pattern(prob, Pattern(strategy=5, starts_high=True, switches=2))
+    assert not r.feasible
+    assert "collapses to a 1-switch pattern" in r.note
 
 
 def test_rootless_searches_stop_once_the_step_moves_nothing(ref_problem, monkeypatch):
