@@ -49,9 +49,15 @@ class RunConfig:
             raise ConfigError("x0 must have four components")
 
 
+def _float_tuple(v) -> tuple:
+    # a string is iterable too: "1234" must not read as (1, 2, 3, 4)
+    if not isinstance(v, list):
+        raise TypeError(f"expected a JSON list, got {type(v).__name__}")
+    return tuple(float(x) for x in v)
+
+
 # coercion per annotation; annotations are strings under postponed evaluation
-_COERCE = {"str": str, "float": float,
-           "tuple": lambda v: tuple(float(x) for x in v)}
+_COERCE = {"str": str, "float": float, "tuple": _float_tuple}
 
 
 def load_config(path: str, **overrides) -> RunConfig:
@@ -76,10 +82,13 @@ def load_config(path: str, **overrides) -> RunConfig:
     for key, val in overrides.items():
         if val is not None:
             merged[key] = val
-    try:
-        kwargs = {k: _COERCE[fields[k].type](v) for k, v in merged.items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field has the wrong type: {exc}") from exc
+    kwargs = {}
+    for key, val in merged.items():
+        try:
+            kwargs[key] = _COERCE[fields[key].type](val)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"config field {key} has the wrong type: {exc}") from exc
     return RunConfig(**kwargs)
 
 

@@ -1,16 +1,23 @@
 """Indirect (shooting) solution of the minimum-time induction problem.
 
 The maximum principle turns the problem into a boundary value problem for
-the state/costate pair: integrate forward from (x0, psi0) under the sign
-control law, and pick (psi0, t_f) so that the fast target (x1, x4) is met,
-the Hamiltonian vanishes at t_f, and the costate of the free compartments x2
-and x3 vanishes at t_f (transversality). The terminal costate therefore lies
-on psi(t_f) = r (cos theta, 0, 0, sin theta). The control reads only the
-sign of psi1, so the scale r plays no part in the flight: (theta, t_f) solve
-the two target conditions, a square 2x2 system, by damped Newton inside a
-trust region, and r is fixed afterwards by H(t_f) = 0. psi0 comes from
-psi(t_f) by integrating the costate backward with the same Runge-Kutta
-integrator as the flights.
+the state/costate pair under the sign control law: pick the terminal
+costate and t_f so that the fast target (x1, x4) is met, the Hamiltonian
+vanishes, and the costate of the free compartments x2 and x3 vanishes at
+t_f (transversality). The terminal costate therefore lies on
+psi(t_f) = r (cos theta, 0, 0, sin theta). The control reads only the sign
+of psi1, so the scale r plays no part: (theta, t_f) solve the two target
+conditions, a square 2x2 system, by damped Newton inside a trust region,
+and r is fixed afterwards by H(t_f) = 0.
+
+One evaluation at (theta, t_f) integrates the costate backward, in
+s = t_f - t, where it decays: the sweep yields the switch times and the
+unit-scale psi0. The state is then integrated forward between the known
+switches. The exact Jacobian comes from the same sweep: the adjoints of x1
+and x4 at each switch, and the rate at which each switch moves with theta.
+So Newton pays one evaluation per step. The certificate is built from the
+last evaluation; H(0) = 0 joins the target gap in its residual, tying the
+backward costate and the forward state to one extremal.
 
 Seeds are a short theta grid crossed with multiples of t_on, the first time
 x4 reaches its target at full rate, which bounds t_f from below. Every
@@ -44,7 +51,7 @@ _T_F_FLOOR = 1e-3
 _T_F_CEIL = 10.0  # times t_on
 _ONSET_HORIZON = 1e4
 _GAP_TOL = 1e-10
-_FD_STEP = 1e-7
+_TIE_COS = 1e-12  # |cos theta| = |psi1(t_f)| read as a tie
 _MAX_NEWTON_STEPS = 30
 _MAX_HALVINGS = 8
 _THETA_STEP_MAX = np.pi / 8
@@ -104,27 +111,30 @@ def _flight(prob, psi0, t_f, rtol, atol):
     raise IntegrationError("control keeps switching; chattering extremal")
 
 
-def _endpoint_residual(prob, z_f, u_f) -> np.ndarray:
-    n = prob.sys.n
-    x_f, psi_f = z_f[:n], z_f[n:]
-    gap = prob.fast_residual(x_f)
-    return np.array([gap[0], gap[1], hamiltonian(prob, x_f, u_f, psi_f)])
-
-
 def shooting_residual(prob: TimeOptimalProblem, psi0, t_f: float,
                       rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
-    """(x1(t_f) - target1, x4(t_f) - target4, H(t_f)) for the extremal flight."""
+    """(x1(t_f) - target1, x4(t_f) - target4, H(t_f)) for the extremal flight.
+
+    A public diagnostic, not the solver path: it flies psi0 forward, where
+    the costate grows with the fastest system mode (e^(0.94 t) on the
+    reference patient), so it loses accuracy on long horizons.
+    """
     if not t_f > 0:
         raise DomainError("shooting horizon t_f must be positive")
     _, states, _, levels = _flight(prob, psi0, t_f, rtol, atol)
-    return _endpoint_residual(prob, states[-1], levels[-1])
+    n = prob.sys.n
+    x_f, psi_f = states[-1][:n], states[-1][n:]
+    gap = prob.fast_residual(x_f)
+    return np.array([gap[0], gap[1], hamiltonian(prob, x_f, levels[-1], psi_f)])
 
 
 def extremal_trajectory(prob: TimeOptimalProblem, psi0, t_f: float,
                         rtol: float = _RTOL, atol: float = _ATOL):
     """Full extremal as a Trajectory of (x, psi) nodes plus the switch times.
 
-    The control array is right-continuous at switches.
+    The control array is right-continuous at switches. Like
+    shooting_residual, this flies psi0 forward: a diagnostic that is
+    unstable on long horizons, not the solver path.
     """
     times, states, switches, levels = _flight(prob, psi0, t_f, rtol, atol)
     control = np.array(levels)[np.searchsorted(switches, times, side="right")]
@@ -206,93 +216,144 @@ class _BudgetSpent(Exception):
     """MAX_RESIDUAL_EVALS residual evaluations have been spent."""
 
 
-class _Shooter:
-    """Residual evaluations on the transversality subspace, under a cap.
+@dataclass(frozen=True)
+class _Point:
+    """One residual evaluation at (theta, t_f), at the unit costate scale.
 
-    A point (theta, t_f) stands for psi(t_f) = (cos theta, 0, 0, sin theta)
-    on the fast compartments. Each evaluation returns the target gap, the
-    unit-scale psi0 and d = psi(t_f) . x'(t_f), so that psi0 <- -psi0 / d
-    makes H(t_f) = 0 whenever d < 0.
+    gap is the target gap and jac its exact Jacobian in (theta, t_f); psi0 is
+    psi(0) for psi(t_f) = (cos theta, 0, 0, sin theta), and d = psi(t_f) .
+    x'(t_f), so that psi0 <- -psi0 / d makes H(t_f) = 0 whenever d < 0.
     """
+
+    theta: float
+    t_f: float
+    gap: np.ndarray
+    jac: np.ndarray
+    psi0: np.ndarray
+    d: float
+    switches: tuple
+    levels: tuple
+
+
+class _Shooter:
+    """Residual evaluations on the transversality subspace, under a cap."""
 
     def __init__(self, prob, rtol, atol):
         self.prob, self.rtol, self.atol = prob, rtol, atol
         self.evals = 0
         self.best = np.inf
-        self._basis_t = None
-        self._basis = None
 
-    def costate_basis(self, t_f):
-        """psi(0) for psi(t_f) = e1 and e4, as the columns of an n x 2 matrix.
+    def __call__(self, theta, t_f) -> _Point:
+        """Backward costate sweep, forward state, exact Jacobian.
 
-        With s = t_f - t the costate obeys dpsi/ds = A^T psi, so one forward
-        RK solve of the pair maps the terminal costate back to t = 0.
+        In s = t_f - t the costate obeys dpsi/ds = A^T psi and decays, so
+        the pair [psi_theta, psi_perp] is integrated in s from
+        psi_theta = (cos theta, 0, 0, sin theta) and its theta-derivative
+        psi_perp, restarting at each zero s_i of psi_theta,1: a switch at
+        t_i = t_f - s_i. The control starts at the sign of psi0 and flips at
+        each switch; the state is then integrated forward segment by segment.
+
+        With Psi = [psi_theta, psi_perp] R(theta)^T, the adjoints of x1 and
+        x4, a switch at t_i moves the target by Psi(s_i)^T B (u_i- - u_i+)
+        per unit of t_i. t_i moves one for one with t_f, and with theta at
+        -ds_i/dtheta = psi_perp,1 / (A^T psi_theta)_1 (Kaya & Noakes 1996).
         """
-        if t_f != self._basis_t:
-            n = self.prob.sys.n
-            At = self.prob.sys.A.T
-            P = np.zeros((n, 2))
-            P[FAST_IDX[0], 0] = P[FAST_IDX[1], 1] = 1.0
-
-            def rhs(s, y):
-                return (At @ y.reshape(n, 2)).reshape(-1)
-
-            traj = integrate(rhs, P.reshape(-1), 0.0, t_f, tol=self.rtol,
-                             atol=self.atol)
-            self._basis_t, self._basis = t_f, traj.states[-1].reshape(n, 2)
-        return self._basis
-
-    def __call__(self, theta, t_f):
         if self.evals >= MAX_RESIDUAL_EVALS:
             raise _BudgetSpent
         self.evals += 1
-        psi0 = self.costate_basis(t_f) @ np.array([np.cos(theta),
-                                                   np.sin(theta)])
-        r = shooting_residual(self.prob, psi0, t_f, rtol=self.rtol,
-                              atol=self.atol)
-        d = r[2] - 1.0
-        # no positive scale zeroes H when d >= 0; the unit scale is reported
-        h = 0.0 if d < 0.0 else r[2]
-        self.best = min(self.best, float(np.linalg.norm([r[0], r[1], h])))
-        return r[:2], psi0, d
+        prob, rtol, atol = self.prob, self.rtol, self.atol
+        A, B, n = prob.sys.A, prob.sys.B, prob.sys.n
+        c, s = np.cos(theta), np.sin(theta)
+        rot = np.array([[c, -s], [s, c]])
+        y = np.zeros((2, n))
+        y[:, FAST_IDX[0]] = c, -s
+        y[:, FAST_IDX[1]] = s, c
+        start = y
 
-    def newton(self, theta, t_f, t_hi):
-        """Damped Newton on the gap; returns (t_f, gap, psi0, d) at the last
-        point reached.
+        def costate(_, y):
+            return (y.reshape(2, n) @ A).reshape(-1)
+
+        events = []  # (s_i, [psi_theta; psi_perp] at s_i), s increasing
+        s_at = 0.0
+        for _ in range(2 * n + 4):
+            seg, hit = integrate_with_sign_event(
+                costate, y.reshape(-1), s_at, t_f, watch=0, tol=rtol,
+                atol=atol, stop_at_first=True)
+            y = seg.states[-1].reshape(2, n)
+            if not hit:
+                break
+            s_at = float(seg.times[-1])
+            events.append((s_at, y))
+        else:
+            raise IntegrationError("control keeps switching; chattering extremal")
+        psi0 = y[0]
+
+        levels = [bang_control(psi0[0], prob.u_max)]
+        for _ in events:
+            levels.append(prob.u_max if levels[-1] == 0.0 else 0.0)
+        switches = tuple(t_f - s_i for s_i, _ in reversed(events))
+        knots = (0.0,) + switches + (t_f,)
+        x = prob.x0
+        for u, a, b in zip(levels, knots, knots[1:]):
+            def state(_, x, drive=B * u):
+                return A @ x + drive
+
+            x = integrate(state, x, a, b, tol=rtol, atol=atol).states[-1]
+        x_dot = A @ x + B * levels[-1]
+        gap = prob.fast_residual(x)
+        d = c * x_dot[FAST_IDX[0]] + s * x_dot[FAST_IDX[1]]
+
+        jac = np.zeros((2, 2))
+        jac[:, 1] = x_dot[list(FAST_IDX)]
+        # switch k (in t order) lies between levels[k] and levels[k + 1]
+        for k, (_, P) in zip(reversed(range(len(events))), events):
+            jump = rot @ (P @ B) * (levels[k] - levels[k + 1])
+            jac[:, 1] += jump
+            jac[:, 0] += jump * P[1, 0] / (P[0] @ A[:, 0])
+        if not events and abs(c) <= _TIE_COS:
+            # psi1(t_f) = 0: take the right-derivative, in which a switch
+            # enters at s = 0 when ds/dtheta > 0
+            rate = start[1, 0] / (start[0] @ A[:, 0])  # -ds/dtheta
+            if rate < 0.0:
+                u_in = prob.u_max if levels[-1] == 0.0 else 0.0
+                jac[:, 0] += rot @ (start @ B) * (levels[-1] - u_in) * rate
+
+        # no positive scale zeroes H when d >= 0; the unit scale is reported
+        h = 0.0 if d < 0.0 else 1.0 + d
+        self.best = min(self.best, float(np.linalg.norm([gap[0], gap[1], h])))
+        return _Point(theta, t_f, gap, jac, psi0, d, switches, tuple(levels))
+
+    def newton(self, theta, t_f, t_hi) -> _Point:
+        """Damped Newton on the gap; returns the last point reached.
 
         Steps are cut to |dtheta| <= pi/8 and |dt_f| <= t_f / 2, t_f stays in
         [_T_F_FLOOR, t_hi], and a step is halved until the gap shrinks. A
         singular Jacobian or a step that cannot shrink the gap ends the search.
         """
-        g, psi0, d = self(theta, t_f)
+        p = self(theta, t_f)
         for _ in range(_MAX_NEWTON_STEPS):
-            ng = np.linalg.norm(g)
+            ng = np.linalg.norm(p.gap)
             if ng < _GAP_TOL:
                 break
-            J = np.empty((2, 2))
-            J[:, 0] = (self(theta + _FD_STEP, t_f)[0] - g) / _FD_STEP
-            h_t = _FD_STEP * t_f
-            J[:, 1] = (self(theta, t_f + h_t)[0] - g) / h_t
             try:
-                step = np.linalg.solve(J, -g)
+                step = np.linalg.solve(p.jac, -p.gap)
             except np.linalg.LinAlgError:
                 break
             if not np.all(np.isfinite(step)):
                 break
-            over = np.max(np.abs(step) / [_THETA_STEP_MAX, 0.5 * t_f])
+            over = np.max(np.abs(step) / [_THETA_STEP_MAX, 0.5 * p.t_f])
             if over > 1.0:
                 step /= over
             for _ in range(_MAX_HALVINGS):
-                theta_n = theta + step[0]
-                t_n = float(np.clip(t_f + step[1], _T_F_FLOOR, t_hi))
-                g_n, psi0_n, d_n = self(theta_n, t_n)
-                if np.linalg.norm(g_n) < ng:
-                    theta, t_f, g, psi0, d = theta_n, t_n, g_n, psi0_n, d_n
+                t_n = float(np.clip(p.t_f + step[1], _T_F_FLOOR, t_hi))
+                q = self(p.theta + step[0], t_n)
+                if np.linalg.norm(q.gap) < ng:
+                    p = q
                     break
                 step *= 0.5
             else:
                 break
-        return t_f, g, psi0, d
+        return p
 
 
 def solve_shooting(prob: TimeOptimalProblem, initial_guesses=None,
@@ -300,10 +361,11 @@ def solve_shooting(prob: TimeOptimalProblem, initial_guesses=None,
     """Try (theta, t_f) seeds in order; the first certified root wins.
 
     With no seeds given, default_seed_grid(full_rate_onset(prob)) is used.
-    A root is certified when its target gap is below RESIDUAL_ACCEPT and
-    H(t_f) = 0 has a positive costate scale. Raises NoConvergenceError with
-    the best residual, the seeds tried and the residual evaluations spent
-    when every seed stalls or the MAX_RESIDUAL_EVALS cap is reached.
+    A root is certified when its target gap and H(0) are below
+    RESIDUAL_ACCEPT and H(t_f) = 0 has a positive costate scale. Raises
+    NoConvergenceError with the best residual, the seeds tried and the
+    residual evaluations spent when every seed stalls or the
+    MAX_RESIDUAL_EVALS cap is reached.
     """
     t_on = full_rate_onset(prob, rtol, atol)
     seeds = (default_seed_grid(t_on) if initial_guesses is None
@@ -317,10 +379,10 @@ def solve_shooting(prob: TimeOptimalProblem, initial_guesses=None,
         for theta0, t_f0 in seeds:
             tried += 1
             t_f0 = float(np.clip(t_f0, _T_F_FLOOR, t_hi))
-            t_f, g, psi0, d = shooter.newton(float(theta0), t_f0, t_hi)
-            if np.linalg.norm(g) < RESIDUAL_ACCEPT and d < 0.0:
+            p = shooter.newton(float(theta0), t_f0, t_hi)
+            if np.linalg.norm(p.gap) < RESIDUAL_ACCEPT and p.d < 0.0:
                 try:
-                    return _certify(prob, -psi0 / d, t_f, rtol, atol)
+                    return _certify(prob, p)
                 except DomainError:
                     continue
     except _BudgetSpent:
@@ -332,12 +394,17 @@ def solve_shooting(prob: TimeOptimalProblem, initial_guesses=None,
         residual_evals=shooter.evals)
 
 
-def _certify(prob, psi0, t_f, rtol, atol) -> ExtremalCertificate:
-    _, states, switches, levels = _flight(prob, psi0, t_f, rtol, atol)
-    residual = _endpoint_residual(prob, states[-1], levels[-1])
-    schedule = ControlSchedule(levels=tuple(levels),
-                               breakpoints=tuple(switches), t_f=t_f)
+def _certify(prob, p: _Point) -> ExtremalCertificate:
+    """Scale the last evaluation by H(t_f) = 0; H(0) ties its backward
+    costate and forward state to one extremal."""
+    psi0 = -p.psi0 / p.d
+    psi_f = np.zeros(prob.sys.n)
+    psi_f[list(FAST_IDX)] = np.cos(p.theta), np.sin(p.theta)
+    psi_f /= -p.d
+    h0 = hamiltonian(prob, prob.x0, p.levels[0], psi0)
+    schedule = ControlSchedule(levels=p.levels, breakpoints=p.switches,
+                               t_f=p.t_f)
     return ExtremalCertificate(
-        psi0=psi0, t_f=t_f, switch_times=tuple(switches),
-        residual_norm=float(np.linalg.norm(residual)),
-        terminal_costate=states[-1][prob.sys.n:], schedule=schedule)
+        psi0=psi0, t_f=p.t_f, switch_times=p.switches,
+        residual_norm=float(np.linalg.norm([p.gap[0], p.gap[1], h0])),
+        terminal_costate=psi_f, schedule=schedule)

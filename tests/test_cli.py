@@ -68,6 +68,13 @@ def test_unknown_field_exits_2(tmp_path, capsys):
     assert "infusion_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0", ["1234", 5.0, {"x1": 1.0}])
+def test_x0_that_is_not_a_list_exits_2(tmp_path, capsys, x0):
+    rc = main(["params", "--config", write_config(tmp_path, x0=x0)])
+    assert rc == 2
+    assert "x0" in capsys.readouterr().err
+
+
 def test_bad_method_exits_2(tmp_path, capsys):
     rc = main(["solve", "--config", write_config(tmp_path, method="triple")])
     assert rc == 2

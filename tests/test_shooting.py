@@ -4,6 +4,7 @@ The frozen costate root in conftest is the independent cross-check for the
 strategy-enumeration answer; both must land on the same switching structure.
 """
 import ast
+import functools
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from anesopt import shooting, strategies
 from anesopt.errors import DomainError, NoConvergenceError
 from anesopt.lti import constant_input_propagator
-from anesopt.patient import PatientDemographics, equilibrium, schnider_parameters
+from anesopt.patient import (PatientDemographics, bis_inverse, equilibrium,
+                             schnider_parameters)
 from anesopt.shooting import (
     RESIDUAL_ACCEPT,
     T_F_SEED_FACTORS,
@@ -268,26 +270,107 @@ def test_certificate_invariants_rejected():
 
 # ------------------------------------------------------- off-reference cases
 
-def _panel_problem(sex, age, weight, height, ratio=None, x0_frac=None):
+def _panel_problem(sex, age, weight, height, ratio=None, x0_frac=None,
+                   bis=50.0):
     params = schnider_parameters(PatientDemographics(sex, age, weight, height))
-    eq = equilibrium(params)
+    eq = equilibrium(params, bis_inverse(bis))
     u_max = U_MAX_REF if ratio is None else ratio * eq.u_e
     x0 = None if x0_frac is None else x0_frac * eq.x_e
-    return build_problem(params, u_max, x0=x0)
+    return build_problem(params, u_max, bis, x0=x0)
 
 
-@pytest.mark.parametrize("case", [
-    dict(sex="female", age=30.0, weight=55.0, height=160.0, ratio=17.4),
-    dict(sex="male", age=80.0, weight=70.0, height=170.0, ratio=17.4),
-    dict(sex="male", age=53.0, weight=77.0, height=177.0, x0_frac=0.3),
-    dict(sex="male", age=53.0, weight=77.0, height=177.0, ratio=2.0),
-], ids=["female30-17.4ue", "male80-17.4ue", "redose0.3", "bound2ue"])
-def test_shooting_agrees_with_strategies_off_reference(case):
-    prob = _panel_problem(**case)
-    cert = solve_shooting(prob)
+CASES = {
+    "reference": dict(sex="male", age=53.0, weight=77.0, height=177.0),
+    "female30-17.4ue": dict(sex="female", age=30.0, weight=55.0,
+                            height=160.0, ratio=17.4),
+    "male80-17.4ue": dict(sex="male", age=80.0, weight=70.0, height=170.0,
+                          ratio=17.4),
+    "redose0.3": dict(sex="male", age=53.0, weight=77.0, height=177.0,
+                      x0_frac=0.3),
+    "bound2ue": dict(sex="male", age=53.0, weight=77.0, height=177.0,
+                     ratio=2.0),
+    # u_max = 2 u_e with t_f of 18-19 min: the forward costate grows like
+    # e^(0.94 t) over that horizon, which once spent the evaluation cap
+    "female30-2ue-bis40": dict(sex="female", age=30.0, weight=55.0,
+                               height=160.0, ratio=2.0, bis=40.0),
+    "female30-2ue-bis60": dict(sex="female", age=30.0, weight=55.0,
+                               height=160.0, ratio=2.0, bis=60.0),
+    "male32-2ue-bis40": dict(sex="male", age=32.0, weight=73.0, height=164.2,
+                             ratio=2.0, bis=40.0),
+}
+PANEL = ["female30-17.4ue", "male80-17.4ue", "redose0.3", "bound2ue"]
+LONG_HORIZON = ["female30-2ue-bis40", "female30-2ue-bis60",
+                "male32-2ue-bis40"]
+
+
+@functools.lru_cache(maxsize=None)
+def _solved(case):
+    """(problem, certificate), one shooting solve per case and run."""
+    prob = _panel_problem(**CASES[case])
+    return prob, solve_shooting(prob)
+
+
+def _assert_routes_agree(case):
+    prob, cert = _solved(case)
     best = solve_time_optimal(prob)
     assert cert.schedule.levels == best.schedule.levels
     assert abs(cert.t_f - best.t_f) < 1e-6
     gaps = [abs(a - b) for a, b in zip(cert.switch_times,
                                        best.schedule.breakpoints)]
     assert max(gaps, default=0.0) < 1e-6
+
+
+@pytest.mark.parametrize("case", PANEL)
+def test_shooting_agrees_with_strategies_off_reference(case):
+    _assert_routes_agree(case)
+
+
+@pytest.mark.parametrize("case", LONG_HORIZON)
+def test_shooting_converges_on_long_horizons(case):
+    _assert_routes_agree(case)
+    assert _solved(case)[1].t_f > 15.0
+
+
+# ------------------------------------------------------------ exact Jacobian
+
+def _gap(shooter, theta, t_f):
+    return shooter(theta, t_f).gap
+
+
+@pytest.mark.parametrize("case", ["reference"] + PANEL + LONG_HORIZON)
+def test_exact_jacobian_matches_central_differences(case):
+    prob, cert = _solved(case)
+    psi_f = cert.terminal_costate
+    theta0 = np.arctan2(psi_f[3], psi_f[0])
+    shooter = shooting._Shooter(prob, 1e-12, 1e-14)
+    h = 1e-5
+    for theta, t_f in [(theta0, cert.t_f), (theta0 + 0.02, 1.03 * cert.t_f),
+                       (theta0 + 0.01, 0.98 * cert.t_f)]:
+        p = shooter(theta, t_f)
+        assert len(p.switches) == 1
+        central = [
+            (_gap(shooter, theta + h, t_f) - _gap(shooter, theta - h, t_f))
+            / (2 * h),
+            (_gap(shooter, theta, t_f + h * t_f)
+             - _gap(shooter, theta, t_f - h * t_f)) / (2 * h * t_f),
+        ]
+        for k in range(2):
+            col = p.jac[:, k]
+            assert np.linalg.norm(col - central[k]) <= 1e-6 * np.linalg.norm(col)
+
+
+@pytest.mark.parametrize("theta", [-np.pi / 2, np.pi / 2],
+                         ids=["minus-half-pi", "plus-half-pi"])
+def test_jacobian_at_a_terminal_tie_is_the_right_derivative(ref_problem, theta):
+    # psi1(t_f) = cos theta ~ 6e-17: no switch lies inside (0, t_f), but any
+    # theta step to the right lets one enter at t_f
+    t_f = T_F_SEED_FACTORS[0] * full_rate_onset(ref_problem)
+    shooter = shooting._Shooter(ref_problem, 1e-12, 1e-14)
+    p = shooter(theta, t_f)
+    assert p.switches == ()
+    col = p.jac[:, 0]
+    assert np.linalg.norm(col) > 0.0
+    h = 1e-6  # second-order one-sided difference
+    forward = (-3 * p.gap + 4 * _gap(shooter, theta + h, t_f)
+               - _gap(shooter, theta + 2 * h, t_f)) / (2 * h)
+    assert np.linalg.norm(col - forward) <= 1e-6 * np.linalg.norm(col)
