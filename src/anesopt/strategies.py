@@ -2,12 +2,11 @@
 
 Candidate controls alternate between 0 and u_max with at most n-1 switches.
 The unknowns of each pattern are its segment durations; endpoints and their
-exact switching-time derivatives come from closed-form propagation, so the
-one projected Gauss-Newton root search never touches an ODE solver.
-A pattern is reported through its minimum-time representative: families of
-roots (underdetermined patterns) are descended along the zero manifold, and
-a representative whose segment collapses to length zero is rejected rather
-than returned as a spurious distinct strategy.
+exact first and second switching-time derivatives come from closed-form
+propagation, so neither the projected Gauss-Newton root search nor the KKT
+Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE solver. The KKT
+multipliers give the terminal costate psi(t_f) = C^T mu, and a pattern whose
+minimum-time representative has a vanishing segment is dominated.
 """
 from __future__ import annotations
 
@@ -37,12 +36,8 @@ class Pattern:
     switches: int
 
     def levels(self, u_max: float) -> tuple:
-        high = self.starts_high
-        out = []
-        for _ in range(self.switches + 1):
-            out.append(float(u_max) if high else 0.0)
-            high = not high
-        return tuple(out)
+        on = [float(u_max), 0.0] if self.starts_high else [0.0, float(u_max)]
+        return tuple(on[i % 2] for i in range(self.switches + 1))
 
 
 def enumerate_patterns(start_level=None, max_switches: int = 3) -> list:
@@ -70,15 +65,18 @@ class StrategyResult:
     residual: np.ndarray
     feasible: bool
     note: str = ""
+    terminal_costate: np.ndarray | None = None  # psi(t_f) = C^T mu, if feasible
 
     def __post_init__(self):
-        r = np.asarray(self.residual, dtype=float)
-        r.setflags(write=False)
-        object.__setattr__(self, "residual", r)
+        for name in ("residual", "terminal_costate"):
+            if getattr(self, name) is not None:
+                a = np.array(getattr(self, name), dtype=float)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
         if self.feasible:
             if self.schedule is None:
                 raise DomainError("feasible result requires a schedule")
-            if not np.linalg.norm(r, np.inf) < FEAS_TOL:
+            if not np.linalg.norm(self.residual, np.inf) < FEAS_TOL:
                 raise DomainError("feasible result violates the residual bound")
 
     @property
@@ -102,18 +100,19 @@ class _GapSolver:
         return self.prob.fast_residual(x)
 
     def jac(self, levels, gaps) -> np.ndarray:
-        """Exact switching-time Jacobian (Kaya and Noakes 1996): column j is
-        e^(A tau_j) (A x_j + B u_j), x_j the state after segment j and tau_j
-        the time left after it; at d_j = 0 it is the right-derivative."""
+        """Exact switching-time derivatives of the endpoint (Kaya and Noakes
+        1996): column j is the transport v_j = e^(A tau_j) (A x_j + B u_j),
+        x_j the state after segment j and tau_j the time left after it; at
+        d_j = 0 it is the right-derivative. Rows FAST_IDX are dr/dd."""
         sys = self.prob.sys
         tau = np.append(np.cumsum(gaps[:0:-1])[::-1], 0.0)
-        J = np.empty((2, len(gaps)))
+        V = np.empty((sys.n, len(gaps)))
         x = self.prob.x0
         for j, (u, d) in enumerate(zip(levels, gaps)):
             if d > 0:
                 x = self.props[u](x, d)
-            J[:, j] = sys.expm(tau[j])[FAST_IDX, :] @ (sys.A @ x + sys.B * u)
-        return J
+            V[:, j] = sys.expm(tau[j]) @ (sys.A @ x + sys.B * u)
+        return V
 
     def _clip(self, gaps) -> np.ndarray:
         g = np.maximum(gaps, 0.0)
@@ -143,7 +142,7 @@ class _GapSolver:
         for _ in range(maxit):
             if nr < 1e-12:
                 break
-            J = self.jac(levels, g)
+            J = self.jac(levels, g)[FAST_IDX, :]
             # pin gaps held at zero by the projection, so the step runs
             # along the face instead of being clipped back every time
             pinned = (g == 0) & (J.T @ r > 0)
@@ -169,48 +168,36 @@ class _GapSolver:
                 break  # a least-squares minimum, not a root
         return g, r
 
-    def descend_time(self, levels, gaps, max_steps: int = 400):
-        """Minimize total time along the zero manifold of an underdetermined
-        pattern. Returns (gaps, "interior" | "boundary")."""
-        g = gaps.copy()
-        alpha = 0.05
-        ones = np.ones(len(g))  # gradient of sum(gaps)
-        for _ in range(max_steps):
-            if g.min() < COLLAPSE_TOL:
-                return g, "boundary"
-            J = self.jac(levels, g)
-            null = np.linalg.svd(J)[2][2:].T
-            pg = null @ (null.T @ ones)
-            if np.linalg.norm(pg) < 1e-9:
-                return g, "interior"
-            d = pg / np.linalg.norm(pg)
-            total0 = g.sum()
-            stepped = False
-            while alpha > 1e-10:
-                gc, rc = self.search(levels, np.maximum(g - alpha * d, 0.0), maxit=40)
-                if np.linalg.norm(rc, np.inf) < FEAS_TOL and gc.sum() < total0 - 1e-14:
-                    g = gc
-                    alpha = min(alpha * 1.6, 1.0)
-                    stepped = True
-                    break
-                alpha *= 0.5
-            if not stepped:
-                return g, "interior"
-        return g, "interior"
+    def kkt_system(self, levels, gaps, mu):
+        """F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1 switches, and
+        its Jacobian [[J, 0], [M, J^T]]. Since dv_j/dd_i = A v_min(i,j),
+        M_ji = mu^T C A v_min(i,j) (Maurer, Buskens, Kim and Kaya 2005)."""
+        V = self.jac(levels, gaps)
+        J = V[FAST_IDX, :]
+        w = mu @ self.prob.sys.A[FAST_IDX, :] @ V
+        M = w[np.minimum.outer(range(len(gaps)), range(len(gaps)))]
+        F = np.concatenate([self.resid(levels, gaps), 1.0 + J.T @ mu])
+        return F, np.block([[J, np.zeros((2, 2))], [M, J.T]])
 
-    @staticmethod
-    def collapse(levels, gaps):
-        """Drop vanishing segments, merging neighbors left at the same level."""
-        lv, gp = [], []
-        for u, d in zip(levels, gaps):
-            if d < COLLAPSE_TOL:
-                continue
-            if lv and lv[-1] == u:
-                gp[-1] += d
-            else:
-                lv.append(u)
-                gp.append(d)
-        return lv, np.array(gp)
+    def kkt(self, levels, gaps):
+        """Newton on the KKT system from a root, with mu0 = lstsq(J^T, -1):
+        (gaps, mu) at a KKT point with no vanishing segment, or None when a
+        segment vanishes, K is singular or Newton does not converge."""
+        g, n = gaps, len(gaps)
+        mu = np.linalg.lstsq(self.jac(levels, g)[FAST_IDX, :].T, -np.ones(n),
+                             rcond=None)[0]
+        for _ in range(20):
+            if g.min() < COLLAPSE_TOL:
+                return None
+            F, K = self.kkt_system(levels, g, mu)
+            if np.linalg.norm(F, np.inf) < FEAS_TOL:
+                return g, mu
+            try:
+                step = np.linalg.solve(K, -F)
+            except np.linalg.LinAlgError:
+                return None
+            g, mu = g + step[:n], mu + step[n:]
+        return None
 
 
 def _to_schedule(levels, gaps) -> ControlSchedule:
@@ -224,17 +211,19 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
                   t_max: float = T_MAX_DEFAULT) -> StrategyResult:
     """Solve one pattern for its minimum-time representative.
 
-    Every pattern runs the same projected Gauss-Newton search from each
-    start of the ordered duration simplex in turn, up to the first root.
-    Families of roots are descended to their minimum total time, and a
-    family whose minimum collapses a segment is reported infeasible.
+    From an equilibrium of u = 0 a leading rest segment leaves the state
+    where it is, so a rest-first pattern is dominated without a search.
+    Otherwise the search runs from each start of the ordered duration
+    simplex up to the first root; past zero switches, the KKT Newton solve
+    takes that root to a KKT point or reports the pattern dominated.
     """
+    k = pattern.switches
+    if not pattern.starts_high and not (prob.sys.A @ prob.x0).any():
+        note = f"dominated by strategy {2 * k - 1}" if k else "never leaves rest"
+        return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
     levels = pattern.levels(prob.u_max)
     sol = _GapSolver(prob, levels, t_max)
-    k = pattern.switches
-    best_nr = np.inf
-    best_r = None
-    zero = None
+    best_nr, best_r, zero = np.inf, None, None
     for g0 in sol.starts(k + 1):
         g, r = sol.search(levels, g0)
         nr = np.linalg.norm(r, np.inf)
@@ -249,30 +238,21 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
         else:
             note = f"no certified root: best residual {best_nr:.3e}"
         return StrategyResult(pattern.strategy, None, best_r, False, note)
-    if k <= 1:
+    if k == 0:
         if zero.min() < COLLAPSE_TOL:
             return StrategyResult(pattern.strategy, None, best_r, False,
                                   "root degenerate: a segment vanishes")
         return StrategyResult(pattern.strategy, _to_schedule(levels, zero),
                               sol.resid(levels, zero), True, "isolated root")
-    g, kind = sol.descend_time(levels, zero)
-    if kind == "interior":
-        return StrategyResult(pattern.strategy, _to_schedule(levels, g),
-                              sol.resid(levels, g), True,
-                              "interior minimum of the solution family")
-    lv2, gp2 = sol.collapse(levels, g)
-    r_bound = sol.resid(levels, g)
-    if len(lv2) > 0:
-        g2, r2 = sol.search(lv2, gp2)
-        if np.linalg.norm(r2, np.inf) < FEAS_TOL and g2.sum() <= g.sum() + 1e-9:
-            # past one switch the collapsed pattern has a family of roots,
-            # and the one reached depends on the start: no t_f to report
-            what = f"pattern (t_f = {g2.sum():.4f})" if len(lv2) <= 2 else "family"
-            note = (f"minimum-time representative collapses to a "
-                    f"{len(lv2) - 1}-switch {what}")
-            return StrategyResult(pattern.strategy, None, r_bound, False, note)
-    return StrategyResult(pattern.strategy, None, r_bound, False,
-                          "minimum-time search hit the vanishing-segment boundary")
+    point = sol.kkt(levels, zero)
+    if point is None:
+        return StrategyResult(pattern.strategy, None, best_r, False,
+                              "dominated: the minimum-time representative "
+                              "has a vanishing segment")
+    g, mu = point
+    psi_f = np.eye(prob.sys.n)[list(FAST_IDX)].T @ mu  # C^T mu
+    return StrategyResult(pattern.strategy, _to_schedule(levels, g),
+                          sol.resid(levels, g), True, "KKT point", psi_f)
 
 
 def _validate(prob: TimeOptimalProblem) -> None:

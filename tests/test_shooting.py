@@ -331,6 +331,16 @@ def test_shooting_converges_on_long_horizons(case):
     assert _solved(case)[1].t_f > 15.0
 
 
+@pytest.mark.parametrize("case", list(CASES))
+def test_strategy_multipliers_witness_the_terminal_costate(case):
+    # psi(t_f) = C^T mu from the strategy route's KKT system shares no code
+    # with the certificate, whose transversality holds by construction
+    prob, cert = _solved(case)
+    psi_f = solve_time_optimal(prob).terminal_costate
+    scale = np.linalg.norm(cert.terminal_costate)
+    assert np.linalg.norm(psi_f - cert.terminal_costate) <= 1e-8 * scale
+
+
 # ------------------------------------------------------------ exact Jacobian
 
 def _gap(shooter, theta, t_f):

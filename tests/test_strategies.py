@@ -1,8 +1,10 @@
 """Strategy enumeration tests against the frozen reference solution.
 
 The reference patient yields exactly one feasible bolus-first pattern (one
-switch); every other candidate either has no root or its minimum-time
-representative collapses into the one-switch solution.
+switch), a KKT point of min sum(d) s.t. r(d) = 0. Every other candidate has
+no root, or is dominated: from rest a rest-first pattern reduces to the
+bolus-first pattern with one switch fewer without a search, and the KKT
+Newton solve from any root of strategies 5 and 7 drives a segment to zero.
 """
 import itertools
 
@@ -15,7 +17,8 @@ from anesopt.errors import DomainError, InfeasibleError
 from anesopt.lti import LTISystem, constant_input_propagator, integrate
 from anesopt.patient import (PatientDemographics, bis_inverse, equilibrium,
                              schnider_parameters)
-from anesopt.problem import ControlSchedule, TimeOptimalProblem, build_problem, sample_trajectory
+from anesopt.problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
+                             build_problem, sample_trajectory)
 from anesopt.strategies import (
     FEAS_TOL,
     T_MAX_DEFAULT,
@@ -29,7 +32,7 @@ from anesopt.strategies import (
     solve_time_optimal,
 )
 
-from conftest import FROZEN, U_MAX_REF, endpoint
+from conftest import FROZEN, U_MAX_REF, endpoint, expm
 
 
 # ------------------------------------------------------------- enumeration
@@ -145,15 +148,18 @@ def test_full_enumeration_verdicts(all_results):
     assert feasible == [3]
 
 
+DOMINATED = "dominated: the minimum-time representative has a vanishing segment"
+
+
 def test_redundant_families_collapse_to_the_one_switch_root(all_results):
     by_id = {r.strategy: r for r in all_results}
-    for sid in (5, 6, 7):
-        assert "collapses" in by_id[sid].note
-        assert "1-switch" in by_id[sid].note
-    assert "collapses" in by_id[8].note
-    assert "2-switch" in by_id[8].note
-    # the collapsed 2-switch pattern is a family: no one t_f to report
-    assert "t_f =" not in by_id[8].note
+    for sid in (5, 6, 7, 8):
+        assert not by_id[sid].feasible and by_id[sid].terminal_costate is None
+    # the KKT solve leaves the one-switch root embedded in 5 and 7 on a face;
+    # the note names neither a t_f nor a switch count, which depend on the start
+    assert by_id[5].note == by_id[7].note == DOMINATED
+    assert by_id[6].note == "dominated by strategy 3"
+    assert by_id[8].note == "dominated by strategy 5"
 
 
 # ------------------------------------------------- switching-time Jacobian
@@ -175,8 +181,8 @@ def test_jacobian_matches_central_differences(ref_problem, strategy):
     rng = np.random.default_rng(strategy)
     for _ in range(4):
         g = rng.uniform(0.2, 3.0, pat.switches + 1)
-        np.testing.assert_allclose(sol.jac(levels, g), _central(sol, levels, g),
-                                   rtol=1e-6)
+        np.testing.assert_allclose(sol.jac(levels, g)[FAST_IDX, :],
+                                   _central(sol, levels, g), rtol=1e-6)
 
 
 def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
@@ -188,7 +194,7 @@ def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
     # second-order forward difference: no point with a negative duration
     fwd = (-3 * sol.resid(levels, g) + 4 * sol.resid(levels, g + e)
            - sol.resid(levels, g + 2 * e)) / (2 * h)
-    np.testing.assert_allclose(sol.jac(levels, g)[:, 1], fwd, rtol=1e-6)
+    np.testing.assert_allclose(sol.jac(levels, g)[FAST_IDX, 1], fwd, rtol=1e-6)
 
 
 def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
@@ -203,8 +209,29 @@ def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
     sol = _GapSolver(prob, levels, T_MAX_DEFAULT)
     for g in ([0.4, 1.1, 0.7], [2.0, 0.3, 1.5]):
         g = np.array(g)
-        np.testing.assert_allclose(sol.jac(levels, g), _central(sol, levels, g),
-                                   rtol=1e-6)
+        np.testing.assert_allclose(sol.jac(levels, g)[FAST_IDX, :],
+                                   _central(sol, levels, g), rtol=1e-6)
+
+
+@pytest.mark.parametrize("strategy", [5, 7])
+def test_kkt_jacobian_matches_central_differences(ref_problem, strategy):
+    pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
+    levels = pat.levels(U_MAX_REF)
+    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    n = pat.switches + 1
+    rng = np.random.default_rng(strategy)
+    h = 1e-5
+    for _ in range(4):
+        z = np.concatenate([rng.uniform(0.2, 3.0, n), rng.normal(size=2)])
+        K = sol.kkt_system(levels, z[:n], z[n:])[1]
+        central = np.empty_like(K)
+        for j in range(n + 2):
+            e = np.zeros(n + 2)
+            e[j] = h
+            hi = sol.kkt_system(levels, (z + e)[:n], (z + e)[n:])[0]
+            lo = sol.kkt_system(levels, (z - e)[:n], (z - e)[n:])[0]
+            central[:, j] = (hi - lo) / (2 * h)
+        np.testing.assert_allclose(K, central, rtol=1e-6)
 
 
 def test_search_slides_along_a_pinned_gap(ref_problem):
@@ -243,38 +270,60 @@ def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch)
 
 
 def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
-    # strategy 4 from rest: the leading rest segment leaves x = 0, so its
-    # Jacobian column is exactly zero and no start earns a Newton step
-    jacs, searches = [], []
-    jac, search = _GapSolver.jac, _GapSolver.search
+    # strategy 4's levels from rest: the leading rest segment leaves x = 0,
+    # so its Jacobian column is exactly zero and no start earns a Newton step
+    # (solve_pattern reports the pattern dominated before any search)
+    jacs = []
+    jac = _GapSolver.jac
 
     def counting_jac(self, levels, gaps):
         jacs.append(gaps)
         return jac(self, levels, gaps)
 
-    def counting_search(self, levels, gaps0, maxit=100):
-        searches.append(gaps0)
-        return search(self, levels, gaps0, maxit)
-
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
-    monkeypatch.setattr(_GapSolver, "search", counting_search)
-    r = solve_pattern(ref_problem, Pattern(strategy=4, starts_high=False, switches=1))
-    assert not r.feasible and r.note.startswith("no root")
-    assert len(searches) == len(list(itertools.combinations_with_replacement(
+    levels = Pattern(strategy=4, starts_high=False, switches=1).levels(U_MAX_REF)
+    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    starts = list(sol.starts(2))
+    assert len(starts) == len(list(itertools.combinations_with_replacement(
         range(strategies.GRID_POINTS), 2)))
-    assert len(jacs) == len(searches)
+    for g0 in starts:
+        g, r = sol.search(levels, g0)
+        assert np.array_equal(g, g0) and np.linalg.norm(r, np.inf) > FEAS_TOL
+    assert len(jacs) == len(starts)
 
 
-def test_restoration_searches_run_to_a_root_not_to_a_small_step():
-    # a search stopped on a small step leaves descend_time short of the
-    # collapse, and strategy 5 turns into a false interior minimum
+def _male80_5ue():
     demo = PatientDemographics(sex="male", age=80.0, weight=70.0, height=170.0)
     params = schnider_parameters(demo)
     u_max = 5.0 * equilibrium(params, bis_inverse(50.0)).u_e
-    prob = build_problem(params, u_max=u_max, bis_target=50.0)
-    r = solve_pattern(prob, Pattern(strategy=5, starts_high=True, switches=2))
+    return build_problem(params, u_max=u_max, bis_target=50.0)
+
+
+def test_restoration_searches_run_to_a_root_not_to_a_small_step():
+    # the family descent once stopped short of the face here, and strategy 5
+    # turned into a false interior minimum; the KKT solve leaves on the face
+    r = solve_pattern(_male80_5ue(), Pattern(strategy=5, starts_high=True, switches=2))
     assert not r.feasible
-    assert "collapses to a 1-switch pattern" in r.note
+    assert r.note == DOMINATED
+
+
+@pytest.mark.parametrize("case", ["reference", "male80-5ue"])
+def test_verdicts_do_not_depend_on_the_start_order(ref_problem, case, monkeypatch):
+    prob = ref_problem if case == "reference" else _male80_5ue()
+    forward = solve_all_patterns(prob, bolus_filter=False)
+    starts = _GapSolver.starts
+    monkeypatch.setattr(_GapSolver, "starts",
+                        lambda self, ndim: reversed(list(starts(self, ndim))))
+    backward = solve_all_patterns(prob, bolus_filter=False)
+    compared = 0
+    for a, b in zip(forward, backward):
+        if a.note.startswith("no "):
+            continue  # rootless: the note is the best residual of every start
+        compared += 1
+        assert (a.feasible, a.note) == (b.feasible, b.note)
+        if a.feasible:
+            assert abs(a.t_f - b.t_f) < 1e-9
+    assert compared >= 3
 
 
 def test_rootless_searches_stop_once_the_step_moves_nothing(ref_problem, monkeypatch):
@@ -291,21 +340,29 @@ def test_rootless_searches_stop_once_the_step_moves_nothing(ref_problem, monkeyp
         return counted
 
     monkeypatch.setattr(strategies, "constant_input_propagator", counting)
-    best = {1: 3.2858202287560356, 2: 14.517999999999999, 4: 7.8595577427756265}
-    for sid, floor in best.items():
-        pat = Pattern(strategy=sid, starts_high=sid % 2 == 1, switches=(sid - 1) // 2)
-        r = solve_pattern(ref_problem, pat)
-        assert not r.feasible and r.note.startswith("no root")
-        assert np.linalg.norm(r.residual, np.inf) == pytest.approx(floor, rel=1e-9)
+    r = solve_pattern(ref_problem, Pattern(strategy=1, starts_high=True, switches=0))
+    assert not r.feasible and r.note.startswith("no root")
+    assert np.linalg.norm(r.residual, np.inf) == pytest.approx(3.2858202287560356,
+                                                               rel=1e-9)
+    # from rest the rest-first patterns 2 and 4 are reported without a search:
+    # strategy 4 is strategy 1 behind a rest segment, not a floor of 7.86
+    for sid, note in {2: "never leaves rest", 4: "dominated by strategy 1"}.items():
+        r = solve_pattern(ref_problem, Pattern(strategy=sid, starts_high=False,
+                                               switches=(sid - 1) // 2))
+        assert not r.feasible and r.note == note and r.residual.size == 0
     assert len(calls) < 1048 // 2
 
 
 def test_rootless_patterns_report_the_residual_floor(all_results):
     by_id = {r.strategy: r for r in all_results}
-    for sid in (1, 2, 4):
-        assert not by_id[sid].feasible
-        assert "no root" in by_id[sid].note or "no certified" in by_id[sid].note
-        assert np.linalg.norm(by_id[sid].residual, np.inf) > 1e-6
+    assert not by_id[1].feasible
+    assert "no root" in by_id[1].note or "no certified" in by_id[1].note
+    assert np.linalg.norm(by_id[1].residual, np.inf) > 1e-6
+    # rest-first patterns from rest are dominated, with no residual to report
+    assert by_id[2].note == "never leaves rest"
+    assert by_id[4].note == "dominated by strategy 1"
+    for sid in (2, 4):
+        assert not by_id[sid].feasible and by_id[sid].residual.size == 0
 
 
 def test_optimal_selection(optimal):
@@ -313,6 +370,21 @@ def test_optimal_selection(optimal):
     assert optimal.feasible
     assert abs(optimal.t_f - FROZEN["t_f"]) < 1e-9
     assert optimal.schedule.levels == (U_MAX_REF, 0.0)
+
+
+def test_kkt_multipliers_satisfy_the_maximum_principle(ref_sys, optimal):
+    # psi(t) = e^(A^T (t_f - t)) C^T mu: H = 1 + psi . (A x + B u) vanishes on
+    # both sides of the switch, so psi1(t_c) = 0, and psi2 = psi3 = 0 at t_f
+    psi_f = optimal.terminal_costate
+    assert psi_f[1] == psi_f[2] == 0.0
+    s = optimal.schedule
+    tc = s.breakpoints[0]
+    x_c = endpoint(ref_sys, ControlSchedule(s.levels[:1], (), tc))
+    psi_c = expm(ref_sys.A.T, s.t_f - tc) @ psi_f
+    for u in s.levels:
+        assert abs(1.0 + psi_c @ (ref_sys.A @ x_c + ref_sys.B * u)) < 1e-9
+    x_f = endpoint(ref_sys, s)
+    assert abs(1.0 + psi_f @ (ref_sys.A @ x_f + ref_sys.B * s.levels[-1])) < 1e-9
 
 
 def test_optimal_endpoint_full_state(ref_sys, optimal):
