@@ -15,8 +15,8 @@ from .patient import (BisParameters, EquilibriumState, PatientDemographics,
 from .problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                       build_problem, sample_trajectory)
 from .shooting import (ExtremalCertificate, bang_control, default_seed_grid,
-                       extremal_trajectory, full_rate_onset, hamiltonian,
-                       shooting_residual, solve_shooting)
+                       full_rate_onset, hamiltonian, shooting_residual,
+                       solve_shooting)
 from .strategies import (Pattern, StrategyResult, enumerate_patterns,
                          solve_all_patterns, solve_pattern, solve_time_optimal)
 
@@ -31,7 +31,7 @@ __all__ = [
     "TimeOptimalProblem", "Trajectory", "assemble_system", "bang_control",
     "bis", "bis_inverse", "build_problem", "constant_input_propagator",
     "default_seed_grid", "enumerate_patterns", "equilibrium",
-    "extremal_trajectory", "full_rate_onset", "hamiltonian", "integrate",
+    "full_rate_onset", "hamiltonian", "integrate",
     "integrate_with_sign_event", "kalman_rank", "lean_body_mass",
     "sample_trajectory", "schnider_parameters", "shooting_residual",
     "solve_all_patterns", "solve_pattern", "solve_shooting",

@@ -57,8 +57,11 @@ class ControlSchedule:
     @classmethod
     def from_dict(cls, d: dict) -> "ControlSchedule":
         try:
-            return cls(levels=tuple(d["u_levels"]),
-                       breakpoints=tuple(d["breakpoints"]),
+            levels, breakpoints = d["u_levels"], d["breakpoints"]
+            # a string is iterable too: "10" must not read as levels (1, 0)
+            if not (isinstance(levels, list) and isinstance(breakpoints, list)):
+                raise TypeError("u_levels and breakpoints must be JSON lists")
+            return cls(levels=tuple(levels), breakpoints=tuple(breakpoints),
                        t_f=float(d["t_f"]))
         except DomainError:
             raise

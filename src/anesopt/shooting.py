@@ -11,13 +11,13 @@ conditions, a square 2x2 system, by damped Newton inside a trust region,
 and r is fixed afterwards by H(t_f) = 0.
 
 One evaluation at (theta, t_f) integrates the costate backward, in
-s = t_f - t, where it decays: the sweep yields the switch times and the
-unit-scale psi0. The state is then integrated forward between the known
-switches. The exact Jacobian comes from the same sweep: the adjoints of x1
-and x4 at each switch, and the rate at which each switch moves with theta.
-So Newton pays one evaluation per step. The certificate is built from the
-last evaluation; H(0) = 0 joins the target gap in its residual, tying the
-backward costate and the forward state to one extremal.
+s = t_f - t, where it decays: this sweep (_sweep) yields the switch times
+and the unit-scale psi0. The state is then walked forward between the known
+switches (_walk). The exact Jacobian comes from the same sweep: the adjoints
+of x1 and x4 at each switch, and the rate at which each switch moves with
+theta. So Newton pays one evaluation per step. The certificate is built
+from the last evaluation; H(0) = 0 joins the target gap in its residual,
+tying the backward costate and the forward state to one extremal.
 
 Seeds are a short theta grid crossed with multiples of t_on, the first time
 x4 reaches its target at full rate, which bounds t_f from below. Every
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DomainError, InfeasibleError, IntegrationError,
                      NoConvergenceError)
-from .lti import Trajectory, integrate, integrate_with_sign_event
+from .lti import integrate, integrate_with_sign_event
 from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
 THETA_SEEDS = tuple(-np.pi / 2 + k * np.pi / 8 for k in range(16))
@@ -43,7 +43,7 @@ TRANSVERSALITY_ACCEPT = 1e-8
 MAX_RESIDUAL_EVALS = 200
 
 # switch-time error feeds the endpoint at a rate of order u_max, so the
-# extremal flights run tighter than the module-default integrator tolerance
+# sweep and the walk run tighter than the module-default integrator tolerance
 _RTOL = 1e-12
 _ATOL = 1e-14
 
@@ -71,74 +71,73 @@ def hamiltonian(prob: TimeOptimalProblem, x, u: float, psi) -> float:
     return 1.0 + float(np.dot(np.asarray(psi, dtype=float), drift))
 
 
-def _flight(prob, psi0, t_f, rtol, atol):
-    """Integrate the extremal with event-exact switch restarts.
+def _sweep(M, y0, t1, rtol, atol):
+    """Integrate rows y with dy/ds = y M over [0, t1], restarting at each
+    sign change of entry 0.
 
-    The running control is carried explicitly and flipped at each detected
-    psi1 crossing; re-reading the sign at the interpolated event state would
-    be deciding on a value of order 1e-15. Returns (times, states, switches,
-    levels) with the accepted nodes of all segments and the control level
-    of each segment.
+    Returns ([(s_i, y(s_i))], y(t1)), the events in increasing s, with y in
+    the shape of y0. Restarting at each event keeps every crossing exact; an
+    event on each of 2n + 4 restarts is read as a chattering extremal.
     """
-    n = prob.sys.n
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = prob.sys.A
-    M[n:, n:] = -prob.sys.A.T
-    z = np.concatenate([prob.x0, np.asarray(psi0, dtype=float)])
-    levels = [bang_control(z[n], prob.u_max)]
-    t = 0.0
-    times = [0.0]
-    states = [z.copy()]
-    switches = []
-    for _ in range(2 * n + 4):
-        b = np.zeros(2 * n)
-        b[:n] = prob.sys.B * levels[-1]
+    y = np.asarray(y0, dtype=float)
+    shape = y.shape
 
-        def rhs(s, y, M=M, b=b):
-            return M @ y + b
+    def rhs(_, y):
+        return (y.reshape(shape) @ M).reshape(-1)
 
-        seg, events = integrate_with_sign_event(rhs, z, t, t_f, watch=n,
-                                                tol=rtol, atol=atol,
-                                                stop_at_first=True)
-        times.extend(seg.times[1:].tolist())
-        states.extend(list(seg.states[1:]))
-        if not events:
-            return np.array(times), np.array(states), switches, levels
-        t = float(seg.times[-1])
-        z = seg.states[-1]
-        switches.append(t)
-        levels.append(prob.u_max if levels[-1] == 0.0 else 0.0)
+    events = []
+    s_at = 0.0
+    for _ in range(2 * len(M) + 4):
+        seg, hit = integrate_with_sign_event(
+            rhs, y.reshape(-1), s_at, t1, watch=0, tol=rtol, atol=atol,
+            stop_at_first=True)
+        y = seg.states[-1].reshape(shape)
+        if not hit:
+            return events, y
+        s_at = float(seg.times[-1])
+        events.append((s_at, y))
     raise IntegrationError("control keeps switching; chattering extremal")
+
+
+def _walk(prob, levels, switches, t_f, rtol, atol):
+    """x(t_f) from x0 under levels[k] between the knots 0, switches, t_f:
+    one integration per segment."""
+    A, B = prob.sys.A, prob.sys.B
+    knots = (0.0,) + tuple(switches) + (t_f,)
+    x = prob.x0
+    for u, a, b in zip(levels, knots, knots[1:]):
+        def state(_, x, drive=B * u):
+            return A @ x + drive
+
+        x = integrate(state, x, a, b, tol=rtol, atol=atol).states[-1]
+    return x
+
+
+def _levels(psi1_0, u_max, switches):
+    """The sign law's level at t = 0, flipped at each switch: re-reading the
+    sign at a located event would decide on a psi1 of order 1e-15."""
+    levels = [bang_control(psi1_0, u_max)]
+    for _ in range(switches):
+        levels.append(u_max if levels[-1] == 0.0 else 0.0)
+    return tuple(levels)
 
 
 def shooting_residual(prob: TimeOptimalProblem, psi0, t_f: float,
                       rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
-    """(x1(t_f) - target1, x4(t_f) - target4, H(t_f)) for the extremal flight.
+    """(x1(t_f) - target1, x4(t_f) - target4, H(t_f)) for the extremal from psi0.
 
-    A public diagnostic, not the solver path: it flies psi0 forward, where
-    the costate grows with the fastest system mode (e^(0.94 t) on the
-    reference patient), so it loses accuracy on long horizons.
+    A forward diagnostic on the solver's sweep and walk, not the solver path:
+    it sweeps the costate forward from psi0, where it grows with the fastest
+    system mode (e^(0.94 t) on the reference patient), so it loses accuracy
+    on long horizons.
     """
     if not t_f > 0:
         raise DomainError("shooting horizon t_f must be positive")
-    _, states, _, levels = _flight(prob, psi0, t_f, rtol, atol)
-    n = prob.sys.n
-    x_f, psi_f = states[-1][:n], states[-1][n:]
+    events, psi_f = _sweep(-prob.sys.A, psi0, t_f, rtol, atol)
+    levels = _levels(psi0[0], prob.u_max, len(events))
+    x_f = _walk(prob, levels, [s for s, _ in events], t_f, rtol, atol)
     gap = prob.fast_residual(x_f)
     return np.array([gap[0], gap[1], hamiltonian(prob, x_f, levels[-1], psi_f)])
-
-
-def extremal_trajectory(prob: TimeOptimalProblem, psi0, t_f: float,
-                        rtol: float = _RTOL, atol: float = _ATOL):
-    """Full extremal as a Trajectory of (x, psi) nodes plus the switch times.
-
-    The control array is right-continuous at switches. Like
-    shooting_residual, this flies psi0 forward: a diagnostic that is
-    unstable on long horizons, not the solver path.
-    """
-    times, states, switches, levels = _flight(prob, psi0, t_f, rtol, atol)
-    control = np.array(levels)[np.searchsorted(switches, times, side="right")]
-    return Trajectory(times, states, control), list(switches)
 
 
 def full_rate_onset(prob: TimeOptimalProblem, rtol: float = _RTOL,
@@ -268,37 +267,10 @@ class _Shooter:
         y = np.zeros((2, n))
         y[:, FAST_IDX[0]] = c, -s
         y[:, FAST_IDX[1]] = s, c
-        start = y
-
-        def costate(_, y):
-            return (y.reshape(2, n) @ A).reshape(-1)
-
-        events = []  # (s_i, [psi_theta; psi_perp] at s_i), s increasing
-        s_at = 0.0
-        for _ in range(2 * n + 4):
-            seg, hit = integrate_with_sign_event(
-                costate, y.reshape(-1), s_at, t_f, watch=0, tol=rtol,
-                atol=atol, stop_at_first=True)
-            y = seg.states[-1].reshape(2, n)
-            if not hit:
-                break
-            s_at = float(seg.times[-1])
-            events.append((s_at, y))
-        else:
-            raise IntegrationError("control keeps switching; chattering extremal")
-        psi0 = y[0]
-
-        levels = [bang_control(psi0[0], prob.u_max)]
-        for _ in events:
-            levels.append(prob.u_max if levels[-1] == 0.0 else 0.0)
+        events, (psi0, _) = _sweep(A, y, t_f, rtol, atol)
+        levels = _levels(psi0[0], prob.u_max, len(events))
         switches = tuple(t_f - s_i for s_i, _ in reversed(events))
-        knots = (0.0,) + switches + (t_f,)
-        x = prob.x0
-        for u, a, b in zip(levels, knots, knots[1:]):
-            def state(_, x, drive=B * u):
-                return A @ x + drive
-
-            x = integrate(state, x, a, b, tol=rtol, atol=atol).states[-1]
+        x = _walk(prob, levels, switches, t_f, rtol, atol)
         x_dot = A @ x + B * levels[-1]
         gap = prob.fast_residual(x)
         d = c * x_dot[FAST_IDX[0]] + s * x_dot[FAST_IDX[1]]
@@ -313,10 +285,10 @@ class _Shooter:
         if not events and abs(c) <= _TIE_COS:
             # psi1(t_f) = 0: take the right-derivative, in which a switch
             # enters at s = 0 when ds/dtheta > 0
-            rate = start[1, 0] / (start[0] @ A[:, 0])  # -ds/dtheta
+            rate = y[1, 0] / (y[0] @ A[:, 0])  # -ds/dtheta
             if rate < 0.0:
                 u_in = prob.u_max if levels[-1] == 0.0 else 0.0
-                jac[:, 0] += rot @ (start @ B) * (levels[-1] - u_in) * rate
+                jac[:, 0] += rot @ (y @ B) * (levels[-1] - u_in) * rate
 
         # no positive scale zeroes H when d >= 0; the unit scale is reported
         h = 0.0 if d < 0.0 else 1.0 + d

@@ -92,25 +92,25 @@ class _GapSolver:
         self.t_max = float(t_max)
         self.props = {u: constant_input_propagator(prob.sys, u) for u in set(levels)}
 
-    def resid(self, levels, gaps) -> np.ndarray:
-        x = self.prob.x0
-        for u, d in zip(levels, gaps):
-            if d > 0:
-                x = self.props[u](x, d)
-        return self.prob.fast_residual(x)
-
-    def jac(self, levels, gaps) -> np.ndarray:
-        """Exact switching-time derivatives of the endpoint (Kaya and Noakes
-        1996): column j is the transport v_j = e^(A tau_j) (A x_j + B u_j),
-        x_j the state after segment j and tau_j the time left after it; at
-        d_j = 0 it is the right-derivative. Rows FAST_IDX are dr/dd."""
-        sys = self.prob.sys
-        tau = np.append(np.cumsum(gaps[:0:-1])[::-1], 0.0)
-        V = np.empty((sys.n, len(gaps)))
+    def walk(self, levels, gaps) -> np.ndarray:
+        """The state after each segment, one row per gap."""
+        xs = np.empty((len(gaps), self.prob.sys.n))
         x = self.prob.x0
         for j, (u, d) in enumerate(zip(levels, gaps)):
             if d > 0:
                 x = self.props[u](x, d)
+            xs[j] = x
+        return xs
+
+    def jac(self, levels, gaps, xs) -> np.ndarray:
+        """Exact switching-time derivatives of the endpoint (Kaya and Noakes
+        1996): column j is the transport v_j = e^(A tau_j) (A x_j + B u_j),
+        x_j = xs[j] the state after segment j and tau_j the time left after
+        it; at d_j = 0 it is the right-derivative. Rows FAST_IDX are dr/dd."""
+        sys = self.prob.sys
+        tau = np.append(np.cumsum(gaps[:0:-1])[::-1], 0.0)
+        V = np.empty((sys.n, len(gaps)))
+        for j, (u, x) in enumerate(zip(levels, xs)):
             V[:, j] = sys.expm(tau[j]) @ (sys.A @ x + sys.B * u)
         return V
 
@@ -137,12 +137,13 @@ class _GapSolver:
         clipped point lowers |r|.
         """
         g = np.asarray(gaps0, dtype=float)
-        r = self.resid(levels, g)
+        xs = self.walk(levels, g)
+        r = self.prob.fast_residual(xs[-1])
         nr = np.linalg.norm(r)
         for _ in range(maxit):
             if nr < 1e-12:
                 break
-            J = self.jac(levels, g)[FAST_IDX, :]
+            J = self.jac(levels, g, xs)[FAST_IDX, :]
             # pin gaps held at zero by the projection, so the step runs
             # along the face instead of being clipped back every time
             pinned = (g == 0) & (J.T @ r > 0)
@@ -155,7 +156,8 @@ class _GapSolver:
                 gn = self._clip(g + scale * step)
                 if np.array_equal(gn, g):
                     return g, r
-                rn = self.resid(levels, gn)
+                xn = self.walk(levels, gn)
+                rn = self.prob.fast_residual(xn[-1])
                 nrn = np.linalg.norm(rn)
                 if nrn < nr:
                     break
@@ -163,7 +165,7 @@ class _GapSolver:
             else:
                 break  # no halving lowers the residual
             stalled = nr - nrn < STALL_TOL * nr
-            g, r, nr = gn, rn, nrn
+            g, r, nr, xs = gn, rn, nrn, xn
             if stalled:
                 break  # a least-squares minimum, not a root
         return g, r
@@ -172,26 +174,27 @@ class _GapSolver:
         """F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1 switches, and
         its Jacobian [[J, 0], [M, J^T]]. Since dv_j/dd_i = A v_min(i,j),
         M_ji = mu^T C A v_min(i,j) (Maurer, Buskens, Kim and Kaya 2005)."""
-        V = self.jac(levels, gaps)
+        xs = self.walk(levels, gaps)
+        V = self.jac(levels, gaps, xs)
         J = V[FAST_IDX, :]
         w = mu @ self.prob.sys.A[FAST_IDX, :] @ V
         M = w[np.minimum.outer(range(len(gaps)), range(len(gaps)))]
-        F = np.concatenate([self.resid(levels, gaps), 1.0 + J.T @ mu])
+        F = np.concatenate([self.prob.fast_residual(xs[-1]), 1.0 + J.T @ mu])
         return F, np.block([[J, np.zeros((2, 2))], [M, J.T]])
 
     def kkt(self, levels, gaps):
         """Newton on the KKT system from a root, with mu0 = lstsq(J^T, -1):
-        (gaps, mu) at a KKT point with no vanishing segment, or None when a
-        segment vanishes, K is singular or Newton does not converge."""
+        (gaps, mu, r) at a KKT point with no vanishing segment, or None when
+        a segment vanishes, K is singular or Newton does not converge."""
         g, n = gaps, len(gaps)
-        mu = np.linalg.lstsq(self.jac(levels, g)[FAST_IDX, :].T, -np.ones(n),
-                             rcond=None)[0]
+        J = self.jac(levels, g, self.walk(levels, g))[FAST_IDX, :]
+        mu = np.linalg.lstsq(J.T, -np.ones(n), rcond=None)[0]
         for _ in range(20):
             if g.min() < COLLAPSE_TOL:
                 return None
             F, K = self.kkt_system(levels, g, mu)
             if np.linalg.norm(F, np.inf) < FEAS_TOL:
-                return g, mu
+                return g, mu, F[:2]
             try:
                 step = np.linalg.solve(K, -F)
             except np.linalg.LinAlgError:
@@ -243,16 +246,16 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
             return StrategyResult(pattern.strategy, None, best_r, False,
                                   "root degenerate: a segment vanishes")
         return StrategyResult(pattern.strategy, _to_schedule(levels, zero),
-                              sol.resid(levels, zero), True, "isolated root")
+                              r, True, "isolated root")
     point = sol.kkt(levels, zero)
     if point is None:
         return StrategyResult(pattern.strategy, None, best_r, False,
                               "dominated: the minimum-time representative "
                               "has a vanishing segment")
-    g, mu = point
+    g, mu, r = point
     psi_f = np.eye(prob.sys.n)[list(FAST_IDX)].T @ mu  # C^T mu
     return StrategyResult(pattern.strategy, _to_schedule(levels, g),
-                          sol.resid(levels, g), True, "KKT point", psi_f)
+                          r, True, "KKT point", psi_f)
 
 
 def _validate(prob: TimeOptimalProblem) -> None:

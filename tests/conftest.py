@@ -57,6 +57,15 @@ def expm(A, t):
     return LTISystem.from_matrices(A, np.zeros(A.shape[0])).expm(t)
 
 
+def extremal(prob, cert, step=1e-2):
+    """The certificate's extremal from closed forms, sharing no integrator
+    with the solver: the state sampled from its schedule, and the costate
+    psi(t) = e^(-A^T t) psi0 at the same times, one row per sample."""
+    traj = sample_trajectory(prob.sys, cert.schedule, step, x0=prob.x0)
+    psi = np.array([expm(-prob.sys.A.T, t) @ cert.psi0 for t in traj.times])
+    return traj, psi
+
+
 @pytest.fixture(scope="session")
 def ref_demo():
     return PatientDemographics(sex="male", age=53.0, weight=77.0, height=177.0)

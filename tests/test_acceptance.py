@@ -10,10 +10,11 @@ from anesopt.lti import (LTISystem, constant_input_propagator, integrate,
 from anesopt.patient import (BisParameters, PatientDemographics, bis,
                              bis_inverse, equilibrium, schnider_parameters)
 from anesopt.problem import ControlSchedule
-from anesopt.shooting import extremal_trajectory, hamiltonian
+from anesopt.shooting import hamiltonian
 
 from conftest import (EXPECTED_A, EXPECTED_EIGS, EXPECTED_T_C, EXPECTED_T_F,
-                      EXPECTED_U_E, EXPECTED_X_E, U_MAX_REF, endpoint, expm)
+                      EXPECTED_U_E, EXPECTED_X_E, U_MAX_REF, endpoint, expm,
+                      extremal)
 
 
 def test_criterion_01_system_matrix_reproduction(ref_sys):
@@ -71,11 +72,11 @@ def test_criterion_06_cross_method_agreement(certificate, optimal):
 
 
 def test_criterion_07_certificate_properties(ref_problem, certificate):
-    traj, _ = extremal_trajectory(ref_problem, certificate.psi0, certificate.t_f)
-    h_max = max(abs(hamiltonian(ref_problem, z[:4], u, z[4:]))
-                for z, u in zip(traj.states, traj.control))
+    traj, psi = extremal(ref_problem, certificate)
+    h_max = max(abs(hamiltonian(ref_problem, x, u, p))
+                for x, u, p in zip(traj.states, traj.control, psi))
     assert h_max < 1e-7
-    psi1 = traj.states[:, 4]
+    psi1 = psi[:, 0]
     signs = np.sign(psi1[np.abs(psi1) > 1e-12])
     changes = int(np.count_nonzero(np.diff(signs)))
     assert changes == 1

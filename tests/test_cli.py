@@ -241,11 +241,16 @@ def test_simulate_zero_horizon_schedule_exits_2(tmp_path, capsys):
 def test_simulate_malformed_schedule_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"u_levels": [1.0], "t_f": 1.0}))
-    rc = main(["simulate", "--config", cfg, str(bad),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert "schedule" in capsys.readouterr().err
+    # read one character at a time, "10" and "1" would replay (1, 0) with a
+    # switch at 1 and exit 0
+    for doc in ({"u_levels": [1.0], "t_f": 1.0},
+                {"u_levels": "10", "breakpoints": "1", "t_f": 3}):
+        bad.write_text(json.dumps(doc))
+        rc = main(["simulate", "--config", cfg, str(bad),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "schedule" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "simulated.csv").exists()
 
 
 def test_simulate_non_json_schedule_exits_2(tmp_path, capsys):

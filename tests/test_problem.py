@@ -99,6 +99,14 @@ def test_schedule_from_dict_rejects_malformed():
     with pytest.raises(DomainError):
         ControlSchedule.from_dict(
             {"u_levels": [1.0, 1.0], "breakpoints": [0.5], "t_f": 1.0})
+    # strings are iterable: "10" and "1" must not read as (1, 0) and (1,)
+    with pytest.raises(DomainError):
+        ControlSchedule.from_dict({"u_levels": "10", "breakpoints": "1", "t_f": 3})
+    with pytest.raises(DomainError):
+        ControlSchedule.from_dict({"u_levels": "1", "breakpoints": [], "t_f": 3})
+    with pytest.raises(DomainError):
+        ControlSchedule.from_dict(
+            {"u_levels": [1.0, 0.0], "breakpoints": "1", "t_f": 3})
 
 
 # ------------------------------------------------------ TimeOptimalProblem

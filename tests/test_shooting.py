@@ -1,4 +1,4 @@
-"""Shooting-method tests: sign law, extremal flights, residuals, certificate.
+"""Shooting-method tests: sign law, forward residual, seeds, certificate.
 
 The frozen costate root in conftest is the independent cross-check for the
 strategy-enumeration answer; both must land on the same switching structure.
@@ -22,16 +22,15 @@ from anesopt.shooting import (
     ExtremalCertificate,
     bang_control,
     default_seed_grid,
-    extremal_trajectory,
     full_rate_onset,
     hamiltonian,
     shooting_residual,
     solve_shooting,
 )
 from anesopt.strategies import solve_time_optimal
-from anesopt.problem import ControlSchedule, build_problem
+from anesopt.problem import FAST_IDX, ControlSchedule, build_problem
 
-from conftest import FROZEN, U_MAX_REF, endpoint, expm
+from conftest import FROZEN, U_MAX_REF, endpoint, expm, extremal
 
 
 # ------------------------------------------------------------- pointwise law
@@ -68,7 +67,7 @@ def test_shooting_route_takes_only_the_integrator_from_lti():
                 from_lti |= names
             else:
                 assert "lti" not in names
-    assert from_lti == {"integrate", "integrate_with_sign_event", "Trajectory"}
+    assert from_lti == {"integrate", "integrate_with_sign_event"}
 
 
 def test_strategy_route_takes_no_integrator():
@@ -112,10 +111,10 @@ def test_positive_costate_means_no_infusion(ref_problem):
     psi0 = np.array([0.05, 0.0, 0.0, 0.0])
     r = shooting_residual(ref_problem, psi0, 1.0)
     assert np.allclose(r, [-14.518, -3.4, 1.0], rtol=0, atol=1e-12)
-    traj, switches = extremal_trajectory(ref_problem, psi0, 1.0)
-    assert switches == []
-    assert np.all(traj.states[:, :4] == 0.0)
-    assert np.all(traj.control == 0.0)
+    # psi1(t) = (e^(-A^T t) psi0)_1 stays positive, so the pump stays off
+    psi1 = [(expm(-ref_problem.sys.A.T, t) @ psi0)[0]
+            for t in np.linspace(0.0, 1.0, 101)]
+    assert min(psi1) > 0.0
 
 
 def test_residual_rejects_nonpositive_horizon(ref_problem):
@@ -130,11 +129,12 @@ def test_costate_scaling_preserves_the_flight_but_not_the_hamiltonian(ref_proble
     r = shooting_residual(ref_problem, c * FROZEN["psi0"], FROZEN["t_f"])
     assert np.max(np.abs(r[:2])) < 1e-9  # same control, same endpoint
     assert r[2] == pytest.approx(1.0 - c, abs=1e-9)
-    _, sw_base = extremal_trajectory(ref_problem, FROZEN["psi0"], FROZEN["t_f"])
-    _, sw_scaled = extremal_trajectory(ref_problem, c * FROZEN["psi0"],
-                                       FROZEN["t_f"])
-    assert len(sw_base) == len(sw_scaled) == 1
-    assert sw_base[0] == pytest.approx(sw_scaled[0], abs=1e-9)
+    M = -ref_problem.sys.A  # rows psi follow dpsi/dt = psi (-A)
+    base, _ = shooting._sweep(M, FROZEN["psi0"], FROZEN["t_f"], 1e-12, 1e-14)
+    scaled, _ = shooting._sweep(M, c * FROZEN["psi0"], FROZEN["t_f"],
+                                1e-12, 1e-14)
+    assert len(base) == len(scaled) == 1
+    assert base[0][0] == pytest.approx(scaled[0][0], abs=1e-9)
 
 
 # ----------------------------------------------------------------- seed grid
@@ -216,38 +216,18 @@ def test_certificate_endpoint_reaches_target(ref_problem, certificate):
 
 
 def test_hamiltonian_conserved_along_extremal(ref_problem, certificate):
-    traj, _ = extremal_trajectory(ref_problem, certificate.psi0, certificate.t_f)
-    hs = [hamiltonian(ref_problem, z[:4], u, z[4:])
-          for z, u in zip(traj.states, traj.control)]
+    traj, psi = extremal(ref_problem, certificate)
+    hs = [hamiltonian(ref_problem, x, u, p)
+          for x, u, p in zip(traj.states, traj.control, psi)]
     assert np.max(np.abs(hs)) < 1e-7
 
 
-def test_costate_matches_closed_form(ref_problem, certificate):
-    traj, _ = extremal_trajectory(ref_problem, certificate.psi0, certificate.t_f)
-    At = -ref_problem.sys.A.T
-    worst = max(
-        np.max(np.abs(z[4:] - expm(At, t) @ certificate.psi0))
-        for t, z in zip(traj.times, traj.states))
-    assert worst < 1e-9
-
-
 def test_costate_changes_sign_exactly_once(ref_problem, certificate):
-    traj, _ = extremal_trajectory(ref_problem, certificate.psi0, certificate.t_f)
-    psi1 = traj.states[:, 4]
+    _, psi = extremal(ref_problem, certificate)
+    psi1 = psi[:, 0]
     signs = np.sign(psi1[np.abs(psi1) > 1e-12])
     assert np.count_nonzero(np.diff(signs)) == 1
     assert psi1[0] < 0 and psi1[-1] > 0
-
-
-def test_extremal_control_is_right_continuous_at_the_switch(ref_problem,
-                                                            certificate):
-    traj, switches = extremal_trajectory(ref_problem, certificate.psi0,
-                                         certificate.t_f)
-    assert traj.control[0] == U_MAX_REF
-    at_switch = np.nonzero(traj.times == switches[0])[0]
-    assert at_switch.size == 1
-    assert traj.control[at_switch[0]] == 0.0
-    assert np.all(traj.control[traj.times > switches[0]] == 0.0)
 
 
 def test_certificate_invariants_rejected():
@@ -339,6 +319,19 @@ def test_strategy_multipliers_witness_the_terminal_costate(case):
     psi_f = solve_time_optimal(prob).terminal_costate
     scale = np.linalg.norm(cert.terminal_costate)
     assert np.linalg.norm(psi_f - cert.terminal_costate) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_costate_matches_closed_form(case):
+    # psi0 = e^(A^T t_f) psi(t_f) from the backward sweep, and transversality
+    # measured again on the forward closed form e^(-A^T t_f) psi0
+    prob, cert = _solved(case)
+    A, psi_f = prob.sys.A, cert.terminal_costate
+    back = expm(A.T, cert.t_f) @ psi_f
+    assert np.linalg.norm(cert.psi0 - back) <= 1e-9 * np.linalg.norm(back)
+    fwd = expm(-A.T, cert.t_f) @ cert.psi0
+    free = np.delete(fwd, list(FAST_IDX))
+    assert np.max(np.abs(free)) < TRANSVERSALITY_ACCEPT * np.linalg.norm(psi_f)
 
 
 # ------------------------------------------------------------ exact Jacobian

@@ -164,12 +164,21 @@ def test_redundant_families_collapse_to_the_one_switch_root(all_results):
 
 # ------------------------------------------------- switching-time Jacobian
 
+def _resid(sol, levels, gaps):
+    return sol.prob.fast_residual(sol.walk(levels, gaps)[-1])
+
+
+def _jac(sol, levels, gaps):
+    return sol.jac(levels, gaps, sol.walk(levels, gaps))[FAST_IDX, :]
+
+
 def _central(sol, levels, gaps, h=1e-5):
     J = np.empty((2, len(gaps)))
     for j in range(len(gaps)):
         e = np.zeros(len(gaps))
         e[j] = h
-        J[:, j] = (sol.resid(levels, gaps + e) - sol.resid(levels, gaps - e)) / (2 * h)
+        J[:, j] = (_resid(sol, levels, gaps + e)
+                   - _resid(sol, levels, gaps - e)) / (2 * h)
     return J
 
 
@@ -181,7 +190,7 @@ def test_jacobian_matches_central_differences(ref_problem, strategy):
     rng = np.random.default_rng(strategy)
     for _ in range(4):
         g = rng.uniform(0.2, 3.0, pat.switches + 1)
-        np.testing.assert_allclose(sol.jac(levels, g)[FAST_IDX, :],
+        np.testing.assert_allclose(_jac(sol, levels, g),
                                    _central(sol, levels, g), rtol=1e-6)
 
 
@@ -192,9 +201,9 @@ def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
     h = 1e-5
     e = np.array([0.0, h, 0.0, 0.0])
     # second-order forward difference: no point with a negative duration
-    fwd = (-3 * sol.resid(levels, g) + 4 * sol.resid(levels, g + e)
-           - sol.resid(levels, g + 2 * e)) / (2 * h)
-    np.testing.assert_allclose(sol.jac(levels, g)[FAST_IDX, 1], fwd, rtol=1e-6)
+    fwd = (-3 * _resid(sol, levels, g) + 4 * _resid(sol, levels, g + e)
+           - _resid(sol, levels, g + 2 * e)) / (2 * h)
+    np.testing.assert_allclose(_jac(sol, levels, g)[:, 1], fwd, rtol=1e-6)
 
 
 def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
@@ -209,7 +218,7 @@ def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
     sol = _GapSolver(prob, levels, T_MAX_DEFAULT)
     for g in ([0.4, 1.1, 0.7], [2.0, 0.3, 1.5]):
         g = np.array(g)
-        np.testing.assert_allclose(sol.jac(levels, g)[FAST_IDX, :],
+        np.testing.assert_allclose(_jac(sol, levels, g),
                                    _central(sol, levels, g), rtol=1e-6)
 
 
@@ -245,6 +254,26 @@ def test_search_slides_along_a_pinned_gap(ref_problem):
     assert np.all(g >= 0.0)
 
 
+def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
+    # the Jacobian reads the states of the walk that scored its point
+    walked = []
+    walk = _GapSolver.walk
+
+    def counting_walk(self, levels, gaps):
+        walked.append(tuple(gaps))
+        return walk(self, levels, gaps)
+
+    monkeypatch.setattr(_GapSolver, "walk", counting_walk)
+    levels = Pattern(strategy=3, starts_high=True, switches=1).levels(U_MAX_REF)
+    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    g, r = sol.search(levels, np.array([1.0, 1.0]))
+    assert np.linalg.norm(r, np.inf) < FEAS_TOL
+    assert len(walked) > 2 and len(set(walked)) == len(walked)
+    walked.clear()
+    sol.kkt_system(levels, g, np.array([-0.1, -0.2]))
+    assert walked == [tuple(g)]
+
+
 def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch):
     drawn, searched = [], []
     combos = itertools.combinations_with_replacement
@@ -276,9 +305,9 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
     jacs = []
     jac = _GapSolver.jac
 
-    def counting_jac(self, levels, gaps):
+    def counting_jac(self, levels, gaps, xs):
         jacs.append(gaps)
-        return jac(self, levels, gaps)
+        return jac(self, levels, gaps, xs)
 
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
     levels = Pattern(strategy=4, starts_high=False, switches=1).levels(U_MAX_REF)
