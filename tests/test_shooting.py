@@ -230,6 +230,37 @@ def test_costate_changes_sign_exactly_once(ref_problem, certificate):
     assert psi1[0] < 0 and psi1[-1] > 0
 
 
+def test_costate_matches_closed_form(ref_problem, certificate):
+    # the solver's sweep, run forward from psi0 to sample times along the
+    # extremal, against psi(t) = e^(-A^T t) psi0
+    At = -ref_problem.sys.A.T
+    worst = 0.0
+    for t in np.linspace(0.0, certificate.t_f, 11)[1:]:
+        _, psi = shooting._sweep(-ref_problem.sys.A, certificate.psi0, t,
+                                 1e-12, 1e-14)
+        closed = expm(At, t) @ certificate.psi0
+        worst = max(worst, np.max(np.abs(psi - closed)))
+    assert worst < 1e-9
+    closed_f = expm(At, certificate.t_f) @ certificate.psi0
+    assert np.max(np.abs(certificate.terminal_costate - closed_f)) < 1e-9
+
+
+def test_extremal_control_is_right_continuous_at_the_switch(ref_problem,
+                                                            certificate):
+    sched = certificate.schedule
+    (switch,) = certificate.switch_times
+    assert sched.u_at(0.0) == U_MAX_REF
+    assert sched.u_at(np.nextafter(switch, 0.0)) == U_MAX_REF
+    assert sched.u_at(switch) == 0.0
+    after = np.linspace(switch, certificate.t_f, 101)
+    assert np.all(sched.u_at(after) == 0.0)
+    # past the switch the sign law on the closed-form costate agrees
+    At = -ref_problem.sys.A.T
+    for t in after[1:]:
+        psi1 = (expm(At, t) @ certificate.psi0)[0]
+        assert bang_control(psi1, U_MAX_REF) == 0.0
+
+
 def test_certificate_invariants_rejected():
     sched = ControlSchedule(levels=(1.0, 0.0), breakpoints=(0.5,), t_f=1.0)
     ok = dict(psi0=np.zeros(4), t_f=1.0, switch_times=(0.5,),
@@ -322,7 +353,7 @@ def test_strategy_multipliers_witness_the_terminal_costate(case):
 
 
 @pytest.mark.parametrize("case", list(CASES))
-def test_costate_matches_closed_form(case):
+def test_costate_closed_form_holds_on_every_case(case):
     # psi0 = e^(A^T t_f) psi(t_f) from the backward sweep, and transversality
     # measured again on the forward closed form e^(-A^T t_f) psi0
     prob, cert = _solved(case)
