@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, InfeasibleError,
                      IntegrationError, NoConvergenceError)
-from .patient import (BisParameters, PatientDemographics, assemble_system,
-                      bis, bis_inverse, equilibrium, lean_body_mass,
-                      schnider_parameters)
+from .patient import (PatientDemographics, assemble_system, bis, bis_inverse,
+                      equilibrium, lean_body_mass, schnider_parameters)
 from .problem import ControlSchedule, build_problem, sample_trajectory
 from .shooting import solve_shooting
 from .strategies import solve_time_optimal
@@ -43,6 +42,11 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
+        # JSON admits NaN and Infinity; no solver stage is defined on them
+        for name in ("age", "weight", "height", "u_max", "bis_target", "step",
+                     "x0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite")
         if not self.step > 0:
             raise ConfigError("step must be positive")
         if len(self.x0) != 4:
@@ -130,10 +134,10 @@ def _resolve(cfg: RunConfig):
     return demo, params, eq
 
 
-def _write_trajectory_csv(path: str, traj, bp: BisParameters = BisParameters()) -> None:
+def _write_trajectory_csv(path: str, traj) -> None:
     lines = [CSV_HEADER]
     for t, x, u in zip(traj.times, traj.states, traj.control):
-        b = bis(max(float(x[3]), 0.0), bp)
+        b = bis(max(float(x[3]), 0.0))
         cells = [t, x[0], x[1], x[2], x[3], u, b]
         lines.append(",".join(f"{_g10(c):.10g}" for c in cells))
     with open(path, "w") as fh:

@@ -222,7 +222,7 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
     return min(100 * h0, h1)
 
 
-def _steps(f, x0, t0, t1, rtol, atol, max_step):
+def _steps(f, x0, t0, t1, rtol, atol):
     """Generator of accepted steps (t, y, h, K, y1); FSAL Dormand-Prince."""
     y = np.array(x0, dtype=float)
     t = t0
@@ -230,10 +230,10 @@ def _steps(f, x0, t0, t1, rtol, atol, max_step):
         return
     k = np.empty((7, y.size))
     k[0] = f(t, y)
-    h = min(_initial_step(f, t, y, k[0], rtol, atol), t1 - t0, max_step)
+    h = min(_initial_step(f, t, y, k[0], rtol, atol), t1 - t0)
     while t < t1:
         h = min(h, t1 - t)
-        if h < _MIN_STEP:
+        if not h >= _MIN_STEP:  # a NaN step fails here too
             raise IntegrationError(f"step underflow at t={t:.6g}")
         for i in range(1, 7):
             yi = y + h * (_A_ROWS[i] @ k[:i])
@@ -248,7 +248,7 @@ def _steps(f, x0, t0, t1, rtol, atol, max_step):
             k[0] = k[6]  # FSAL
             factor = _MAX_FACTOR if en == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * en ** -0.2))
-            h = min(h * factor, max_step)
+            h *= factor
         else:
             h *= max(_MIN_FACTOR, _SAFETY * en ** -0.2)
 
@@ -259,7 +259,7 @@ def _dense(y, h, K, theta):
     return y + h * ((K.T @ _P) @ p)
 
 
-def integrate(f, x0, t0, t1, tol=1e-10, atol=1e-12, max_step=np.inf) -> Trajectory:
+def integrate(f, x0, t0, t1, tol=1e-10, atol=1e-12) -> Trajectory:
     """Adaptive RK 5(4) integration of x' = f(t, x) from t0 to t1, returning
     the accepted step nodes; tol is the relative tolerance."""
     if t1 < t0:
@@ -267,27 +267,27 @@ def integrate(f, x0, t0, t1, tol=1e-10, atol=1e-12, max_step=np.inf) -> Trajecto
     x0 = np.asarray(x0, dtype=float)
     ts = [t0]
     ys = [x0.copy()]
-    for t, y, h, K, y1 in _steps(f, x0, t0, t1, tol, atol, max_step):
+    for t, y, h, K, y1 in _steps(f, x0, t0, t1, tol, atol):
         ts.append(min(t + h, t1))
         ys.append(y1)
     return Trajectory(np.array(ts), np.array(ys))
 
 
-def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol=1e-10, atol=1e-12,
-                              max_step=np.inf, stop_at_first=False):
-    """Integrate and report times where component `watch` changes sign.
+def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol=1e-10, atol=1e-12):
+    """Integrate up to the first time component `watch` changes sign.
 
-    Crossings are bracketed on the quartic interpolant of each accepted step
-    and bisected to a ~1e-13 relative time window. With stop_at_first the
-    returned trajectory ends at the event state. Returns (Trajectory, [t_ev]).
+    The crossing is bracketed on the quartic interpolant of each accepted
+    step and bisected to a ~1e-13 relative time window; the returned
+    trajectory then ends at the event state. Returns (Trajectory, [t_ev]),
+    or (Trajectory to t1, []) when the sign never changes. Successive
+    crossings are found by restarting from the returned event.
     """
     x0 = np.asarray(x0, dtype=float)
     ts = [t0]
     ys = [x0.copy()]
-    events = []
     # a zero at the start point is an initial condition, not a crossing
     t_guard = t0 + 1e-10 * max(1.0, abs(t0))
-    for t, y, h, K, y1 in _steps(f, x0, t0, t1, tol, atol, max_step):
+    for t, y, h, K, y1 in _steps(f, x0, t0, t1, tol, atol):
         # interpolant restricted to the watched component: quartic in theta
         q = K[:, watch] @ _P
         yw = float(y[watch])
@@ -309,14 +309,12 @@ def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol=1e-10, atol=1e-12,
             t_ev = t + 0.5 * (a + b) * h
             if t_ev <= t_guard:
                 continue
-            events.append(t_ev)
-            if stop_at_first:
-                ts.append(t_ev)
-                ys.append(_dense(y, h, K, 0.5 * (a + b)))
-                return Trajectory(np.array(ts), np.array(ys)), events
+            ts.append(t_ev)
+            ys.append(_dense(y, h, K, 0.5 * (a + b)))
+            return Trajectory(np.array(ts), np.array(ys)), [t_ev]
         ts.append(min(t + h, t1))
         ys.append(y1)
-    return Trajectory(np.array(ts), np.array(ys)), events
+    return Trajectory(np.array(ts), np.array(ys)), []
 
 
 def kalman_rank(sys: LTISystem) -> int:

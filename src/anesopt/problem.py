@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import DomainError
 from .lti import LTISystem, Trajectory, constant_input_propagator
-from .patient import (BisParameters, EquilibriumState, PKPDParameters,
-                      assemble_system, bis_inverse, equilibrium)
+from .patient import (EquilibriumState, PKPDParameters, assemble_system,
+                      bis_inverse, equilibrium)
 
 # compartments whose target values define induction completion
 FAST_IDX = (0, 3)
@@ -81,9 +81,11 @@ class TimeOptimalProblem:
     equilibrium: EquilibriumState | None = None
 
     def __post_init__(self):
-        if not self.u_max > 0:
-            raise DomainError("u_max must be positive")
+        if not 0 < self.u_max < np.inf:
+            raise DomainError("u_max must be positive and finite")
         x0 = np.zeros(self.sys.n) if self.x0 is None else np.asarray(self.x0, float)
+        if not np.all(np.isfinite(x0)):
+            raise DomainError("x0 must be finite")
         target = np.asarray(self.target_fast, dtype=float)
         if target.shape != (2,):
             raise DomainError("target_fast must have two components (x1, x4)")
@@ -104,11 +106,9 @@ class TimeOptimalProblem:
 
 
 def build_problem(params: PKPDParameters, u_max: float, bis_target: float = 50.0,
-                  bis_params: BisParameters = BisParameters(),
                   x0=None) -> TimeOptimalProblem:
     """Assemble the system and the BIS-target equilibrium into a problem."""
-    level = bis_inverse(bis_target, bis_params)
-    eq = equilibrium(params, level)
+    eq = equilibrium(params, bis_inverse(bis_target))
     sys = assemble_system(params)
     return TimeOptimalProblem(sys=sys,
                               target_fast=eq.x_e[list(FAST_IDX)],
@@ -123,8 +123,8 @@ def sample_trajectory(sys: LTISystem, schedule: ControlSchedule, step: float,
     segments propagates each segment's samples from its start state in a
     single closed-form call, never an ODE solve.
     """
-    if step <= 0:
-        raise DomainError("step must be positive")
+    if not 0 < step < np.inf:
+        raise DomainError("step must be positive and finite")
     x = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
     n_whole = int(np.floor(schedule.t_f / step + 1e-9))
     times = np.arange(n_whole + 1) * step

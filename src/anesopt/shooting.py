@@ -71,7 +71,7 @@ def hamiltonian(prob: TimeOptimalProblem, x, u: float, psi) -> float:
     return 1.0 + float(np.dot(np.asarray(psi, dtype=float), drift))
 
 
-def _sweep(M, y0, t1, rtol, atol):
+def _sweep(M, y0, t1):
     """Integrate rows y with dy/ds = y M over [0, t1], restarting at each
     sign change of entry 0.
 
@@ -89,8 +89,7 @@ def _sweep(M, y0, t1, rtol, atol):
     s_at = 0.0
     for _ in range(2 * len(M) + 4):
         seg, hit = integrate_with_sign_event(
-            rhs, y.reshape(-1), s_at, t1, watch=0, tol=rtol, atol=atol,
-            stop_at_first=True)
+            rhs, y.reshape(-1), s_at, t1, watch=0, tol=_RTOL, atol=_ATOL)
         y = seg.states[-1].reshape(shape)
         if not hit:
             return events, y
@@ -99,7 +98,7 @@ def _sweep(M, y0, t1, rtol, atol):
     raise IntegrationError("control keeps switching; chattering extremal")
 
 
-def _walk(prob, levels, switches, t_f, rtol, atol):
+def _walk(prob, levels, switches, t_f):
     """x(t_f) from x0 under levels[k] between the knots 0, switches, t_f:
     one integration per segment."""
     A, B = prob.sys.A, prob.sys.B
@@ -109,7 +108,7 @@ def _walk(prob, levels, switches, t_f, rtol, atol):
         def state(_, x, drive=B * u):
             return A @ x + drive
 
-        x = integrate(state, x, a, b, tol=rtol, atol=atol).states[-1]
+        x = integrate(state, x, a, b, tol=_RTOL, atol=_ATOL).states[-1]
     return x
 
 
@@ -122,8 +121,7 @@ def _levels(psi1_0, u_max, switches):
     return tuple(levels)
 
 
-def shooting_residual(prob: TimeOptimalProblem, psi0, t_f: float,
-                      rtol: float = _RTOL, atol: float = _ATOL) -> np.ndarray:
+def shooting_residual(prob: TimeOptimalProblem, psi0, t_f: float) -> np.ndarray:
     """(x1(t_f) - target1, x4(t_f) - target4, H(t_f)) for the extremal from psi0.
 
     A forward diagnostic on the solver's sweep and walk, not the solver path:
@@ -133,15 +131,14 @@ def shooting_residual(prob: TimeOptimalProblem, psi0, t_f: float,
     """
     if not t_f > 0:
         raise DomainError("shooting horizon t_f must be positive")
-    events, psi_f = _sweep(-prob.sys.A, psi0, t_f, rtol, atol)
+    events, psi_f = _sweep(-prob.sys.A, psi0, t_f)
     levels = _levels(psi0[0], prob.u_max, len(events))
-    x_f = _walk(prob, levels, [s for s, _ in events], t_f, rtol, atol)
+    x_f = _walk(prob, levels, [s for s, _ in events], t_f)
     gap = prob.fast_residual(x_f)
     return np.array([gap[0], gap[1], hamiltonian(prob, x_f, levels[-1], psi_f)])
 
 
-def full_rate_onset(prob: TimeOptimalProblem, rtol: float = _RTOL,
-                    atol: float = _ATOL) -> float:
+def full_rate_onset(prob: TimeOptimalProblem) -> float:
     """First time x4 reaches its target under u = u_max, a lower bound on t_f.
 
     The system is positive, so x4(t) is monotone in the input and no
@@ -161,8 +158,8 @@ def full_rate_onset(prob: TimeOptimalProblem, rtol: float = _RTOL,
         return A @ y + drive
 
     _, events = integrate_with_sign_event(rhs, prob.x0 - shift, 0.0,
-                                          _ONSET_HORIZON, watch=i, tol=rtol,
-                                          atol=atol, stop_at_first=True)
+                                          _ONSET_HORIZON, watch=i, tol=_RTOL,
+                                          atol=_ATOL)
     if not events:
         raise InfeasibleError("x4 does not reach its target at full rate")
     return events[0]
@@ -237,8 +234,8 @@ class _Point:
 class _Shooter:
     """Residual evaluations on the transversality subspace, under a cap."""
 
-    def __init__(self, prob, rtol, atol):
-        self.prob, self.rtol, self.atol = prob, rtol, atol
+    def __init__(self, prob):
+        self.prob = prob
         self.evals = 0
         self.best = np.inf
 
@@ -260,17 +257,17 @@ class _Shooter:
         if self.evals >= MAX_RESIDUAL_EVALS:
             raise _BudgetSpent
         self.evals += 1
-        prob, rtol, atol = self.prob, self.rtol, self.atol
+        prob = self.prob
         A, B, n = prob.sys.A, prob.sys.B, prob.sys.n
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s], [s, c]])
         y = np.zeros((2, n))
         y[:, FAST_IDX[0]] = c, -s
         y[:, FAST_IDX[1]] = s, c
-        events, (psi0, _) = _sweep(A, y, t_f, rtol, atol)
+        events, (psi0, _) = _sweep(A, y, t_f)
         levels = _levels(psi0[0], prob.u_max, len(events))
         switches = tuple(t_f - s_i for s_i, _ in reversed(events))
-        x = _walk(prob, levels, switches, t_f, rtol, atol)
+        x = _walk(prob, levels, switches, t_f)
         x_dot = A @ x + B * levels[-1]
         gap = prob.fast_residual(x)
         d = c * x_dot[FAST_IDX[0]] + s * x_dot[FAST_IDX[1]]
@@ -328,27 +325,22 @@ class _Shooter:
         return p
 
 
-def solve_shooting(prob: TimeOptimalProblem, initial_guesses=None,
-                   rtol: float = _RTOL, atol: float = _ATOL) -> ExtremalCertificate:
-    """Try (theta, t_f) seeds in order; the first certified root wins.
+def solve_shooting(prob: TimeOptimalProblem) -> ExtremalCertificate:
+    """Try the default_seed_grid(full_rate_onset(prob)) seeds in order; the
+    first certified root wins.
 
-    With no seeds given, default_seed_grid(full_rate_onset(prob)) is used.
     A root is certified when its target gap and H(0) are below
     RESIDUAL_ACCEPT and H(t_f) = 0 has a positive costate scale. Raises
     NoConvergenceError with the best residual, the seeds tried and the
     residual evaluations spent when every seed stalls or the
     MAX_RESIDUAL_EVALS cap is reached.
     """
-    t_on = full_rate_onset(prob, rtol, atol)
-    seeds = (default_seed_grid(t_on) if initial_guesses is None
-             else list(initial_guesses))
-    if not seeds:
-        raise DomainError("seed set must be nonempty")
-    shooter = _Shooter(prob, rtol, atol)
+    t_on = full_rate_onset(prob)
+    shooter = _Shooter(prob)
     t_hi = _T_F_CEIL * t_on
     tried = 0
     try:
-        for theta0, t_f0 in seeds:
+        for theta0, t_f0 in default_seed_grid(t_on):
             tried += 1
             t_f0 = float(np.clip(t_f0, _T_F_FLOOR, t_hi))
             p = shooter.newton(float(theta0), t_f0, t_hi)

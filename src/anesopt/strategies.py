@@ -19,7 +19,7 @@ from .errors import DomainError, InfeasibleError
 from .lti import constant_input_propagator, kalman_rank
 from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
-T_MAX_DEFAULT = 30.0
+T_MAX = 30.0         # search horizon, min
 FEAS_TOL = 1e-9      # inf-norm residual bound for a feasible root
 FLOOR_TOL = 1e-6     # best residual above this declares nonexistence
 COLLAPSE_TOL = 1e-3  # segments shorter than this are vanishing
@@ -87,9 +87,8 @@ class StrategyResult:
 class _GapSolver:
     """Root finding over nonnegative segment durations for one problem."""
 
-    def __init__(self, prob: TimeOptimalProblem, levels, t_max: float):
+    def __init__(self, prob: TimeOptimalProblem, levels):
         self.prob = prob
-        self.t_max = float(t_max)
         self.props = {u: constant_input_propagator(prob.sys, u) for u in set(levels)}
 
     def walk(self, levels, gaps) -> np.ndarray:
@@ -117,20 +116,21 @@ class _GapSolver:
     def _clip(self, gaps) -> np.ndarray:
         g = np.maximum(gaps, 0.0)
         total = g.sum()
-        if total > self.t_max:
-            g = g * (self.t_max / total)
+        if total > T_MAX:
+            g = g * (T_MAX / total)
         return g
 
     def starts(self, ndim: int):
         """Multistart gap vectors, yielded lazily: ordered cut points on a
         dyadic refinement of the horizon, which reaches the sub-minute root
         scale that a uniform horizon grid never does."""
-        pts = sorted(self.t_max / 2 ** i for i in range(GRID_POINTS))
+        pts = sorted(T_MAX / 2 ** i for i in range(GRID_POINTS))
         for combo in itertools.combinations_with_replacement(pts, ndim):
             yield np.diff(combo, prepend=0.0)
 
-    def search(self, levels, gaps0, maxit: int = 100):
-        """Projected Gauss-Newton toward a residual zero.
+    def search(self, levels, gaps0):
+        """Projected Gauss-Newton toward a residual zero: (gaps, r, xs) at
+        the last point reached, with xs its walk.
 
         The minimum-norm least-squares step (Ben-Israel 1966) serves square,
         over- and underdetermined patterns alike; it is halved until the
@@ -140,7 +140,7 @@ class _GapSolver:
         xs = self.walk(levels, g)
         r = self.prob.fast_residual(xs[-1])
         nr = np.linalg.norm(r)
-        for _ in range(maxit):
+        for _ in range(100):
             if nr < 1e-12:
                 break
             J = self.jac(levels, g, xs)[FAST_IDX, :]
@@ -155,7 +155,7 @@ class _GapSolver:
             while scale >= 1e-12:
                 gn = self._clip(g + scale * step)
                 if np.array_equal(gn, g):
-                    return g, r
+                    return g, r, xs
                 xn = self.walk(levels, gn)
                 rn = self.prob.fast_residual(xn[-1])
                 nrn = np.linalg.norm(rn)
@@ -168,13 +168,13 @@ class _GapSolver:
             g, r, nr, xs = gn, rn, nrn, xn
             if stalled:
                 break  # a least-squares minimum, not a root
-        return g, r
+        return g, r, xs
 
-    def kkt_system(self, levels, gaps, mu):
+    def kkt_system(self, levels, gaps, xs, mu):
         """F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1 switches, and
-        its Jacobian [[J, 0], [M, J^T]]. Since dv_j/dd_i = A v_min(i,j),
-        M_ji = mu^T C A v_min(i,j) (Maurer, Buskens, Kim and Kaya 2005)."""
-        xs = self.walk(levels, gaps)
+        its Jacobian [[J, 0], [M, J^T]], from xs = walk(levels, gaps). Since
+        dv_j/dd_i = A v_min(i,j), M_ji = mu^T C A v_min(i,j) (Maurer,
+        Buskens, Kim and Kaya 2005)."""
         V = self.jac(levels, gaps, xs)
         J = V[FAST_IDX, :]
         w = mu @ self.prob.sys.A[FAST_IDX, :] @ V
@@ -182,17 +182,20 @@ class _GapSolver:
         F = np.concatenate([self.prob.fast_residual(xs[-1]), 1.0 + J.T @ mu])
         return F, np.block([[J, np.zeros((2, 2))], [M, J.T]])
 
-    def kkt(self, levels, gaps):
-        """Newton on the KKT system from a root, with mu0 = lstsq(J^T, -1):
-        (gaps, mu, r) at a KKT point with no vanishing segment, or None when
-        a segment vanishes, K is singular or Newton does not converge."""
+    def kkt(self, levels, gaps, xs):
+        """Newton on the KKT system from a root and its walk xs, with
+        mu0 = lstsq(J^T, -1): (gaps, mu, r) at a KKT point with no vanishing
+        segment, or None when a segment vanishes, K is singular or Newton
+        does not converge."""
         g, n = gaps, len(gaps)
-        J = self.jac(levels, g, self.walk(levels, g))[FAST_IDX, :]
+        J = self.jac(levels, g, xs)[FAST_IDX, :]
         mu = np.linalg.lstsq(J.T, -np.ones(n), rcond=None)[0]
-        for _ in range(20):
+        for i in range(20):
             if g.min() < COLLAPSE_TOL:
                 return None
-            F, K = self.kkt_system(levels, g, mu)
+            if i:  # the root's walk came with it
+                xs = self.walk(levels, g)
+            F, K = self.kkt_system(levels, g, xs, mu)
             if np.linalg.norm(F, np.inf) < FEAS_TOL:
                 return g, mu, F[:2]
             try:
@@ -210,8 +213,7 @@ def _to_schedule(levels, gaps) -> ControlSchedule:
                            t_f=float(cum[-1]))
 
 
-def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
-                  t_max: float = T_MAX_DEFAULT) -> StrategyResult:
+def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     """Solve one pattern for its minimum-time representative.
 
     From an equilibrium of u = 0 a leading rest segment leaves the state
@@ -225,10 +227,10 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
         note = f"dominated by strategy {2 * k - 1}" if k else "never leaves rest"
         return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
     levels = pattern.levels(prob.u_max)
-    sol = _GapSolver(prob, levels, t_max)
+    sol = _GapSolver(prob, levels)
     best_nr, best_r, zero = np.inf, None, None
     for g0 in sol.starts(k + 1):
-        g, r = sol.search(levels, g0)
+        g, r, xs = sol.search(levels, g0)
         nr = np.linalg.norm(r, np.inf)
         if nr < best_nr:
             best_nr, best_r = nr, r
@@ -247,7 +249,7 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
                                   "root degenerate: a segment vanishes")
         return StrategyResult(pattern.strategy, _to_schedule(levels, zero),
                               r, True, "isolated root")
-    point = sol.kkt(levels, zero)
+    point = sol.kkt(levels, zero, xs)
     if point is None:
         return StrategyResult(pattern.strategy, None, best_r, False,
                               "dominated: the minimum-time representative "
@@ -265,13 +267,12 @@ def _validate(prob: TimeOptimalProblem) -> None:
         raise DomainError("bang-bang enumeration requires a real spectrum")
 
 
-def solve_all_patterns(prob: TimeOptimalProblem, bolus_filter: bool = True,
-                       t_max: float = T_MAX_DEFAULT) -> list:
+def solve_all_patterns(prob: TimeOptimalProblem, bolus_filter: bool = True) -> list:
     """StrategyResult for every candidate pattern, in strategy order."""
     _validate(prob)
     start = prob.u_max if bolus_filter else None
     pats = enumerate_patterns(start, prob.sys.n - 1)
-    return [solve_pattern(prob, p, t_max) for p in pats]
+    return [solve_pattern(prob, p) for p in pats]
 
 
 def _select(results) -> StrategyResult:
@@ -287,6 +288,6 @@ def _select(results) -> StrategyResult:
                                     r.strategy))
 
 
-def solve_time_optimal(prob: TimeOptimalProblem, bolus_filter: bool = True,
-                       t_max: float = T_MAX_DEFAULT) -> StrategyResult:
-    return _select(solve_all_patterns(prob, bolus_filter, t_max))
+def solve_time_optimal(prob: TimeOptimalProblem,
+                       bolus_filter: bool = True) -> StrategyResult:
+    return _select(solve_all_patterns(prob, bolus_filter))

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from anesopt import cli
 from anesopt.cli import CSV_HEADER, _g10, load_config, main
 from anesopt.errors import ConfigError
 from anesopt.problem import ControlSchedule
@@ -84,6 +85,31 @@ def test_bad_method_exits_2(tmp_path, capsys):
 def test_nonpositive_step_exits_2(tmp_path, capsys):
     rc = main(["solve", "--config", write_config(tmp_path, step=0)])
     assert rc == 2
+
+
+def _never(*_):
+    raise AssertionError("a solver ran on a rejected config")
+
+
+@pytest.mark.parametrize("method", ["shooting", "strategy", "both"])
+@pytest.mark.parametrize("field, value", [
+    ("x0", [float("nan"), 0.0, 0.0, 0.0]),
+    ("u_max", float("inf")),
+    ("step", float("inf")),
+], ids=["x0-nan", "u_max-inf", "step-inf"])
+def test_nonfinite_number_exits_2_before_any_solve(tmp_path, capsys,
+                                                   monkeypatch, method, field,
+                                                   value):
+    # JSON admits NaN and Infinity; once they hung shooting, crashed the
+    # strategy route and sampled a CSV with no t = 0 row
+    monkeypatch.setattr(cli, "solve_shooting", _never)
+    monkeypatch.setattr(cli, "solve_time_optimal", _never)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, method=method, **{field: value})
+    rc = main(["solve", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_sex_exits_2(tmp_path, capsys):

@@ -138,6 +138,19 @@ def test_problem_rejects_nonpositive_bound(ref_sys):
         TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 1.0), u_max=0.0)
 
 
+@pytest.mark.parametrize("u_max", [np.inf, np.nan])
+def test_problem_rejects_nonfinite_bound(ref_sys, u_max):
+    with pytest.raises(DomainError):
+        TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 1.0), u_max=u_max)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_problem_rejects_nonfinite_start(ref_sys, bad):
+    with pytest.raises(DomainError):
+        TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 1.0), u_max=1.0,
+                           x0=[bad, 0.0, 0.0, 0.0])
+
+
 def test_problem_rejects_bad_target_shape(ref_sys):
     with pytest.raises(DomainError):
         TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 2.0, 3.0), u_max=1.0)
@@ -194,6 +207,13 @@ def test_sample_step_larger_than_horizon(ref_sys):
 def test_sample_rejects_nonpositive_step(ref_sys, two_level):
     with pytest.raises(DomainError):
         sample_trajectory(ref_sys, two_level, step=0.0)
+
+
+@pytest.mark.parametrize("step", [np.inf, np.nan])
+def test_sample_rejects_nonfinite_step(ref_sys, two_level, step):
+    # an infinite step once sampled only t_f: arange(1) * inf is NaN
+    with pytest.raises(DomainError):
+        sample_trajectory(ref_sys, two_level, step=step)
 
 
 def test_sample_matches_closed_form_propagation(ref_sys, two_level):

@@ -5,6 +5,7 @@ strategy-enumeration answer; both must land on the same switching structure.
 """
 import ast
 import functools
+import pathlib
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_hamiltonian_at_equilibrium_is_one_for_any_costate(ref_problem, ref_eq):
 def test_shooting_route_takes_only_the_integrator_from_lti():
     # the two routes must share nothing past the problem statement: the
     # shooting route may not reach the closed-form propagation kernel
-    tree = ast.parse(open(shooting.__file__).read())
+    tree = ast.parse(pathlib.Path(shooting.__file__).read_text())
     from_lti = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -72,7 +73,7 @@ def test_shooting_route_takes_only_the_integrator_from_lti():
 
 def test_strategy_route_takes_no_integrator():
     # the mirror guard: the closed-form route may not reach the RK route
-    tree = ast.parse(open(strategies.__file__).read())
+    tree = ast.parse(pathlib.Path(strategies.__file__).read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             assert not any("shooting" in a.name for a in node.names)
@@ -130,9 +131,8 @@ def test_costate_scaling_preserves_the_flight_but_not_the_hamiltonian(ref_proble
     assert np.max(np.abs(r[:2])) < 1e-9  # same control, same endpoint
     assert r[2] == pytest.approx(1.0 - c, abs=1e-9)
     M = -ref_problem.sys.A  # rows psi follow dpsi/dt = psi (-A)
-    base, _ = shooting._sweep(M, FROZEN["psi0"], FROZEN["t_f"], 1e-12, 1e-14)
-    scaled, _ = shooting._sweep(M, c * FROZEN["psi0"], FROZEN["t_f"],
-                                1e-12, 1e-14)
+    base, _ = shooting._sweep(M, FROZEN["psi0"], FROZEN["t_f"])
+    scaled, _ = shooting._sweep(M, c * FROZEN["psi0"], FROZEN["t_f"])
     assert len(base) == len(scaled) == 1
     assert base[0][0] == pytest.approx(scaled[0][0], abs=1e-9)
 
@@ -160,17 +160,14 @@ def test_default_seed_grid_order_and_size():
     assert all(any(t == f * t_on for f in T_F_SEED_FACTORS) for _, t in seeds)
 
 
-def test_solver_rejects_empty_seed_list(ref_problem):
-    with pytest.raises(DomainError):
-        solve_shooting(ref_problem, initial_guesses=[])
-
-
-def test_solver_reports_no_convergence_with_best_residual(ref_problem):
+def test_solver_reports_no_convergence_with_best_residual(ref_problem,
+                                                         monkeypatch):
     # theta = 0 puts psi(t_f) = e1, which keeps psi1 > 0 throughout: the
     # state never leaves zero, so the residual cannot move and H stays 1
-    hopeless = [(0.0, 1.0)]
+    monkeypatch.setattr(shooting, "default_seed_grid",
+                        lambda t_on: [(0.0, 1.0)])
     with pytest.raises(NoConvergenceError) as exc:
-        solve_shooting(ref_problem, initial_guesses=hopeless)
+        solve_shooting(ref_problem)
     assert exc.value.seeds_tried == 1
     assert exc.value.best_residual == pytest.approx(14.944307411185035, abs=1e-6)
 
@@ -236,8 +233,7 @@ def test_costate_matches_closed_form(ref_problem, certificate):
     At = -ref_problem.sys.A.T
     worst = 0.0
     for t in np.linspace(0.0, certificate.t_f, 11)[1:]:
-        _, psi = shooting._sweep(-ref_problem.sys.A, certificate.psi0, t,
-                                 1e-12, 1e-14)
+        _, psi = shooting._sweep(-ref_problem.sys.A, certificate.psi0, t)
         closed = expm(At, t) @ certificate.psi0
         worst = max(worst, np.max(np.abs(psi - closed)))
     assert worst < 1e-9
@@ -376,7 +372,7 @@ def test_exact_jacobian_matches_central_differences(case):
     prob, cert = _solved(case)
     psi_f = cert.terminal_costate
     theta0 = np.arctan2(psi_f[3], psi_f[0])
-    shooter = shooting._Shooter(prob, 1e-12, 1e-14)
+    shooter = shooting._Shooter(prob)
     h = 1e-5
     for theta, t_f in [(theta0, cert.t_f), (theta0 + 0.02, 1.03 * cert.t_f),
                        (theta0 + 0.01, 0.98 * cert.t_f)]:
@@ -399,7 +395,7 @@ def test_jacobian_at_a_terminal_tie_is_the_right_derivative(ref_problem, theta):
     # psi1(t_f) = cos theta ~ 6e-17: no switch lies inside (0, t_f), but any
     # theta step to the right lets one enter at t_f
     t_f = T_F_SEED_FACTORS[0] * full_rate_onset(ref_problem)
-    shooter = shooting._Shooter(ref_problem, 1e-12, 1e-14)
+    shooter = shooting._Shooter(ref_problem)
     p = shooter(theta, t_f)
     assert p.switches == ()
     col = p.jac[:, 0]

@@ -21,7 +21,6 @@ from anesopt.problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                              build_problem, sample_trajectory)
 from anesopt.strategies import (
     FEAS_TOL,
-    T_MAX_DEFAULT,
     Pattern,
     StrategyResult,
     _GapSolver,
@@ -186,7 +185,7 @@ def _central(sol, levels, gaps, h=1e-5):
 def test_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
     levels = pat.levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    sol = _GapSolver(ref_problem, levels)
     rng = np.random.default_rng(strategy)
     for _ in range(4):
         g = rng.uniform(0.2, 3.0, pat.switches + 1)
@@ -196,7 +195,7 @@ def test_jacobian_matches_central_differences(ref_problem, strategy):
 
 def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
     levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    sol = _GapSolver(ref_problem, levels)
     g = np.array([0.8, 0.0, 0.6, 0.5])
     h = 1e-5
     e = np.array([0.0, h, 0.0, 0.0])
@@ -215,7 +214,7 @@ def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
     assert sys.real_spectrum and not sys.spectral_valid
     prob = TimeOptimalProblem(sys=sys, target_fast=(1.0, 0.5), u_max=3.0)
     levels = (3.0, 0.0, 3.0)
-    sol = _GapSolver(prob, levels, T_MAX_DEFAULT)
+    sol = _GapSolver(prob, levels)
     for g in ([0.4, 1.1, 0.7], [2.0, 0.3, 1.5]):
         g = np.array(g)
         np.testing.assert_allclose(_jac(sol, levels, g),
@@ -226,19 +225,23 @@ def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
 def test_kkt_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
     levels = pat.levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    sol = _GapSolver(ref_problem, levels)
     n = pat.switches + 1
     rng = np.random.default_rng(strategy)
     h = 1e-5
+
+    def kkt_system(z):
+        return sol.kkt_system(levels, z[:n], sol.walk(levels, z[:n]), z[n:])
+
     for _ in range(4):
         z = np.concatenate([rng.uniform(0.2, 3.0, n), rng.normal(size=2)])
-        K = sol.kkt_system(levels, z[:n], z[n:])[1]
+        K = kkt_system(z)[1]
         central = np.empty_like(K)
         for j in range(n + 2):
             e = np.zeros(n + 2)
             e[j] = h
-            hi = sol.kkt_system(levels, (z + e)[:n], (z + e)[n:])[0]
-            lo = sol.kkt_system(levels, (z - e)[:n], (z - e)[n:])[0]
+            hi = kkt_system(z + e)[0]
+            lo = kkt_system(z - e)[0]
             central[:, j] = (hi - lo) / (2 * h)
         np.testing.assert_allclose(K, central, rtol=1e-6)
 
@@ -248,8 +251,8 @@ def test_search_slides_along_a_pinned_gap(ref_problem):
     # gaps negative, so an unpinned projected step is clipped back and
     # stalls near FEAS_TOL
     levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
-    g, r = sol.search(levels, np.array([3.75, 0.0, 0.0, 0.0]))
+    sol = _GapSolver(ref_problem, levels)
+    g, r, _ = sol.search(levels, np.array([3.75, 0.0, 0.0, 0.0]))
     assert np.linalg.norm(r, np.inf) < 1e-12
     assert np.all(g >= 0.0)
 
@@ -265,13 +268,31 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
 
     monkeypatch.setattr(_GapSolver, "walk", counting_walk)
     levels = Pattern(strategy=3, starts_high=True, switches=1).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
-    g, r = sol.search(levels, np.array([1.0, 1.0]))
+    sol = _GapSolver(ref_problem, levels)
+    g, r, xs = sol.search(levels, np.array([1.0, 1.0]))
     assert np.linalg.norm(r, np.inf) < FEAS_TOL
     assert len(walked) > 2 and len(set(walked)) == len(walked)
+    assert np.array_equal(xs, walk(sol, levels, g))
+    # the KKT Newton starts from the search's walk of the root, which is
+    # already a KKT point of this square pattern
     walked.clear()
-    sol.kkt_system(levels, g, np.array([-0.1, -0.2]))
-    assert walked == [tuple(g)]
+    point = sol.kkt(levels, g, xs)
+    assert point is not None and np.array_equal(point[0], g)
+    assert walked == []
+    # female 30 y at 5 u_e: strategy 5's first root is no KKT point, so the
+    # Newton steps, walking each new point once and never the root again
+    params = schnider_parameters(PatientDemographics("female", 30.0, 55.0, 160.0))
+    prob = build_problem(params, 5.0 * equilibrium(params, bis_inverse(50.0)).u_e)
+    levels = Pattern(strategy=5, starts_high=True, switches=2).levels(prob.u_max)
+    sol = _GapSolver(prob, levels)
+    for g0 in sol.starts(3):
+        g, r, xs = sol.search(levels, g0)
+        if np.linalg.norm(r, np.inf) < FEAS_TOL:
+            break
+    walked.clear()
+    sol.kkt(levels, g, xs)
+    assert len(walked) > 0 and len(set(walked)) == len(walked)
+    assert tuple(g) not in walked
 
 
 def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch):
@@ -285,10 +306,10 @@ def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch)
 
     search = _GapSolver.search
 
-    def counting_search(self, levels, gaps0, maxit=100):
-        g, r = search(self, levels, gaps0, maxit)
+    def counting_search(self, levels, gaps0):
+        g, r, xs = search(self, levels, gaps0)
         searched.append(np.linalg.norm(r, np.inf))
-        return g, r
+        return g, r, xs
 
     monkeypatch.setattr(itertools, "combinations_with_replacement", counting_combos)
     monkeypatch.setattr(_GapSolver, "search", counting_search)
@@ -311,12 +332,12 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
 
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
     levels = Pattern(strategy=4, starts_high=False, switches=1).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX_DEFAULT)
+    sol = _GapSolver(ref_problem, levels)
     starts = list(sol.starts(2))
     assert len(starts) == len(list(itertools.combinations_with_replacement(
         range(strategies.GRID_POINTS), 2)))
     for g0 in starts:
-        g, r = sol.search(levels, g0)
+        g, r, _ = sol.search(levels, g0)
         assert np.array_equal(g, g0) and np.linalg.norm(r, np.inf) > FEAS_TOL
     assert len(jacs) == len(starts)
 
@@ -432,9 +453,11 @@ def test_effect_site_rises_monotonically_to_the_target(ref_sys, optimal):
     assert np.all(np.diff(x4)[on] > 0)
 
 
-def test_one_switch_infeasible_when_horizon_too_short(ref_problem):
+def test_one_switch_infeasible_when_horizon_too_short(ref_problem,
+                                                     monkeypatch):
+    monkeypatch.setattr(strategies, "T_MAX", 1.0)
     pat = Pattern(strategy=3, starts_high=True, switches=1)
-    r = solve_pattern(ref_problem, pat, t_max=1.0)
+    r = solve_pattern(ref_problem, pat)
     assert not r.feasible
 
 
