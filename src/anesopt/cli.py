@@ -24,6 +24,8 @@ from .strategies import solve_time_optimal
 _METHODS = ("shooting", "strategy", "both")
 
 CSV_HEADER = "t,x1,x2,x3,x4,u,bis"
+_CSV_ROW = ",".join(["%.10g"] * 7) + "\n"
+_CSV_BLOCK_ROWS = 2048
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,13 +137,21 @@ def _resolve(cfg: RunConfig):
 
 
 def _write_trajectory_csv(path: str, traj) -> None:
-    lines = [CSV_HEADER]
-    for t, x, u in zip(traj.times, traj.states, traj.control):
-        b = bis(max(float(x[3]), 0.0))
-        cells = [t, x[0], x[1], x[2], x[3], u, b]
-        lines.append(",".join(f"{_g10(c):.10g}" for c in cells))
+    """One row per sample: t, x1..x4, u and the BIS of max(x4, 0).
+
+    A single %.10g prints the same text as _g10 then .10g, since rounding
+    to 10 significant digits twice changes nothing. BIS stays on the
+    scalar `bis`: numpy's array power is not bitwise libm pow. Rows are
+    written in blocks so the text of the whole file is never held at once.
+    """
+    levels = np.maximum(traj.states[:, 3], 0.0).tolist()
+    cols = np.column_stack((traj.times, traj.states, traj.control,
+                            [bis(v) for v in levels]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CSV_HEADER + "\n")
+        for i in range(0, len(cols), _CSV_BLOCK_ROWS):
+            fh.write("".join(_CSV_ROW % tuple(row)
+                             for row in cols[i:i + _CSV_BLOCK_ROWS].tolist()))
 
 
 def cmd_params(cfg: RunConfig) -> int:

@@ -109,7 +109,7 @@ def assemble_system(p: PKPDParameters) -> LTISystem:
 
 def bis(x4: float, bp: BisParameters = BisParameters()) -> float:
     """Decreasing sigmoid from effect-site level to the BIS score."""
-    if x4 < 0:
+    if not x4 >= 0:  # NaN fails this too
         raise DomainError("effect-site level must be nonnegative")
     xg = x4 ** bp.gamma
     return bp.bis0 * (1.0 - xg / (xg + bp.ec50 ** bp.gamma))
@@ -124,6 +124,9 @@ def bis_inverse(target_bis: float, bp: BisParameters = BisParameters()) -> float
 
 def equilibrium(p: PKPDParameters, ec50: float = 3.4) -> EquilibriumState:
     """Steady state holding the effect site at the given level."""
+    if not 0 < ec50 < np.inf:
+        raise DomainError(
+            f"effect-site level must be positive and finite, got {ec50}")
     x_e = np.array([
         p.v1 * ec50,
         p.a12 * p.v1 * ec50 / p.a21,

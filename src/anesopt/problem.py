@@ -14,6 +14,9 @@ from .patient import (EquilibriumState, PKPDParameters, assemble_system,
 
 # compartments whose target values define induction completion
 FAST_IDX = (0, 3)
+# sample_trajectory's bound on the row count: far above the 30k rows of a
+# 30-minute horizon at step 1e-3, far below an allocation that fails
+MAX_SAMPLES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -125,8 +128,14 @@ def sample_trajectory(sys: LTISystem, schedule: ControlSchedule, step: float,
     """
     if not 0 < step < np.inf:
         raise DomainError("step must be positive and finite")
+    # checked before anything is allocated; t_f / step may overflow to inf
+    n_whole = np.floor(schedule.t_f / step + 1e-9)
+    if not n_whole + 2 <= MAX_SAMPLES:
+        raise DomainError(
+            f"step {step:g} over t_f = {schedule.t_f:g} asks for about "
+            f"{n_whole:.3g} samples, over the cap of {MAX_SAMPLES}")
+    n_whole = int(n_whole)
     x = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
-    n_whole = int(np.floor(schedule.t_f / step + 1e-9))
     times = np.arange(n_whole + 1) * step
     if schedule.t_f - times[-1] > 1e-12:
         times = np.append(times, schedule.t_f)

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism, replay."""
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from anesopt import cli
 from anesopt.cli import CSV_HEADER, _g10, load_config, main
 from anesopt.errors import ConfigError
+from anesopt.lti import Trajectory
+from anesopt.patient import bis
 from anesopt.problem import ControlSchedule
 
 from conftest import FROZEN, U_MAX_REF, endpoint
@@ -202,6 +205,60 @@ def test_solve_infeasible_bound_exits_3(tmp_path, capsys):
     assert "solver failed" in capsys.readouterr().err
 
 
+# ------------------------------------------------------------ CSV emission
+
+def _per_row_csv(traj):
+    """The trajectory CSV as first written: one scalar BIS and one _g10
+    round trip per cell, row by row."""
+    lines = [CSV_HEADER]
+    for t, x, u in zip(traj.times, traj.states, traj.control):
+        b = bis(max(float(x[3]), 0.0))
+        cells = [t, x[0], x[1], x[2], x[3], u, b]
+        lines.append(",".join(f"{_g10(c):.10g}" for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_the_per_row_formula(tmp_path):
+    rng = np.random.default_rng(7)
+    n = 2 * cli._CSV_BLOCK_ROWS + 37  # two block seams and a short tail
+    # magnitudes from 1e-300 to 1e300 with random signs, then edge values:
+    # signed zeros, subnormals and exact binary ties at the tenth digit
+    cols = rng.choice([-1.0, 1.0], (n, 6)) * 10.0 ** rng.uniform(-300, 300,
+                                                                 (n, 6))
+    edges = [-0.0, 0.0, 1e-300, 5e-324, 2.5e-310, 1234567890.5,
+             1234567891.5, 12345678905.0, 0.5, 1.0]
+    cols[:len(edges)] = np.array(edges)[:, None]
+    # x4 near the BIS range, a little below 0 to exercise the clamp, with
+    # the same zeros, subnormals and ties
+    x4 = rng.uniform(-1e-3, 10.0, n)
+    x4[:len(edges)] = edges
+    # 9.994132051438763: numpy 2.4.6's SIMD array power (x86-64, AVX-512)
+    # and libm pow differ in the last bit here, which moves the tenth digit
+    # of its BIS
+    specials = (-1e-12, -5e-324, -0.0, -0.5, 9.994132051438763)
+    x4[len(edges):len(edges) + len(specials)] = specials
+    cols[:, 4] = x4
+    traj = Trajectory(cols[:, 0], cols[:, 1:5], cols[:, 5])
+    path = tmp_path / "t.csv"
+    cli._write_trajectory_csv(str(path), traj)
+    got = path.read_text().split("\n")
+    want = _per_row_csv(traj).split("\n")
+    # a row-by-row report: a diff of two multi-megabyte strings is slow
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
+    assert len(got) == len(want)
+
+
+def test_strategy_csv_matches_the_committed_reference(tmp_path, capsys):
+    root = Path(__file__).resolve().parent
+    out = tmp_path / "o"
+    rc = main(["solve", "--config", str(root.parent / "configs" / "reference.json"),
+               "--method", "strategy", "--step", "0.05", "--out", str(out)])
+    assert rc == 0
+    expected = (root / "data" / "reference_strategy_step0.05.csv").read_bytes()
+    assert (out / "trajectory_strategy.csv").read_bytes() == expected
+
+
 # ----------------------------------------------------------------- simulate
 
 def test_simulate_replays_the_solver_schedule(tmp_path, capsys):
@@ -261,6 +318,18 @@ def test_simulate_zero_horizon_schedule_exits_2(tmp_path, capsys):
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "schedule" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "simulated.csv").exists()
+
+
+def test_simulate_step_past_the_sample_cap_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    sched = tmp_path / "hold.json"
+    sched.write_text(json.dumps(
+        {"u_levels": [50.0], "breakpoints": [], "t_f": 2.0}))
+    rc = main(["simulate", "--config", cfg, str(sched), "--step", "1e-300",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "samples" in capsys.readouterr().err
     assert not (tmp_path / "o" / "simulated.csv").exists()
 
 

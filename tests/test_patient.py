@@ -95,6 +95,8 @@ def test_bis_anchor_values():
 def test_bis_rejects_negative_level():
     with pytest.raises(DomainError):
         bis(-0.001)
+    with pytest.raises(DomainError):
+        bis(float("nan"))
 
 
 @pytest.mark.parametrize("target", [0.0, 100.0, -5.0, 120.0])
@@ -136,9 +138,18 @@ def test_system_sign_structure(ref_sys):
 
 
 def test_equilibrium_is_homogeneous(ref_params):
-    eq = equilibrium(ref_params, 0.0)
-    assert np.array_equal(eq.x_e, np.zeros(4))
-    assert eq.u_e == 0.0
+    # level 0 is rejected, so homogeneity is checked by doubling the level;
+    # a factor of two is exact in floating point
+    one, two = equilibrium(ref_params, 1.7), equilibrium(ref_params, 3.4)
+    assert np.array_equal(two.x_e, 2.0 * one.x_e)
+    assert two.u_e == 2.0 * one.u_e
+
+
+@pytest.mark.parametrize("level", [np.nan, -1.0, 0.0, np.inf])
+def test_equilibrium_rejects_a_level_not_positive_and_finite(ref_params,
+                                                            level):
+    with pytest.raises(DomainError):
+        equilibrium(ref_params, level)
 
 
 def test_equilibrium_reference(ref_eq):

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+from anesopt import problem
 from anesopt.errors import DomainError
 from anesopt.lti import constant_input_propagator
 from anesopt.problem import (
     FAST_IDX,
+    MAX_SAMPLES,
     ControlSchedule,
     TimeOptimalProblem,
     build_problem,
@@ -214,6 +216,33 @@ def test_sample_rejects_nonfinite_step(ref_sys, two_level, step):
     # an infinite step once sampled only t_f: arange(1) * inf is NaN
     with pytest.raises(DomainError):
         sample_trajectory(ref_sys, two_level, step=step)
+
+
+class _NoArrays:
+    """numpy as `problem` sees it, except that building an array fails."""
+
+    def __getattr__(self, name):
+        if name in ("arange", "empty", "zeros", "asarray", "append"):
+            raise AssertionError(f"np.{name} reached")
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("step", [1.0 / MAX_SAMPLES, 1e-8, 1e-300, 5e-324])
+def test_sample_count_is_capped_before_any_allocation(ref_sys, monkeypatch,
+                                                      step):
+    s = ControlSchedule(levels=(50.0,), breakpoints=(), t_f=1.0)
+    monkeypatch.setattr(problem, "np", _NoArrays())
+    with pytest.raises(DomainError, match="samples"):
+        sample_trajectory(ref_sys, s, step=step)
+
+
+def test_sample_count_just_under_the_cap_is_allocated(ref_sys, monkeypatch):
+    # the cap is not stricter than it says: this step passes it and goes on
+    # to build the grid, which the stand-in stops before any memory is used
+    s = ControlSchedule(levels=(50.0,), breakpoints=(), t_f=1.0)
+    monkeypatch.setattr(problem, "np", _NoArrays())
+    with pytest.raises(AssertionError, match="reached"):
+        sample_trajectory(ref_sys, s, step=1.0 / (MAX_SAMPLES - 3))
 
 
 def test_sample_matches_closed_form_propagation(ref_sys, two_level):
