@@ -9,9 +9,9 @@ from .errors import (ConfigError, DegenerateDemographicsError, DomainError,
                      ParameterRangeError)
 from .lti import (LTISystem, Trajectory, constant_input_propagator,
                   integrate, integrate_with_sign_event, kalman_rank)
-from .patient import (BisParameters, EquilibriumState, PatientDemographics,
-                      PKPDParameters, assemble_system, bis, bis_inverse,
-                      equilibrium, lean_body_mass, schnider_parameters)
+from .patient import (EquilibriumState, PatientDemographics, PKPDParameters,
+                      assemble_system, bis, bis_inverse, equilibrium,
+                      lean_body_mass, schnider_parameters)
 from .problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                       build_problem, sample_trajectory)
 from .shooting import (ExtremalCertificate, bang_control, default_seed_grid,
@@ -23,7 +23,7 @@ from .strategies import (Pattern, StrategyResult, enumerate_patterns,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BisParameters", "ConfigError", "ControlSchedule",
+    "ConfigError", "ControlSchedule",
     "DegenerateDemographicsError", "DomainError", "EquilibriumState",
     "ExtremalCertificate", "FAST_IDX", "InfeasibleError", "IntegrationError",
     "LTISystem", "NoConvergenceError", "ParameterRangeError", "Pattern",

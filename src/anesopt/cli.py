@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -99,7 +100,13 @@ def load_config(path: str, **overrides) -> RunConfig:
 
 
 def _g10(x) -> float:
-    return float(f"{float(x):.10g}")
+    """x rounded to 10 significant digits; a finite x stays finite."""
+    x = float(x)
+    y = float(f"{x:.10g}")
+    if math.isinf(y) and not math.isinf(x):
+        # %.10g rounds the doubles above 1.7976931345e308 up past the largest
+        y = math.copysign(1.797693134e308, x)
+    return y
 
 
 def _fmt(obj):

@@ -48,20 +48,16 @@ class PKPDParameters:
 
 
 @dataclass(frozen=True)
-class BisParameters:
-    bis0: float = 100.0
-    ec50: float = 3.4
-    gamma: float = 3.0
-
-    def __post_init__(self):
-        if self.bis0 <= 0 or self.ec50 <= 0 or self.gamma <= 0:
-            raise DomainError("BIS parameters must be positive")
-
-
-@dataclass(frozen=True)
 class EquilibriumState:
     x_e: np.ndarray
     u_e: float
+
+
+# BIS effect curve: the awake score, the effect-site level at half effect,
+# and the Hill exponent
+BIS0 = 100.0
+EC50 = 3.4
+BIS_GAMMA = 3.0
 
 
 def lean_body_mass(sex: str, weight: float, height: float) -> float:
@@ -107,31 +103,31 @@ def assemble_system(p: PKPDParameters) -> LTISystem:
     return LTISystem.from_matrices(A, B)
 
 
-def bis(x4: float, bp: BisParameters = BisParameters()) -> float:
+def bis(x4: float) -> float:
     """Decreasing sigmoid from effect-site level to the BIS score."""
     if not x4 >= 0:  # NaN fails this too
         raise DomainError("effect-site level must be nonnegative")
-    xg = x4 ** bp.gamma
-    return bp.bis0 * (1.0 - xg / (xg + bp.ec50 ** bp.gamma))
+    xg = x4 ** BIS_GAMMA
+    return BIS0 * (1.0 - xg / (xg + EC50 ** BIS_GAMMA))
 
 
-def bis_inverse(target_bis: float, bp: BisParameters = BisParameters()) -> float:
+def bis_inverse(target_bis: float) -> float:
     """Effect-site level achieving a BIS score; inverse of bis()."""
-    if not 0 < target_bis < bp.bis0:
-        raise DomainError(f"BIS target must lie in (0, {bp.bis0})")
-    return bp.ec50 * ((bp.bis0 - target_bis) / target_bis) ** (1.0 / bp.gamma)
+    if not 0 < target_bis < BIS0:
+        raise DomainError(f"BIS target must lie in (0, {BIS0})")
+    return EC50 * ((BIS0 - target_bis) / target_bis) ** (1.0 / BIS_GAMMA)
 
 
-def equilibrium(p: PKPDParameters, ec50: float = 3.4) -> EquilibriumState:
+def equilibrium(p: PKPDParameters, level: float) -> EquilibriumState:
     """Steady state holding the effect site at the given level."""
-    if not 0 < ec50 < np.inf:
+    if not 0 < level < np.inf:
         raise DomainError(
-            f"effect-site level must be positive and finite, got {ec50}")
+            f"effect-site level must be positive and finite, got {level}")
     x_e = np.array([
-        p.v1 * ec50,
-        p.a12 * p.v1 * ec50 / p.a21,
-        p.a13 * p.v1 * ec50 / p.a31,
-        ec50,
+        p.v1 * level,
+        p.a12 * p.v1 * level / p.a21,
+        p.a13 * p.v1 * level / p.a31,
+        level,
     ])
     x_e.setflags(write=False)
-    return EquilibriumState(x_e=x_e, u_e=p.a10 * p.v1 * ec50)
+    return EquilibriumState(x_e=x_e, u_e=p.a10 * p.v1 * level)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from anesopt.lti import LTISystem
-from anesopt.patient import (PatientDemographics, assemble_system, equilibrium,
-                             schnider_parameters)
+from anesopt.patient import (EC50, PatientDemographics, assemble_system,
+                             equilibrium, schnider_parameters)
 from anesopt.problem import build_problem, sample_trajectory
 from anesopt.shooting import solve_shooting
 from anesopt.strategies import solve_all_patterns, solve_time_optimal
@@ -83,7 +83,7 @@ def ref_sys(ref_params):
 
 @pytest.fixture(scope="session")
 def ref_eq(ref_params):
-    return equilibrium(ref_params)
+    return equilibrium(ref_params, EC50)
 
 
 @pytest.fixture(scope="session")

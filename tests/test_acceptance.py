@@ -7,8 +7,8 @@ import numpy as np
 
 from anesopt.lti import (LTISystem, constant_input_propagator, integrate,
                          kalman_rank)
-from anesopt.patient import (BisParameters, PatientDemographics, bis,
-                             bis_inverse, equilibrium, schnider_parameters)
+from anesopt.patient import (PatientDemographics, bis, bis_inverse,
+                             equilibrium, schnider_parameters)
 from anesopt.problem import ControlSchedule
 from anesopt.shooting import hamiltonian
 
@@ -137,13 +137,12 @@ def test_criterion_10_property_suites(ref_sys, ref_eq):
         worst_eq = max(worst_eq, resid)
     assert worst_eq < 1e-12
 
-    bp = BisParameters()
     worst_rt = 0.0
     for _ in range(50):
         lo = rng.uniform(0.2, 15.0)
         hi = lo * rng.uniform(1.001, 3.0)
-        assert bis(lo, bp) > bis(hi, bp)  # strictly decreasing
-        worst_rt = max(worst_rt, abs(bis_inverse(bis(lo, bp), bp) - lo) / lo)
+        assert bis(lo) > bis(hi)  # strictly decreasing
+        worst_rt = max(worst_rt, abs(bis_inverse(bis(lo)) - lo) / lo)
     assert worst_rt < 1e-12
 
     assert kalman_rank(ref_sys) == 4

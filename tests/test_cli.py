@@ -1,13 +1,15 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism, replay."""
 import json
+import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anesopt import cli
-from anesopt.cli import CSV_HEADER, _g10, load_config, main
+from anesopt.cli import CSV_HEADER, _fmt, _g10, load_config, main
 from anesopt.errors import ConfigError
 from anesopt.lti import Trajectory
 from anesopt.patient import bis
@@ -203,6 +205,21 @@ def test_solve_infeasible_bound_exits_3(tmp_path, capsys):
     rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 3
     assert "solver failed" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------- JSON emission
+
+@pytest.mark.parametrize("x", [sys.float_info.max, -sys.float_info.max])
+def test_fmt_keeps_the_largest_double_finite(x):
+    # %.10g rounds the largest double up to 1.797693135e308, which is inf;
+    # json.dump would then write Infinity, which is not JSON
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    doc = json.loads(json.dumps(_fmt({"x": x, "np": np.float64(x)})),
+                     parse_constant=reject)
+    for v in doc.values():
+        assert math.isfinite(v) and v == pytest.approx(x, rel=1e-9)
 
 
 # ------------------------------------------------------------ CSV emission

@@ -15,6 +15,8 @@ from anesopt.lti import (
     LTISystem,
     Trajectory,
     _dense,
+    _dense_rows,
+    _error_norm,
     _steps,
     constant_input_propagator,
     integrate,
@@ -316,21 +318,51 @@ def test_integrate_rejects_reversed_interval():
 
 def test_integrate_dense_output_between_nodes():
     # interpolated samples, not just step endpoints, must track the flow
+    def f(t, x):
+        return -x
+
     ts = np.linspace(0.0, 3.0, 101)
     got = np.full_like(ts, np.nan)
     got[0] = 1.0
-    for t, y, h, K, _ in _steps(lambda t, x: -x, np.array([1.0]), 0.0, 3.0,
-                                1e-10, 1e-12):
+    for t, y, h, K, y1 in _steps(f, np.array([1.0]), 0.0, 3.0, 1e-10, 1e-12):
+        F = _dense_rows(f, t, y, h, K, y1)
         inside = (ts > t) & (ts <= t + h)
-        got[inside] = [_dense(y, h, K, th)[0] for th in (ts[inside] - t) / h]
+        got[inside] = [_dense(y, F, th)[0] for th in (ts[inside] - t) / h]
     assert np.max(np.abs(got - np.exp(-ts))) < 1e-9
 
 
 def test_dense_output_coefficients_match_scipy():
-    from anesopt.lti import _P
+    # the DOP853 tableau is copied in as literals; scipy is the reference
+    from scipy.integrate._ivp import dop853_coefficients as ref
+    from anesopt.lti import _A_ROWS, _B, _C, _D, _ERR
 
-    assert _P.shape == scipy.integrate.RK45.P.shape
-    assert np.allclose(_P, scipy.integrate.RK45.P, rtol=0, atol=1e-13)
+    def close(a, b):
+        return np.allclose(a, b, rtol=0, atol=1e-13)
+
+    assert _C.shape == ref.C.shape and close(_C, ref.C)
+    assert len(_A_ROWS) == ref.A.shape[0] and not np.triu(ref.A).any()
+    for i, row in enumerate(_A_ROWS):
+        assert row.shape == (i,) and close(row, ref.A[i, :i])
+    assert _B.shape == ref.B.shape and close(_B, ref.B)
+    # scipy's estimates weigh the FSAL stage by zero, so _ERR leaves it out
+    assert ref.E5[-1] == ref.E3[-1] == 0.0
+    assert _ERR.shape == (2, ref.N_STAGES)
+    assert close(_ERR, [ref.E5[:-1], ref.E3[:-1]])
+    assert _D.shape == ref.D.shape and close(_D, ref.D)
+
+
+def test_error_norm_matches_scipy():
+    # scipy's norm reads only the class's E5 and E3, so the class itself
+    # can stand in for an instance
+    rng = np.random.default_rng(11)
+    for n in (1, 4):
+        K = rng.normal(size=(13, n))
+        scale = 1e-12 + 1e-10 * rng.uniform(size=n)
+        want = scipy.integrate.DOP853._estimate_error_norm(
+            scipy.integrate.DOP853, K, 0.37, scale)
+        assert _error_norm(K[:12], 0.37, scale) == pytest.approx(want,
+                                                                 rel=1e-13)
+    assert _error_norm(np.zeros((12, 2)), 0.5, np.ones(2)) == 0.0
 
 
 def test_integrate_blowup_raises():
@@ -384,6 +416,32 @@ def test_event_reports_all_crossings_in_order():
     for got, want in zip(events, expected):
         assert abs(got - want) < 1e-9
     assert np.all(np.diff(events) > 0)
+
+
+def test_event_finds_a_close_pair_inside_one_step():
+    # y0 = cos t + c dips below zero on pi -+ arccos(c): a pair of roots
+    # 0.009 apart, under a tenth of the step that holds both, at the
+    # tolerances of the shooting route
+    c, tol, atol = 0.99999, 1e-12, 1e-14
+
+    def f(t, y):
+        return np.array([y[1], -(y[0] - c)])
+
+    y0 = np.array([1.0 + c, 0.0])
+    roots = np.pi + np.array([-1.0, 1.0]) * np.arccos(c)
+    holding = [t for t, _, h, _, _ in _steps(f, y0, 0.0, 4.0, tol, atol)
+               if t < roots[0] and roots[1] < t + h]
+    assert len(holding) == 1
+    events, t, y = [], 0.0, y0
+    while True:
+        traj, hit = integrate_with_sign_event(f, y, t, 4.0, watch=0, tol=tol,
+                                              atol=atol)
+        if not hit:
+            break
+        events += hit
+        t, y = traj.times[-1], traj.states[-1]
+    assert len(events) == 2
+    assert np.max(np.abs(np.array(events) - roots)) < 1e-9
 
 
 def test_event_stop_at_first_truncates_trajectory():

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from anesopt.errors import (DegenerateDemographicsError, DomainError,
                             ParameterRangeError)
-from anesopt.patient import (BisParameters, PatientDemographics,
-                             PKPDParameters, assemble_system, bis,
-                             bis_inverse, equilibrium, lean_body_mass,
-                             schnider_parameters)
+from anesopt.patient import (PatientDemographics, PKPDParameters,
+                             assemble_system, bis, bis_inverse, equilibrium,
+                             lean_body_mass, schnider_parameters)
 
 from conftest import FROZEN
 
@@ -192,8 +191,3 @@ def test_equilibrium_residual_property(demo, level):
     eq = equilibrium(p, level)
     assert np.max(np.abs(sysm.A @ eq.x_e + sysm.B * eq.u_e)) < 1e-12
 
-
-def test_custom_bis_parameters():
-    bp = BisParameters(bis0=90.0, ec50=2.0, gamma=2.0)
-    assert bis(2.0, bp) == pytest.approx(45.0, abs=1e-12)
-    assert bis_inverse(45.0, bp) == pytest.approx(2.0, rel=1e-12)

@@ -181,6 +181,26 @@ def test_solver_stops_at_the_residual_evaluation_cap(ref_problem, monkeypatch):
     assert np.isfinite(exc.value.best_residual)
 
 
+def test_reference_solve_stays_inside_its_rhs_budget(ref_problem, monkeypatch):
+    # the bound is a third of the 13,868 right-hand-side evaluations that a
+    # 5th-order pair needs on this solve; DOP853 takes about 3,300
+    calls = [0]
+
+    def counted(integrator):
+        def run(f, *args, **kwargs):
+            def g(t, y):
+                calls[0] += 1
+                return f(t, y)
+            return integrator(g, *args, **kwargs)
+        return run
+
+    for name in ("integrate", "integrate_with_sign_event"):
+        monkeypatch.setattr(shooting, name, counted(getattr(shooting, name)))
+    cert = solve_shooting(ref_problem)
+    assert cert.residual_norm < RESIDUAL_ACCEPT
+    assert 0 < calls[0] <= 4600
+
+
 # --------------------------------------------------------------- certificate
 
 def test_certificate_matches_frozen_solution(certificate):
