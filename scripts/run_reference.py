@@ -37,7 +37,8 @@ def run(config_path: str, out_dir: str) -> int:
     for r in results:
         if r.feasible:
             print(f"  strategy {r.strategy}: t_f = {r.t_f:.6f} min  "
-                  f"switches at {[round(b, 6) for b in r.schedule.breakpoints]}")
+                  f"switches at {[round(b, 6) for b in r.schedule.breakpoints]}  "
+                  f"certified {r.certified}")
         else:
             print(f"  strategy {r.strategy}: infeasible ({r.note})")
     best = solve_time_optimal(prob)

@@ -7,11 +7,17 @@ propagation, so neither the projected Gauss-Newton root search nor the KKT
 Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE solver. The KKT
 multipliers give the terminal costate psi(t_f) = C^T mu, and a pattern whose
 minimum-time representative has a vanishing segment is dominated.
+
+From an equilibrium of an admissible constant control, a KKT point whose
+switching function psi^T B has exactly as many zeros as switches, with the
+sign law between them, is the unique minimum-time control (Lee and Markus
+1967, ch. 2). solve_time_optimal solves the one-switch pattern first and
+stops there when it is so certified; otherwise it enumerates every pattern.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +31,9 @@ FLOOR_TOL = 1e-6     # best residual above this declares nonexistence
 COLLAPSE_TOL = 1e-3  # segments shorter than this are vanishing
 GRID_POINTS = 8      # multistart points per time dimension
 STALL_TOL = 1e-6     # relative residual drop below which a search has stalled
+_EQUILIBRIUM_RTOL = 1e-12  # |A x0 + B u0| against |A| |x0|: rounding only
+_MODAL_RTOL = 1e-12  # a modal coefficient below this share of the largest
+                     # has no sign that rounding can be trusted with
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,7 @@ class StrategyResult:
     feasible: bool
     note: str = ""
     terminal_costate: np.ndarray | None = None  # psi(t_f) = C^T mu, if feasible
+    certified: bool = False  # proven the unique minimum-time control
 
     def __post_init__(self):
         for name in ("residual", "terminal_costate"):
@@ -78,6 +88,8 @@ class StrategyResult:
                 raise DomainError("feasible result requires a schedule")
             if not np.linalg.norm(self.residual, np.inf) < FEAS_TOL:
                 raise DomainError("feasible result violates the residual bound")
+        if self.certified and (not self.feasible or self.terminal_costate is None):
+            raise DomainError("a certificate needs a feasible KKT point")
 
     @property
     def t_f(self):
@@ -87,8 +99,9 @@ class StrategyResult:
 class _GapSolver:
     """Root finding over nonnegative segment durations for one problem."""
 
-    def __init__(self, prob: TimeOptimalProblem, levels):
+    def __init__(self, prob: TimeOptimalProblem, levels, horizon: float):
         self.prob = prob
+        self.horizon = horizon
         self.props = {u: constant_input_propagator(prob.sys, u) for u in set(levels)}
 
     def walk(self, levels, gaps) -> np.ndarray:
@@ -116,15 +129,15 @@ class _GapSolver:
     def _clip(self, gaps) -> np.ndarray:
         g = np.maximum(gaps, 0.0)
         total = g.sum()
-        if total > T_MAX:
-            g = g * (T_MAX / total)
+        if total > self.horizon:
+            g = g * (self.horizon / total)
         return g
 
     def starts(self, ndim: int):
         """Multistart gap vectors, yielded lazily: ordered cut points on a
         dyadic refinement of the horizon, which reaches the sub-minute root
         scale that a uniform horizon grid never does."""
-        pts = sorted(T_MAX / 2 ** i for i in range(GRID_POINTS))
+        pts = sorted(self.horizon / 2 ** i for i in range(GRID_POINTS))
         for combo in itertools.combinations_with_replacement(pts, ndim):
             yield np.diff(combo, prepend=0.0)
 
@@ -220,14 +233,21 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     where it is, so a rest-first pattern is dominated without a search.
     Otherwise the search runs from each start of the ordered duration
     simplex up to the first root; past zero switches, the KKT Newton solve
-    takes that root to a KKT point or reports the pattern dominated.
+    takes that root to a KKT point or reports the pattern dominated. A KKT
+    point records whether it is certified (see _certify).
     """
+    return _solve_pattern(prob, pattern, T_MAX)
+
+
+def _solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
+                   horizon: float) -> StrategyResult:
+    """solve_pattern with durations searched up to `horizon` minutes."""
     k = pattern.switches
     if not pattern.starts_high and not (prob.sys.A @ prob.x0).any():
         note = f"dominated by strategy {2 * k - 1}" if k else "never leaves rest"
         return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
     levels = pattern.levels(prob.u_max)
-    sol = _GapSolver(prob, levels)
+    sol = _GapSolver(prob, levels, horizon)
     best_nr, best_r, zero = np.inf, None, None
     for g0 in sol.starts(k + 1):
         g, r, xs = sol.search(levels, g0)
@@ -256,8 +276,57 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
                               "has a vanishing segment")
     g, mu, r = point
     psi_f = np.eye(prob.sys.n)[list(FAST_IDX)].T @ mu  # C^T mu
-    return StrategyResult(pattern.strategy, _to_schedule(levels, g),
-                          r, True, "KKT point", psi_f)
+    res = StrategyResult(pattern.strategy, _to_schedule(levels, g),
+                         r, True, "KKT point", psi_f)
+    return replace(res, certified=_certify(prob, res))
+
+
+def _admissible_equilibrium(prob: TimeOptimalProblem) -> bool:
+    """Whether x0 is held by a constant control 0 <= u0 <= u_max: rest and
+    the re-dosing starts f x_e qualify. u0 is the least-squares input."""
+    A, B, x0 = prob.sys.A, prob.sys.B, prob.x0
+    drift = A @ x0
+    u0 = -(B @ drift) / (B @ B)
+    scale = np.max(np.abs(A) @ np.abs(x0))
+    return bool(np.max(np.abs(drift + B * u0)) <= _EQUILIBRIUM_RTOL * scale
+                and 0.0 <= u0 <= prob.u_max)
+
+
+def _certify(prob: TimeOptimalProblem, result: StrategyResult) -> bool:
+    """Whether a feasible KKT result is certified, read from the problem
+    statement alone: the modal data of A and psi(t_f) = C^T mu.
+
+    In s = t_f - t the switching function is psi1(s) = psi(s)^T B =
+    sum c_i e^(lam_i s), c = (V^-1 B) * (V^T C^T mu). By Laguerre's rule
+    (Polya and Szego, Part V) it has at most as many real zeros as c has
+    sign changes in ascending lam order. A k-switch point is certified when
+    that count is exactly k, psi1 vanishes at each switch (|psi1| u_max <=
+    FEAS_TOL) and psi1 < 0 at each segment's midpoint exactly where
+    u = u_max: the midpoint signs alternate, so the switches hold the only
+    zeros. From an admissible equilibrium start the sign law then makes the
+    control the unique minimum-time one (Lee and Markus 1967, ch. 2): a
+    faster control, held first at the equilibrium input, would give
+    int psi1 (u - u*) = 0 with a nonnegative integrand.
+    """
+    sys, sched = prob.sys, result.schedule
+    if not sys.spectral_valid:
+        return False
+    c = (sys.Vi @ sys.B) * (sys.V.T @ result.terminal_costate)
+    signs = np.sign(c[c != 0])
+    sign_changes = int(np.count_nonzero(np.diff(signs)))
+    knots = np.array((0.0,) + sched.breakpoints + (sched.t_f,))
+
+    def psi1(t):
+        return np.exp(np.multiply.outer(sched.t_f - t, sys.eigenvalues)) @ c
+
+    mid = psi1((knots[:-1] + knots[1:]) / 2)
+    return bool(
+        np.all(np.abs(c) > _MODAL_RTOL * np.max(np.abs(c)))
+        and sign_changes == len(sched.breakpoints)
+        and np.all(np.abs(psi1(knots[1:-1])) * prob.u_max <= FEAS_TOL)
+        and np.all(mid != 0)
+        and np.array_equal(sched.levels, np.where(mid < 0, prob.u_max, 0.0))
+        and _admissible_equilibrium(prob))
 
 
 def _validate(prob: TimeOptimalProblem) -> None:
@@ -288,6 +357,29 @@ def _select(results) -> StrategyResult:
                                     r.strategy))
 
 
+def _rootless(result: StrategyResult) -> bool:
+    return (not result.feasible and result.residual.size > 0
+            and not np.linalg.norm(result.residual, np.inf) < FEAS_TOL)
+
+
 def solve_time_optimal(prob: TimeOptimalProblem,
                        bolus_filter: bool = True) -> StrategyResult:
+    """The minimum-time pattern: strategy 3 alone when it is certified, else
+    the fastest feasible pattern of the enumeration (ties to fewer switches).
+
+    From an admissible equilibrium start, strategy 3 is solved first; if it
+    has no root it is retried once at twice the horizon T_MAX (the longest
+    t_f of a scanned population case is 31.02 min), and its root is
+    returned if certified. A certified control
+    is the unique optimum among all admissible controls, so the other
+    patterns need no solve.
+    """
+    _validate(prob)
+    if _admissible_equilibrium(prob):
+        pattern = Pattern(strategy=3, starts_high=True, switches=1)
+        res = solve_pattern(prob, pattern)
+        if _rootless(res):
+            res = _solve_pattern(prob, pattern, 2 * T_MAX)
+        if res.certified:
+            return res
     return _select(solve_all_patterns(prob, bolus_filter))

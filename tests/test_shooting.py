@@ -324,10 +324,14 @@ CASES = {
                                height=160.0, ratio=2.0, bis=60.0),
     "male32-2ue-bis40": dict(sex="male", age=32.0, weight=73.0, height=164.2,
                              ratio=2.0, bis=40.0),
+    # t_f = 31.02 min, past the strategy route's 30-min search horizon
+    "male28.8-2ue": dict(sex="male", age=28.8, weight=44.8, height=158.4,
+                         ratio=2.0),
 }
 PANEL = ["female30-17.4ue", "male80-17.4ue", "redose0.3", "bound2ue"]
 LONG_HORIZON = ["female30-2ue-bis40", "female30-2ue-bis60",
                 "male32-2ue-bis40"]
+PAST_HORIZON = ["male28.8-2ue"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -352,7 +356,7 @@ def test_shooting_agrees_with_strategies_off_reference(case):
     _assert_routes_agree(case)
 
 
-@pytest.mark.parametrize("case", LONG_HORIZON)
+@pytest.mark.parametrize("case", LONG_HORIZON + PAST_HORIZON)
 def test_shooting_converges_on_long_horizons(case):
     _assert_routes_agree(case)
     assert _solved(case)[1].t_f > 15.0
@@ -363,12 +367,17 @@ def test_strategy_multipliers_witness_the_terminal_costate(case):
     # psi(t_f) = C^T mu from the strategy route's KKT system shares no code
     # with the certificate, whose transversality holds by construction
     prob, cert = _solved(case)
-    psi_f = solve_time_optimal(prob).terminal_costate
+    best = solve_time_optimal(prob)
+    assert best.certified
+    psi_f = best.terminal_costate
     scale = np.linalg.norm(cert.terminal_costate)
     assert np.linalg.norm(psi_f - cert.terminal_costate) <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("case", list(CASES))
+# the forward closed form e^(-A^T t_f) amplifies rounding by about
+# e^(0.94 t_f), past what its bound allows beyond 30 min: a limit of this
+# oracle, so the past-horizon case is left out
+@pytest.mark.parametrize("case", [c for c in CASES if c not in PAST_HORIZON])
 def test_costate_closed_form_holds_on_every_case(case):
     # psi0 = e^(A^T t_f) psi(t_f) from the backward sweep, and transversality
     # measured again on the forward closed form e^(-A^T t_f) psi0

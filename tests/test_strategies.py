@@ -6,6 +6,7 @@ no root, or is dominated: from rest a rest-first pattern reduces to the
 bolus-first pattern with one switch fewer without a search, and the KKT
 Newton solve from any root of strategies 5 and 7 drives a segment to zero.
 """
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,9 +22,11 @@ from anesopt.problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                              build_problem, sample_trajectory)
 from anesopt.strategies import (
     FEAS_TOL,
+    T_MAX,
     Pattern,
     StrategyResult,
     _GapSolver,
+    _certify,
     _select,
     enumerate_patterns,
     solve_all_patterns,
@@ -185,7 +188,7 @@ def _central(sol, levels, gaps, h=1e-5):
 def test_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
     levels = pat.levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, levels, T_MAX)
     rng = np.random.default_rng(strategy)
     for _ in range(4):
         g = rng.uniform(0.2, 3.0, pat.switches + 1)
@@ -195,7 +198,7 @@ def test_jacobian_matches_central_differences(ref_problem, strategy):
 
 def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
     levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, levels, T_MAX)
     g = np.array([0.8, 0.0, 0.6, 0.5])
     h = 1e-5
     e = np.array([0.0, h, 0.0, 0.0])
@@ -214,7 +217,7 @@ def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
     assert sys.real_spectrum and not sys.spectral_valid
     prob = TimeOptimalProblem(sys=sys, target_fast=(1.0, 0.5), u_max=3.0)
     levels = (3.0, 0.0, 3.0)
-    sol = _GapSolver(prob, levels)
+    sol = _GapSolver(prob, levels, T_MAX)
     for g in ([0.4, 1.1, 0.7], [2.0, 0.3, 1.5]):
         g = np.array(g)
         np.testing.assert_allclose(_jac(sol, levels, g),
@@ -225,7 +228,7 @@ def test_jacobian_on_a_clustered_spectrum_takes_the_series_path():
 def test_kkt_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
     levels = pat.levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, levels, T_MAX)
     n = pat.switches + 1
     rng = np.random.default_rng(strategy)
     h = 1e-5
@@ -251,7 +254,7 @@ def test_search_slides_along_a_pinned_gap(ref_problem):
     # gaps negative, so an unpinned projected step is clipped back and
     # stalls near FEAS_TOL
     levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, levels, T_MAX)
     g, r, _ = sol.search(levels, np.array([3.75, 0.0, 0.0, 0.0]))
     assert np.linalg.norm(r, np.inf) < 1e-12
     assert np.all(g >= 0.0)
@@ -268,7 +271,7 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
 
     monkeypatch.setattr(_GapSolver, "walk", counting_walk)
     levels = Pattern(strategy=3, starts_high=True, switches=1).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, levels, T_MAX)
     g, r, xs = sol.search(levels, np.array([1.0, 1.0]))
     assert np.linalg.norm(r, np.inf) < FEAS_TOL
     assert len(walked) > 2 and len(set(walked)) == len(walked)
@@ -284,7 +287,7 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     params = schnider_parameters(PatientDemographics("female", 30.0, 55.0, 160.0))
     prob = build_problem(params, 5.0 * equilibrium(params, bis_inverse(50.0)).u_e)
     levels = Pattern(strategy=5, starts_high=True, switches=2).levels(prob.u_max)
-    sol = _GapSolver(prob, levels)
+    sol = _GapSolver(prob, levels, T_MAX)
     for g0 in sol.starts(3):
         g, r, xs = sol.search(levels, g0)
         if np.linalg.norm(r, np.inf) < FEAS_TOL:
@@ -332,7 +335,7 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
 
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
     levels = Pattern(strategy=4, starts_high=False, switches=1).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, levels, T_MAX)
     starts = list(sol.starts(2))
     assert len(starts) == len(list(itertools.combinations_with_replacement(
         range(strategies.GRID_POINTS), 2)))
@@ -500,6 +503,151 @@ def test_result_invariants():
     with pytest.raises(DomainError):
         StrategyResult(strategy=1, schedule=s, residual=np.array([0.1, 0.0]),
                        feasible=True)
+
+
+def test_certified_result_needs_a_kkt_point():
+    s = ControlSchedule(levels=(1.0, 0.0), breakpoints=(0.5,), t_f=1.0)
+    with pytest.raises(DomainError):
+        StrategyResult(strategy=3, schedule=None, residual=np.array([0.1, 0.0]),
+                       feasible=False, certified=True)
+    with pytest.raises(DomainError):  # feasible, but no multipliers
+        StrategyResult(strategy=3, schedule=s, residual=np.zeros(2),
+                       feasible=True, certified=True)
+
+
+# -------------------------------------------------------------- certificate
+
+def _modal(prob, res):
+    """Modal coefficients c of psi1(s) = sum c_i e^(lam_i s)."""
+    sys = prob.sys
+    return (sys.Vi @ sys.B) * (sys.V.T @ res.terminal_costate)
+
+
+def _sign_changes(prob, res):
+    return int(np.count_nonzero(np.diff(np.sign(_modal(prob, res)))))
+
+
+def _psi1_at_switches(prob, res):
+    """|psi1| u_max at each switch."""
+    sys, s, c = prob.sys, res.schedule, _modal(prob, res)
+    lam_s = np.multiply.outer(s.t_f - np.array(s.breakpoints), sys.eigenvalues)
+    return np.abs(np.exp(lam_s) @ c) * prob.u_max
+
+
+def _mutations(res):
+    """Near misses of a KKT point. A uniform positive scaling of mu is the
+    same certificate; scaling one multiplier turns psi(t_f), which moves the
+    zero of psi1 off the switch."""
+    s = res.schedule
+    bumped = res.terminal_costate.copy()
+    bumped[FAST_IDX[0]] *= 1 + 1e-6
+    moved = (s.breakpoints[0] * (1 + 1e-6),) + s.breakpoints[1:]
+    return {
+        "flipped-levels": dataclasses.replace(res, schedule=ControlSchedule(
+            s.levels[::-1], s.breakpoints, s.t_f)),
+        "scaled-mu1": dataclasses.replace(res, terminal_costate=bumped),
+        "moved-switch": dataclasses.replace(res, schedule=ControlSchedule(
+            s.levels, moved, s.t_f)),
+    }
+
+
+def test_reference_optimum_is_certified(ref_problem, optimal):
+    assert optimal.certified and _sign_changes(ref_problem, optimal) == 1
+    assert _certify(ref_problem, optimal) is True
+    assert np.max(_psi1_at_switches(ref_problem, optimal)) <= 1e-13
+    for name, bad in _mutations(optimal).items():
+        assert _certify(ref_problem, bad) is False, name
+
+
+def test_non_equilibrium_start_falls_back_to_the_enumeration(ref_problem,
+                                                             monkeypatch):
+    # a bolus already in the blood and nowhere else is held by no input
+    prob = dataclasses.replace(ref_problem, x0=np.array([5.0, 0.0, 0.0, 0.0]))
+    assert not strategies._admissible_equilibrium(prob)
+    calls = []
+    solve = strategies.solve_pattern
+
+    def counting(prob, pattern):
+        calls.append(pattern.strategy)
+        return solve(prob, pattern)
+
+    monkeypatch.setattr(strategies, "solve_pattern", counting)
+    best = solve_time_optimal(prob)
+    assert calls == [1, 3, 5, 7]
+    assert best.feasible and not best.certified
+
+
+def _population():
+    """26 cases: six patients at four bounds u_max / u_e at BIS 50, and two
+    re-dosing starts f x_e of the reference patient at its clinical bound."""
+    patients = [("male", 53.0, 77.0, 177.0), ("female", 30.0, 55.0, 160.0),
+                ("male", 80.0, 70.0, 170.0), ("female", 65.0, 62.0, 158.0),
+                ("male", 28.0, 95.0, 188.0), ("female", 45.0, 82.0, 168.0)]
+    cases = {}
+    for demo in patients:
+        params = schnider_parameters(PatientDemographics(*demo))
+        u_e = equilibrium(params, bis_inverse(50.0)).u_e
+        for ratio in (2.0, 5.0, 17.4, 40.0):
+            cases[f"{demo[0]}{demo[1]:g}-{ratio:g}ue"] = (params, ratio * u_e, None)
+    params = schnider_parameters(PatientDemographics(*patients[0]))
+    x_e = equilibrium(params, bis_inverse(50.0)).x_e
+    for frac in (0.3, 0.6):
+        cases[f"redose{frac:g}"] = (params, U_MAX_REF, frac * x_e)
+    return cases
+
+
+POPULATION = _population()
+
+
+def _same(a, b):
+    """Field-for-field bitwise equality of two StrategyResults."""
+    for f in dataclasses.fields(StrategyResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert isinstance(y, np.ndarray) and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("case", list(POPULATION))
+def test_certified_solve_equals_the_full_enumeration(case):
+    params, u_max, x0 = POPULATION[case]
+    prob = build_problem(params, u_max, 50.0, x0=x0)
+    best = solve_time_optimal(prob)
+    assert best.certified and _sign_changes(prob, best) == 1
+    _same(best, _select(solve_all_patterns(prob)))
+    assert np.max(_psi1_at_switches(prob, best)) <= 1e-13
+    for name, bad in _mutations(best).items():
+        assert _certify(prob, bad) is False, name
+        if name != "flipped-levels":  # the flip keeps the zero, not the law
+            assert np.max(_psi1_at_switches(prob, bad)) >= 1e-7, name
+
+
+def test_reachable_target_past_the_horizon_is_solved():
+    # male 28.8 y, 44.8 kg, 158.4 cm at u_max = 2 u_e: t_f = 31.02 min is
+    # past T_MAX, so strategy 3 has no root there and is retried at 2 T_MAX
+    params = schnider_parameters(PatientDemographics("male", 28.8, 44.8, 158.4))
+    prob = build_problem(params, 2.0 * equilibrium(params, bis_inverse(50.0)).u_e)
+    assert not solve_pattern(prob, Pattern(3, True, 1)).feasible
+    best = solve_time_optimal(prob)
+    assert best.certified and best.strategy == 3
+    assert T_MAX < best.t_f < 2 * T_MAX
+
+
+def test_unreachable_target_is_retried_once_at_twice_the_horizon(ref_params,
+                                                                 monkeypatch):
+    horizons = []
+    solve = strategies._solve_pattern
+
+    def recording(prob, pattern, horizon):
+        horizons.append((pattern.strategy, horizon))
+        return solve(prob, pattern, horizon)
+
+    monkeypatch.setattr(strategies, "_solve_pattern", recording)
+    with pytest.raises(InfeasibleError):
+        solve_time_optimal(build_problem(ref_params, u_max=6.2))
+    retries = [(3, T_MAX), (3, 2 * T_MAX)]
+    assert horizons == retries + [(s, T_MAX) for s in (1, 3, 5, 7)]
 
 
 # ---------------------------------------------------------------- selection
