@@ -10,7 +10,8 @@ class DegenerateDemographicsError(DomainError):
 
 
 class ParameterRangeError(DomainError):
-    """A derived model rate constant is non-positive; demographics outside model validity."""
+    """Demographics outside the model's published validity range, or a
+    non-positive model rate constant."""
 
 
 class ConfigError(ValueError):

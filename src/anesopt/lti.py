@@ -2,8 +2,10 @@
 in modal form, adaptive DOP853 integration (8th order, with a 7th-order dense
 output for sign-event detection), controllability rank.
 
-Time is in minutes and states in mg throughout the package, but nothing in this
-module depends on that convention.
+Every LTISystem has a real, well-separated spectrum; the constructor rejects
+any other, so the exponential and the propagator each have one path, through
+the eigendecomposition. Time is in minutes and states in mg throughout the
+package, but nothing in this module depends on that convention.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 
-# spectral-path admission: real, well-separated spectrum and a residual check
+# spectrum admission: real, well-separated eigenvalues and a residual check
 _REAL_TOL = 1e-10
 _SEPARATION_TOL = 1e-6
 _RESIDUAL_TOL = 1e-10
@@ -22,20 +24,19 @@ _RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LTISystem:
-    """x' = A x + B u with a spectral cache computed at construction.
+    """x' = A x + B u with its eigendecomposition computed at construction.
 
-    The cache (eigenvalues sorted ascending, V, Vi) is populated only when the
-    spectrum is real with pairwise separation above 1e-6 and the reconstruction
-    residual ||V diag(lam) Vi - A||_inf is below 1e-10; expm then takes the
-    eigendecomposition path, otherwise a scaling-and-squaring series.
+    The eigenvalues are real and sorted ascending, A = V diag(lam) Vi.
+    from_matrices raises DomainError unless every imaginary part is below
+    1e-10, the pairwise separation is above 1e-6 and the reconstruction
+    residual ||V diag(lam) Vi - A||_inf is below 1e-10.
     """
 
     A: np.ndarray
     B: np.ndarray
     eigenvalues: np.ndarray
-    V: np.ndarray | None
-    Vi: np.ndarray | None
-    real_spectrum: bool
+    V: np.ndarray
+    Vi: np.ndarray
 
     @classmethod
     def from_matrices(cls, A, B) -> "LTISystem":
@@ -48,100 +49,46 @@ class LTISystem:
         lam, V = np.linalg.eig(A)
         order = np.argsort(lam.real)
         lam, V = lam[order], V[:, order]
-        real = bool(lam.size == 0 or np.max(np.abs(lam.imag)) < _REAL_TOL)
-        eigenvalues = lam.real if real else lam
-        V_ok = Vi_ok = None
-        if real:
-            data = _check_spectral(A, lam.real, V.real)
-            if data is not None:
-                V_ok, Vi_ok = data
+        if lam.size and np.max(np.abs(lam.imag)) >= _REAL_TOL:
+            raise DomainError(f"spectrum {lam} is not real")
+        lam, V = lam.real, V.real
+        if lam.size > 1 and np.min(np.diff(lam)) <= _SEPARATION_TOL:
+            raise DomainError(f"spectrum {lam} is not separated")
+        try:
+            Vi = np.linalg.inv(V)
+        except np.linalg.LinAlgError:
+            raise DomainError(f"spectrum {lam} has no eigenbasis") from None
+        if np.max(np.abs((V * lam) @ Vi - A)) >= _RESIDUAL_TOL:
+            raise DomainError(f"spectrum {lam} does not reconstruct A")
         A.setflags(write=False)
         B.setflags(write=False)
-        return cls(A=A, B=B, eigenvalues=eigenvalues, V=V_ok, Vi=Vi_ok,
-                   real_spectrum=real)
+        return cls(A=A, B=B, eigenvalues=lam, V=V, Vi=Vi)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
-    @property
-    def spectral_valid(self) -> bool:
-        return self.V is not None
-
     def expm(self, t: float) -> np.ndarray:
-        if self.spectral_valid:
-            return (self.V * np.exp(self.eigenvalues * t)) @ self.Vi
-        return _expm_series(self.A * t)
-
-
-def _check_spectral(A, lam, V):
-    """(V, Vi) if the real eigendecomposition is usable, else None."""
-    if lam.size > 1 and np.min(np.diff(np.sort(lam))) <= _SEPARATION_TOL:
-        return None
-    try:
-        Vi = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        return None
-    if np.max(np.abs((V * lam) @ Vi - A)) >= _RESIDUAL_TOL:
-        return None
-    return V, Vi
-
-
-def _expm_series(M, terms=18):
-    """Scaling-and-squaring with a truncated Taylor series."""
-    M = np.asarray(M, dtype=float)
-    norm = np.max(np.sum(np.abs(M), axis=1)) if M.size else 0.0
-    s = 0
-    if norm > 0.5:
-        s = int(np.ceil(np.log2(norm / 0.5)))
-    Ms = M / (2.0 ** s)
-    E = np.eye(M.shape[0])
-    T = np.eye(M.shape[0])
-    for k in range(1, terms + 1):
-        T = T @ Ms / k
-        E = E + T
-    for _ in range(s):
-        E = E @ E
-    return E
-
-
-def _augmented(A, B, u):
-    n = A.shape[0]
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = A
-    M[:n, n] = B * u
-    return M
+        return (self.V * np.exp(self.eigenvalues * t)) @ self.Vi
 
 
 def constant_input_propagator(sys: LTISystem, u: float):
-    """Exact flow map (x0, dt) -> x(dt) for constant input u.
-
-    With the system's spectral cache this is the modal form
+    """Exact flow map (x0, dt) -> x(dt) for constant input u, in modal form:
     x(dt) = V (e^(lam dt) * Vi x0 + phi1(lam, dt) * Vi B u), where
     phi1 = expm1(lam dt) / lam and phi1 = dt at lam = 0, so a singular A
-    needs no inverse. Without the cache each call exponentiates the
-    augmented matrix [[A, B u], [0, 0]] by the series. dt is a scalar or a
-    1-D array; an array gives one state per entry, as rows.
+    needs no inverse. dt is a scalar or a 1-D array; an array gives one
+    state per entry, as rows.
     """
-    n = sys.n
-    if sys.spectral_valid:
-        lam, V, Vi = sys.eigenvalues, sys.V, sys.Vi
-        zero = lam == 0
-        w = Vi @ (sys.B * u)
-        w_lam = np.divide(w, lam, out=np.zeros(n), where=~zero)
-        w_zero = np.where(zero, w, 0.0)
+    lam, V, Vi = sys.eigenvalues, sys.V, sys.Vi
+    zero = lam == 0
+    w = Vi @ (sys.B * u)
+    w_lam = np.divide(w, lam, out=np.zeros(sys.n), where=~zero)
+    w_zero = np.where(zero, w, 0.0)
 
-        def flow(x0, dt):
-            ldt = lam * dt
-            y = np.exp(ldt) * (Vi @ x0) + np.expm1(ldt) * w_lam + dt * w_zero
-            return y @ V.T
-    else:
-        M = _augmented(sys.A, sys.B, u)
-
-        def flow(x0, dt):
-            E = np.array([_expm_series(M * d) for d in np.ravel(dt)])
-            out = E[:, :n, :n] @ x0 + E[:, :n, n]
-            return out if np.ndim(dt) else out[0]
+    def flow(x0, dt):
+        ldt = lam * dt
+        y = np.exp(ldt) * (Vi @ x0) + np.expm1(ldt) * w_lam + dt * w_zero
+        return y @ V.T
 
     def step(x0, dt):
         x0 = np.asarray(x0, dtype=float)

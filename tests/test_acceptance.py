@@ -35,7 +35,7 @@ def test_criterion_02_equilibrium_reproduction(ref_eq):
 
 
 def test_criterion_03_spectrum(ref_sys):
-    assert ref_sys.real_spectrum
+    assert np.isrealobj(ref_sys.eigenvalues)
     err = np.max(np.abs(np.sort(ref_sys.eigenvalues) - np.sort(EXPECTED_EIGS)))
     assert err < 1e-4
     print(f"criterion 3 PASS: real spectrum, max eigenvalue error {err:.2e} < 1e-4")
@@ -112,8 +112,10 @@ def test_criterion_10_property_suites(ref_sys, ref_eq):
 
     worst_semi = 0.0
     for _ in range(25):
-        M = rng.uniform(-1.0, 1.0, size=(4, 4))
-        A = M - (np.max(np.sum(np.abs(M), axis=1)) + 0.1) * np.eye(4)
+        # separated negative spectrum, cond(R) <= 9
+        R = np.eye(4) + rng.uniform(-0.2, 0.2, size=(4, 4))
+        lam = -np.cumsum(rng.uniform(0.1, 2.0, size=4))
+        A = R @ np.diag(lam) @ np.linalg.inv(R)
         s, t = rng.uniform(0.0, 5.0, size=2)
         diff = np.max(np.abs(expm(A, s) @ expm(A, t) - expm(A, s + t)))
         worst_semi = max(worst_semi, diff)
@@ -123,8 +125,8 @@ def test_criterion_10_property_suites(ref_sys, ref_eq):
     for _ in range(25):
         demo = PatientDemographics(
             sex=("male", "female")[int(rng.integers(2))],
-            age=rng.uniform(20, 80), weight=rng.uniform(45, 120),
-            height=rng.uniform(150, 200))
+            age=rng.uniform(26, 81), weight=rng.uniform(44, 123),
+            height=rng.uniform(155, 196))
         p = schnider_parameters(demo)
         e = equilibrium(p, rng.uniform(0.5, 8.0))
         sys = LTISystem.from_matrices(

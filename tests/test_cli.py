@@ -122,6 +122,23 @@ def test_unknown_sex_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["params", "solve", "simulate"])
+def test_age_outside_the_model_range_exits_2(tmp_path, capsys, monkeypatch,
+                                             command):
+    monkeypatch.setattr(cli, "solve_shooting", _never)
+    monkeypatch.setattr(cli, "solve_time_optimal", _never)
+    sched = tmp_path / "hold.json"
+    sched.write_text(json.dumps(
+        {"u_levels": [50.0], "breakpoints": [], "t_f": 2.0}))
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, age=90),
+            "--out", str(out)]
+    rc = main(argv + [str(sched)] if command == "simulate" else argv)
+    assert rc == 2
+    assert "age 90.0 is outside the Schnider range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bound_below_equilibrium_rate_exits_2(tmp_path, capsys):
     rc = main(["params", "--config", write_config(tmp_path, u_max=5.0)])
     assert rc == 2

@@ -1,13 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anesopt.errors import (DegenerateDemographicsError, DomainError,
                             ParameterRangeError)
-from anesopt.patient import (PatientDemographics, PKPDParameters,
-                             assemble_system, bis, bis_inverse, equilibrium,
-                             lean_body_mass, schnider_parameters)
+from anesopt.patient import (SCHNIDER_RANGE, PatientDemographics,
+                             PKPDParameters, assemble_system, bis, bis_inverse,
+                             equilibrium, lean_body_mass, schnider_parameters)
 
 from conftest import FROZEN
 
@@ -51,7 +53,7 @@ def test_demographics_rejects_unknown_sex():
 
 
 def test_rates_degenerate_far_outside_validity():
-    # denominator of the muscle return-rate row changes sign near age 101
+    # past the range the denominator of a21 changes sign near age 101
     demo = PatientDemographics(sex="male", age=102.0, weight=77.0, height=177.0)
     with pytest.raises(ParameterRangeError):
         schnider_parameters(demo)
@@ -164,22 +166,47 @@ def test_equilibrium_state_is_write_protected(ref_eq):
 _demo_strategy = st.builds(
     PatientDemographics,
     sex=st.sampled_from(["male", "female"]),
-    age=st.floats(min_value=20.0, max_value=80.0),
-    weight=st.floats(min_value=45.0, max_value=120.0),
-    height=st.floats(min_value=150.0, max_value=200.0),
+    **{name: st.floats(min_value=lo, max_value=hi)
+       for name, (lo, hi) in SCHNIDER_RANGE.items()},
 )
+
+
+def _at_the_corners(test):
+    """An @example at each of the eight corners of the range, per sex."""
+    for sex in ("male", "female"):
+        for corner in itertools.product(*SCHNIDER_RANGE.values()):
+            test = example(PatientDemographics(sex, *corner))(test)
+    return test
 
 
 @given(_demo_strategy)
 @settings(max_examples=60, deadline=None)
+# male 26 y, 44 kg, 155 cm has the smallest eigenvalue gap (0.0315) found
+# on a 23^3 grid per sex
+@_at_the_corners
 def test_parameter_box_property(demo):
-    """Inside the adult validity box the model stays well posed: positive
-    rates and a real, strictly negative spectrum."""
+    """Inside the Schnider range the rates are positive and the system
+    constructs, so its spectrum is real and separated; it is also strictly
+    negative."""
     p = schnider_parameters(demo)  # would raise on a non-positive rate
-    sysm = assemble_system(p)
-    lam = np.linalg.eigvals(sysm.A)
-    assert np.max(np.abs(lam.imag)) < 1e-10
-    assert np.all(lam.real < 0)
+    sysm = assemble_system(p)  # would raise on an inadmissible spectrum
+    assert np.isrealobj(sysm.eigenvalues)
+    assert np.all(sysm.eigenvalues < 0)
+
+
+@pytest.mark.parametrize("field", list(SCHNIDER_RANGE))
+@pytest.mark.parametrize("side", ["low", "high"])
+def test_schnider_range_is_inclusive(field, side):
+    # perfbench draws round to 0.1 and can land exactly on an edge
+    lo, hi = SCHNIDER_RANGE[field]
+    edge, away = (lo, -np.inf) if side == "low" else (hi, np.inf)
+    for sex in ("male", "female"):
+        kw = dict(sex=sex, age=53.0, weight=77.0, height=177.0)
+        kw[field] = edge
+        assemble_system(schnider_parameters(PatientDemographics(**kw)))
+        kw[field] = float(np.nextafter(edge, away))
+        with pytest.raises(ParameterRangeError, match=field):
+            schnider_parameters(PatientDemographics(**kw))
 
 
 @given(_demo_strategy, st.floats(min_value=0.5, max_value=8.0))
