@@ -32,7 +32,7 @@ def run(config_path: str, out_dir: str) -> int:
           f"  (u_e = {eq.u_e:.4f} mg/min, bound u_max = {cfg.u_max:g})")
     print()
 
-    print("strategy enumeration (bolus-first patterns):")
+    print("strategy enumeration (all eight patterns):")
     results = solve_all_patterns(prob)
     for r in results:
         if r.feasible:

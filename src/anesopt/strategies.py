@@ -13,8 +13,9 @@ switching function psi^T B has exactly as many zeros as switches, with the
 sign law between them, is the unique minimum-time control (Lee and Markus
 1967, ch. 2). The test reads the real eigendecomposition that every
 LTISystem carries, so it applies to every problem. solve_time_optimal
-solves the one-switch pattern first and stops there when it is so
-certified; otherwise it enumerates every pattern.
+walks one table of all eight patterns, the one-switch pattern first, and
+stops at the first certified one; otherwise it keeps the fastest feasible
+pattern.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from .errors import DomainError, InfeasibleError
 from .lti import constant_input_propagator, kalman_rank
 from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
-T_MAX = 30.0         # search horizon, min
+T_MAX = 60.0         # search horizon, min
 FEAS_TOL = 1e-9      # inf-norm residual bound for a feasible root
 FLOOR_TOL = 1e-6     # best residual above this declares nonexistence
 COLLAPSE_TOL = 1e-3  # segments shorter than this are vanishing
@@ -51,22 +52,16 @@ class Pattern:
         return tuple(on[i % 2] for i in range(self.switches + 1))
 
 
-def enumerate_patterns(start_level=None, max_switches: int = 3) -> list:
-    """All alternating patterns with up to max_switches switches.
-
-    start_level None returns every pattern; a positive value keeps only the
-    bolus-first ones (odd strategy numbers), zero only the rest-first ones.
-    """
+def enumerate_patterns(max_switches: int = 3) -> list:
+    """All alternating patterns with up to max_switches switches, in strategy
+    order: bolus-first ones have odd numbers, rest-first ones even."""
     if max_switches < 0:
         raise DomainError("max_switches must be nonnegative")
     pats = []
     for k in range(max_switches + 1):
         pats.append(Pattern(strategy=2 * k + 1, starts_high=True, switches=k))
         pats.append(Pattern(strategy=2 * k + 2, starts_high=False, switches=k))
-    if start_level is not None:
-        want_high = bool(start_level)
-        pats = [p for p in pats if p.starts_high == want_high]
-    return sorted(pats, key=lambda p: p.strategy)
+    return pats
 
 
 @dataclass(frozen=True)
@@ -101,9 +96,8 @@ class StrategyResult:
 class _GapSolver:
     """Root finding over nonnegative segment durations for one problem."""
 
-    def __init__(self, prob: TimeOptimalProblem, levels, horizon: float):
+    def __init__(self, prob: TimeOptimalProblem, levels):
         self.prob = prob
-        self.horizon = horizon
         self.props = {u: constant_input_propagator(prob.sys, u) for u in set(levels)}
 
     def walk(self, levels, gaps) -> np.ndarray:
@@ -131,15 +125,16 @@ class _GapSolver:
     def _clip(self, gaps) -> np.ndarray:
         g = np.maximum(gaps, 0.0)
         total = g.sum()
-        if total > self.horizon:
-            g = g * (self.horizon / total)
+        if total > T_MAX:
+            g = g * (T_MAX / total)
         return g
 
     def starts(self, ndim: int):
         """Multistart gap vectors, yielded lazily: ordered cut points on a
-        dyadic refinement of the horizon, which reaches the sub-minute root
-        scale that a uniform horizon grid never does."""
-        pts = sorted(self.horizon / 2 ** i for i in range(GRID_POINTS))
+        dyadic refinement of the horizon, T_MAX/2 down to T_MAX/256, which
+        reaches the sub-minute root scale that a uniform horizon grid never
+        does. A root past T_MAX/2 is reached by the search, not a start."""
+        pts = sorted(T_MAX / 2 ** i for i in range(1, GRID_POINTS + 1))
         for combo in itertools.combinations_with_replacement(pts, ndim):
             yield np.diff(combo, prepend=0.0)
 
@@ -238,18 +233,12 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     takes that root to a KKT point or reports the pattern dominated. A KKT
     point records whether it is certified (see _certify).
     """
-    return _solve_pattern(prob, pattern, T_MAX)
-
-
-def _solve_pattern(prob: TimeOptimalProblem, pattern: Pattern,
-                   horizon: float) -> StrategyResult:
-    """solve_pattern with durations searched up to `horizon` minutes."""
     k = pattern.switches
     if not pattern.starts_high and not (prob.sys.A @ prob.x0).any():
         note = f"dominated by strategy {2 * k - 1}" if k else "never leaves rest"
         return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
     levels = pattern.levels(prob.u_max)
-    sol = _GapSolver(prob, levels, horizon)
+    sol = _GapSolver(prob, levels)
     best_nr, best_r, zero = np.inf, None, None
     for g0 in sol.starts(k + 1):
         g, r, xs = sol.search(levels, g0)
@@ -334,12 +323,10 @@ def _validate(prob: TimeOptimalProblem) -> None:
         raise DomainError("system is not controllable from the infusion input")
 
 
-def solve_all_patterns(prob: TimeOptimalProblem, bolus_filter: bool = True) -> list:
+def solve_all_patterns(prob: TimeOptimalProblem) -> list:
     """StrategyResult for every candidate pattern, in strategy order."""
     _validate(prob)
-    start = prob.u_max if bolus_filter else None
-    pats = enumerate_patterns(start, prob.sys.n - 1)
-    return [solve_pattern(prob, p) for p in pats]
+    return [solve_pattern(prob, p) for p in enumerate_patterns(prob.sys.n - 1)]
 
 
 def _select(results) -> StrategyResult:
@@ -355,29 +342,20 @@ def _select(results) -> StrategyResult:
                                     r.strategy))
 
 
-def _rootless(result: StrategyResult) -> bool:
-    return (not result.feasible and result.residual.size > 0
-            and not np.linalg.norm(result.residual, np.inf) < FEAS_TOL)
+def solve_time_optimal(prob: TimeOptimalProblem) -> StrategyResult:
+    """The minimum-time pattern: the first certified one, else the fastest
+    feasible pattern (ties to fewer switches).
 
-
-def solve_time_optimal(prob: TimeOptimalProblem,
-                       bolus_filter: bool = True) -> StrategyResult:
-    """The minimum-time pattern: strategy 3 alone when it is certified, else
-    the fastest feasible pattern of the enumeration (ties to fewer switches).
-
-    From an admissible equilibrium start, strategy 3 is solved first; if it
-    has no root it is retried once at twice the horizon T_MAX (the longest
-    t_f of a scanned population case is 31.02 min), and its root is
-    returned if certified. A certified control
-    is the unique optimum among all admissible controls, so the other
-    patterns need no solve.
+    Strategy 3 is solved first, then the other seven in strategy order. A
+    certified control is the unique optimum among all admissible controls,
+    so the patterns after it need no solve.
     """
     _validate(prob)
-    if _admissible_equilibrium(prob):
-        pattern = Pattern(strategy=3, starts_high=True, switches=1)
+    results = []
+    for pattern in sorted(enumerate_patterns(prob.sys.n - 1),
+                          key=lambda p: p.strategy != 3):
         res = solve_pattern(prob, pattern)
-        if _rootless(res):
-            res = _solve_pattern(prob, pattern, 2 * T_MAX)
         if res.certified:
             return res
-    return _select(solve_all_patterns(prob, bolus_filter))
+        results.append(res)
+    return _select(results)

@@ -92,15 +92,15 @@ def ref_problem(ref_params):
 
 
 @pytest.fixture(scope="session")
-def bolus_results(ref_problem):
-    """StrategyResults for the four bolus-first patterns."""
+def all_results(ref_problem):
+    """StrategyResults for the full eight-pattern enumeration."""
     return solve_all_patterns(ref_problem)
 
 
 @pytest.fixture(scope="session")
-def all_results(ref_problem):
-    """StrategyResults for the full eight-pattern enumeration."""
-    return solve_all_patterns(ref_problem, bolus_filter=False)
+def bolus_results(all_results):
+    """The bolus-first rows (odd strategies) of the eight-pattern table."""
+    return [r for r in all_results if r.strategy % 2]
 
 
 @pytest.fixture(scope="session")

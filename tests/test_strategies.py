@@ -47,20 +47,8 @@ def test_enumerate_all_patterns():
         assert p.switches == (p.strategy - 1) // 2
 
 
-def test_enumerate_bolus_first_only():
-    pats = enumerate_patterns(start_level=U_MAX_REF, max_switches=3)
-    assert [p.strategy for p in pats] == [1, 3, 5, 7]
-    assert all(p.starts_high for p in pats)
-
-
-def test_enumerate_rest_first_only():
-    pats = enumerate_patterns(start_level=0.0, max_switches=3)
-    assert [p.strategy for p in pats] == [2, 4, 6, 8]
-    assert not any(p.starts_high for p in pats)
-
-
 def test_enumerate_zero_switches():
-    pats = enumerate_patterns(start_level=None, max_switches=0)
+    pats = enumerate_patterns(max_switches=0)
     assert [p.strategy for p in pats] == [1, 2]
     assert pats[0].levels(7.0) == (7.0,)
     assert pats[1].levels(7.0) == (0.0,)
@@ -188,7 +176,7 @@ def _central(sol, levels, gaps, h=1e-5):
 def test_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
     levels = pat.levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX)
+    sol = _GapSolver(ref_problem, levels)
     rng = np.random.default_rng(strategy)
     for _ in range(4):
         g = rng.uniform(0.2, 3.0, pat.switches + 1)
@@ -198,7 +186,7 @@ def test_jacobian_matches_central_differences(ref_problem, strategy):
 
 def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
     levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX)
+    sol = _GapSolver(ref_problem, levels)
     g = np.array([0.8, 0.0, 0.6, 0.5])
     h = 1e-5
     e = np.array([0.0, h, 0.0, 0.0])
@@ -212,7 +200,7 @@ def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
 def test_kkt_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
     levels = pat.levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX)
+    sol = _GapSolver(ref_problem, levels)
     n = pat.switches + 1
     rng = np.random.default_rng(strategy)
     h = 1e-5
@@ -238,7 +226,7 @@ def test_search_slides_along_a_pinned_gap(ref_problem):
     # gaps negative, so an unpinned projected step is clipped back and
     # stalls near FEAS_TOL
     levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX)
+    sol = _GapSolver(ref_problem, levels)
     g, r, _ = sol.search(levels, np.array([3.75, 0.0, 0.0, 0.0]))
     assert np.linalg.norm(r, np.inf) < 1e-12
     assert np.all(g >= 0.0)
@@ -255,7 +243,7 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
 
     monkeypatch.setattr(_GapSolver, "walk", counting_walk)
     levels = Pattern(strategy=3, starts_high=True, switches=1).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX)
+    sol = _GapSolver(ref_problem, levels)
     g, r, xs = sol.search(levels, np.array([1.0, 1.0]))
     assert np.linalg.norm(r, np.inf) < FEAS_TOL
     assert len(walked) > 2 and len(set(walked)) == len(walked)
@@ -271,7 +259,7 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     params = schnider_parameters(PatientDemographics("female", 30.0, 55.0, 160.0))
     prob = build_problem(params, 5.0 * equilibrium(params, bis_inverse(50.0)).u_e)
     levels = Pattern(strategy=5, starts_high=True, switches=2).levels(prob.u_max)
-    sol = _GapSolver(prob, levels, T_MAX)
+    sol = _GapSolver(prob, levels)
     for g0 in sol.starts(3):
         g, r, xs = sol.search(levels, g0)
         if np.linalg.norm(r, np.inf) < FEAS_TOL:
@@ -319,7 +307,7 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
 
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
     levels = Pattern(strategy=4, starts_high=False, switches=1).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels, T_MAX)
+    sol = _GapSolver(ref_problem, levels)
     starts = list(sol.starts(2))
     assert len(starts) == len(list(itertools.combinations_with_replacement(
         range(strategies.GRID_POINTS), 2)))
@@ -347,11 +335,11 @@ def test_restoration_searches_run_to_a_root_not_to_a_small_step():
 @pytest.mark.parametrize("case", ["reference", "male80-5ue"])
 def test_verdicts_do_not_depend_on_the_start_order(ref_problem, case, monkeypatch):
     prob = ref_problem if case == "reference" else _male80_5ue()
-    forward = solve_all_patterns(prob, bolus_filter=False)
+    forward = solve_all_patterns(prob)
     starts = _GapSolver.starts
     monkeypatch.setattr(_GapSolver, "starts",
                         lambda self, ndim: reversed(list(starts(self, ndim))))
-    backward = solve_all_patterns(prob, bolus_filter=False)
+    backward = solve_all_patterns(prob)
     compared = 0
     for a, b in zip(forward, backward):
         if a.note.startswith("no "):
@@ -544,16 +532,9 @@ def test_non_equilibrium_start_falls_back_to_the_enumeration(ref_problem,
     # a bolus already in the blood and nowhere else is held by no input
     prob = dataclasses.replace(ref_problem, x0=np.array([5.0, 0.0, 0.0, 0.0]))
     assert not strategies._admissible_equilibrium(prob)
-    calls = []
-    solve = strategies.solve_pattern
-
-    def counting(prob, pattern):
-        calls.append(pattern.strategy)
-        return solve(prob, pattern)
-
-    monkeypatch.setattr(strategies, "solve_pattern", counting)
+    calls = _recording(monkeypatch)
     best = solve_time_optimal(prob)
-    assert calls == [1, 3, 5, 7]
+    assert calls == [3, 1, 2, 4, 5, 6, 7, 8]
     assert best.feasible and not best.certified
 
 
@@ -604,30 +585,53 @@ def test_certified_solve_equals_the_full_enumeration(case):
 
 
 def test_reachable_target_past_the_horizon_is_solved():
-    # male 28.8 y, 44.8 kg, 158.4 cm at u_max = 2 u_e: t_f = 31.02 min is
-    # past T_MAX, so strategy 3 has no root there and is retried at 2 T_MAX
+    # male 28.8 y, 44.8 kg, 158.4 cm at u_max = 2 u_e: t_f = 31.02 min, past
+    # the longest start (30 min), is still inside the search horizon T_MAX
     params = schnider_parameters(PatientDemographics("male", 28.8, 44.8, 158.4))
     prob = build_problem(params, 2.0 * equilibrium(params, bis_inverse(50.0)).u_e)
-    assert not solve_pattern(prob, Pattern(3, True, 1)).feasible
+    alone = solve_pattern(prob, Pattern(3, True, 1))
+    assert alone.feasible and alone.certified
+    assert 30.0 < alone.t_f < T_MAX
+    assert alone.t_f == pytest.approx(31.0217001172425, rel=1e-12)
     best = solve_time_optimal(prob)
     assert best.certified and best.strategy == 3
-    assert T_MAX < best.t_f < 2 * T_MAX
 
 
-def test_unreachable_target_is_retried_once_at_twice_the_horizon(ref_params,
-                                                                 monkeypatch):
-    horizons = []
-    solve = strategies._solve_pattern
+def _recording(monkeypatch):
+    """The list that records the strategy of each solve_pattern call."""
+    calls = []
+    solve = strategies.solve_pattern
 
-    def recording(prob, pattern, horizon):
-        horizons.append((pattern.strategy, horizon))
-        return solve(prob, pattern, horizon)
+    def recording(prob, pattern):
+        calls.append(pattern.strategy)
+        return solve(prob, pattern)
 
-    monkeypatch.setattr(strategies, "_solve_pattern", recording)
+    monkeypatch.setattr(strategies, "solve_pattern", recording)
+    return calls
+
+
+def test_unreachable_target_solves_each_pattern_once(ref_params, monkeypatch):
+    calls = _recording(monkeypatch)
     with pytest.raises(InfeasibleError):
         solve_time_optimal(build_problem(ref_params, u_max=6.2))
-    retries = [(3, T_MAX), (3, 2 * T_MAX)]
-    assert horizons == retries + [(s, T_MAX) for s in (1, 3, 5, 7)]
+    assert calls == [3, 1, 2, 4, 5, 6, 7, 8]
+
+
+def test_hot_start_is_solved_by_a_rest_first_pattern(ref_problem, monkeypatch):
+    # x1 starts three times its target and x4 below it: a leading rest lets
+    # x1 fall while x4 rises, and no bolus-first pattern is feasible
+    prob = dataclasses.replace(
+        ref_problem, x0=np.array([43.554, 19.2711, 243.9024, 2.72]))
+    calls = _recording(monkeypatch)
+    best = solve_time_optimal(prob)
+    assert len(calls) == 8
+    assert best.strategy == 4 and best.schedule.levels == (0.0, U_MAX_REF)
+    assert best.t_f == pytest.approx(2.5232, abs=1e-4)
+    table = solve_all_patterns(prob)
+    _same(best, _select(table))
+    assert not any(r.feasible for r in table if r.strategy % 2)
+    x = endpoint(prob.sys, best.schedule, x0=prob.x0)
+    assert np.max(np.abs(x[list(FAST_IDX)] - prob.target_fast)) < FEAS_TOL
 
 
 # ---------------------------------------------------------------- selection
