@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -25,7 +26,9 @@ from .strategies import solve_time_optimal
 _METHODS = ("shooting", "strategy", "both")
 
 CSV_HEADER = "t,x1,x2,x3,x4,u,bis"
-_CSV_ROW = ",".join(["%.10g"] * 7) + "\n"
+# a row template is head + the run's control text + tail
+_CSV_ROW_HEAD = "%.10g," * 5
+_CSV_ROW_TAIL = ",%.10g\n"
 _CSV_BLOCK_ROWS = 2048
 
 
@@ -147,18 +150,29 @@ def _write_trajectory_csv(path: str, traj) -> None:
     """One row per sample: t, x1..x4, u and the BIS of max(x4, 0).
 
     A single %.10g prints the same text as _g10 then .10g, since rounding
-    to 10 significant digits twice changes nothing. BIS stays on the
-    scalar `bis`: numpy's array power is not bitwise libm pow. Rows are
-    written in blocks so the text of the whole file is never held at once.
+    to 10 significant digits twice changes nothing. BIS comes from one
+    array call of `bis`, bitwise its scalar values. A bang-bang control is
+    constant between switches, so its text is formatted once per run of
+    bitwise-equal values (-0.0 prints -0, 0.0 prints 0) and inlined into
+    the run's row template. Rows are zipped from the columns of one block
+    at a time, so neither the text nor a row list of the whole file is
+    ever held.
     """
-    levels = np.maximum(traj.states[:, 3], 0.0).tolist()
-    cols = np.column_stack((traj.times, traj.states, traj.control,
-                            [bis(v) for v in levels]))
+    cols = (traj.times, *traj.states.T,
+            bis(np.maximum(traj.states[:, 3], 0.0)))
+    u = np.asarray(traj.control, dtype=float)
+    bits = u.view(np.int64)
+    # ~ flips every bit, so the first row always starts a run
+    starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))
+    cuts = [*starts.tolist(), len(u)]
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(0, len(cols), _CSV_BLOCK_ROWS):
-            fh.write("".join(_CSV_ROW % tuple(row)
-                             for row in cols[i:i + _CSV_BLOCK_ROWS].tolist()))
+        for a, b in zip(cuts, cuts[1:]):
+            row = _CSV_ROW_HEAD + ("%.10g" % u[a]) + _CSV_ROW_TAIL
+            for i in range(a, b, _CSV_BLOCK_ROWS):
+                j = min(i + _CSV_BLOCK_ROWS, b)
+                block = [c[i:j].tolist() for c in cols]
+                fh.write("".join(map(row.__mod__, zip(*block))))
 
 
 def cmd_params(cfg: RunConfig) -> int:
@@ -233,7 +247,9 @@ def cmd_simulate(cfg: RunConfig, schedule_path: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="anesopt",
         description="Minimum-time induction schedules for a 4-compartment "
@@ -251,8 +267,11 @@ def main(argv=None) -> int:
                          help="trajectory sampling step override (min)")
     p_sim.add_argument("schedule", help="path to a schedule JSON file")
     p_sim.add_argument("--step", default=None, type=float)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         overrides = {"out": args.out}
         if hasattr(args, "method"):

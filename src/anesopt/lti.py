@@ -292,7 +292,7 @@ _THETA = np.linspace(0.0, 1.0, _EVENT_SAMPLES)
 _THETA_BASIS = _dense(0.0, np.eye(7)[:, :, None], _THETA)
 
 
-def integrate(f, x0, t0, t1, tol=1e-10, atol=1e-12) -> Trajectory:
+def integrate(f, x0, t0, t1, tol, atol) -> Trajectory:
     """Adaptive DOP853 integration of x' = f(t, x) from t0 to t1, returning
     the accepted step nodes; tol is the relative tolerance. No dense output
     is built."""
@@ -307,7 +307,7 @@ def integrate(f, x0, t0, t1, tol=1e-10, atol=1e-12) -> Trajectory:
     return Trajectory(np.array(ts), np.array(ys))
 
 
-def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol=1e-10, atol=1e-12):
+def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol, atol):
     """Integrate up to the first time component `watch` changes sign.
 
     Each accepted DOP853 step builds its 7th-order dense output, samples the

@@ -6,7 +6,9 @@ Units: mass mg, time min, volume L, height cm, weight kg, age years.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -114,12 +116,22 @@ def assemble_system(p: PKPDParameters) -> LTISystem:
     return LTISystem.from_matrices(A, B)
 
 
-def bis(x4: float) -> float:
-    """Decreasing sigmoid from effect-site level to the BIS score."""
-    if not x4 >= 0:  # NaN fails this too
+def bis(x4):
+    """Decreasing sigmoid from effect-site level to the BIS score.
+
+    x4 is a scalar, which gives a float, or an array, which gives an array
+    of its shape. Per element x4**γ is libm pow (math.pow, as Python's float
+    ** takes it; numpy's SIMD array power can differ in the last bit) and
+    the rest is float64 arithmetic, so an array gives the scalar values bit
+    for bit.
+    """
+    x = np.asarray(x4, dtype=float)
+    if not np.all(x >= 0):  # NaN fails this too
         raise DomainError("effect-site level must be nonnegative")
-    xg = x4 ** BIS_GAMMA
-    return BIS0 * (1.0 - xg / (xg + EC50 ** BIS_GAMMA))
+    xg = np.fromiter(map(math.pow, x.ravel().tolist(), repeat(BIS_GAMMA)),
+                     float, x.size).reshape(x.shape)
+    b = BIS0 * (1.0 - xg / (xg + EC50 ** BIS_GAMMA))
+    return float(b) if b.ndim == 0 else b
 
 
 def bis_inverse(target_bis: float) -> float:

@@ -333,11 +333,20 @@ def _select(results) -> StrategyResult:
     """Deterministic reduction: minimal t_f, ties to fewer switches."""
     feas = [r for r in results if r.feasible]
     if not feas:
-        best = min((float(np.linalg.norm(r.residual, np.inf)) for r in results
-                    if r.residual is not None and r.residual.size), default=np.inf)
+        # a search found a root exactly when its residual is below FEAS_TOL;
+        # such a root was then rejected as dominated, so it names no miss
+        norms = [float(np.linalg.norm(r.residual, np.inf)) for r in results
+                 if r.residual is not None and r.residual.size]
+        rootless = [nr for nr in norms if nr >= FEAS_TOL]
+        if rootless:
+            why = f"best residual {min(rootless):.3e}"
+        elif norms:
+            why = "every root found was dominated"
+        else:
+            why = "no pattern was searched"
         raise InfeasibleError(
             f"target unreachable under the control bound within the horizon "
-            f"(best residual {best:.3e})")
+            f"({why})")
     return min(feas, key=lambda r: (r.schedule.t_f, len(r.schedule.breakpoints),
                                     r.strategy))
 

@@ -10,7 +10,7 @@ import pytest
 
 from anesopt import cli
 from anesopt.cli import CSV_HEADER, _fmt, _g10, load_config, main
-from anesopt.errors import ConfigError
+from anesopt.errors import ConfigError, DomainError
 from anesopt.lti import Trajectory
 from anesopt.patient import bis
 from anesopt.problem import ControlSchedule
@@ -283,6 +283,41 @@ def test_csv_writer_matches_the_per_row_formula(tmp_path):
     assert len(got) == len(want)
 
 
+def test_csv_control_runs_across_block_seams_match_the_per_row_formula(
+        tmp_path):
+    # a piecewise-constant control: a run longer than a block, runs that
+    # start before a block seam and end past it, signed zeros in adjacent
+    # runs, and a one-row final run
+    blk = cli._CSV_BLOCK_ROWS
+    n = 2 * blk + 5
+    levels = [(0, 106.0907), (blk + 3, 0.0), (blk + 6, -0.0),
+              (2 * blk + 2, 0.0), (2 * blk + 4, 1.25e-7)]
+    u = np.empty(n)
+    for (a, v), (b, _) in zip(levels, levels[1:] + [(n, None)]):
+        u[a:b] = v
+    rng = np.random.default_rng(11)
+    states = rng.uniform(-1e-3, 20.0, (n, 4))
+    traj = Trajectory(np.arange(n) * 1e-3, states, u)
+    path = tmp_path / "runs.csv"
+    cli._write_trajectory_csv(str(path), traj)
+    got = path.read_text()
+    assert got == _per_row_csv(traj)
+    control = [row.split(",")[5] for row in got.split("\n")[1:-1]]
+    assert control[blk + 2:blk + 4] == ["106.0907", "0"]
+    assert control[blk + 5:blk + 7] == ["0", "-0"]
+    assert control[2 * blk + 1:] == ["-0", "0", "0", "1.25e-07"]
+
+
+def test_csv_writer_rejects_a_nan_effect_site_level(tmp_path):
+    states = np.zeros((5, 4))
+    states[3, 3] = np.nan
+    traj = Trajectory(np.arange(5.0), states, np.ones(5))
+    path = tmp_path / "nan.csv"
+    with pytest.raises(DomainError):
+        cli._write_trajectory_csv(str(path), traj)
+    assert not path.exists()
+
+
 def test_strategy_csv_matches_the_committed_reference(tmp_path, capsys):
     root = Path(__file__).resolve().parent
     out = tmp_path / "o"
@@ -315,6 +350,35 @@ def test_simulate_replays_the_solver_schedule(tmp_path, capsys):
     worst = max(abs(a - b) for ra, rb in zip(solved, replay)
                 for a, b in zip(ra, rb))
     assert worst < 1e-6
+
+
+def _simulate_reference(out):
+    data = Path(__file__).resolve().parent / "data"
+    config = data.parent.parent / "configs" / "reference.json"
+    return main(["simulate", "--config", str(config),
+                 str(data / "reference_schedule.json"), "--step", "0.05",
+                 "--out", str(out)])
+
+
+def test_simulate_csv_matches_the_committed_reference(tmp_path, capsys):
+    # the schedule that solve --method strategy writes for the reference
+    # config, replayed; both files were written before the vector writer
+    assert _simulate_reference(tmp_path / "o") == 0
+    expected = (Path(__file__).resolve().parent / "data"
+                / "reference_simulated_step0.05.csv").read_bytes()
+    assert (tmp_path / "o" / "simulated.csv").read_bytes() == expected
+
+
+def test_main_calls_in_one_process_write_identical_files(tmp_path, capsys):
+    # the parser is built once per process and must carry nothing from one
+    # call to the next, a different command in between included
+    assert _simulate_reference(tmp_path / "a") == 0
+    assert main(["params", "--config", write_config(tmp_path),
+                 "--out", str(tmp_path / "p")]) == 0
+    assert _simulate_reference(tmp_path / "b") == 0
+    a = (tmp_path / "a" / "simulated.csv").read_bytes()
+    assert a == (tmp_path / "b" / "simulated.csv").read_bytes()
+    assert cli._parser() is cli._parser()
 
 
 def test_schedule_quantization_preserves_the_endpoint(ref_sys, optimal):

@@ -27,6 +27,9 @@ from anesopt.lti import (
 
 from conftest import EXPECTED_EIGS, FROZEN, U_MAX_REF, expm
 
+# the relative and absolute step tolerances of the integrator tests
+TOL = {"tol": 1e-10, "atol": 1e-12}
+
 
 def propagate(sys, x0, u, dt):
     return constant_input_propagator(sys, u)(x0, dt)
@@ -252,26 +255,26 @@ def test_integrate_linear_system_against_expm(ref_sys):
         return ref_sys.A @ x
 
     e1 = np.array([1.0, 0.0, 0.0, 0.0])
-    traj = integrate(f, e1, 0.0, 1.0)
+    traj = integrate(f, e1, 0.0, 1.0, **TOL)
     exact = ref_sys.expm(1.0) @ e1
     assert np.max(np.abs(traj.states[-1] - exact)) < 1e-10 * 10
 
 
 def test_integrate_zero_field_is_constant():
     x0 = np.array([1.5, -2.0])
-    traj = integrate(lambda t, x: np.zeros(2), x0, 0.0, 2.0)
+    traj = integrate(lambda t, x: np.zeros(2), x0, 0.0, 2.0, **TOL)
     assert np.all(traj.states == x0)
     assert traj.times[0] == 0.0 and traj.times[-1] == 2.0
     assert np.all(np.diff(traj.times) > 0)
 
 
 def test_integrate_scalar_decay():
-    traj = integrate(lambda t, x: -x, np.array([1.0]), 0.0, 1.0, tol=1e-10)
+    traj = integrate(lambda t, x: -x, np.array([1.0]), 0.0, 1.0, **TOL)
     assert abs(traj.states[-1, 0] - np.exp(-1.0)) < 1e-9
 
 
 def test_integrate_zero_span_is_single_row():
-    traj = integrate(lambda t, x: -x, np.array([3.0]), 1.0, 1.0)
+    traj = integrate(lambda t, x: -x, np.array([3.0]), 1.0, 1.0, **TOL)
     assert traj.times.shape == (1,) and traj.times[0] == 1.0
     assert traj.states[0, 0] == 3.0
 
@@ -291,7 +294,7 @@ def test_integrate_order_check_across_tolerances(ref_sys):
 
 def test_integrate_rejects_reversed_interval():
     with pytest.raises(DomainError):
-        integrate(lambda t, x: -x, np.array([1.0]), 1.0, 0.0)
+        integrate(lambda t, x: -x, np.array([1.0]), 1.0, 0.0, **TOL)
 
 
 def test_integrate_dense_output_between_nodes():
@@ -345,7 +348,7 @@ def test_error_norm_matches_scipy():
 
 def test_integrate_blowup_raises():
     with pytest.raises(IntegrationError):
-        integrate(lambda t, x: x ** 2, np.array([1.0]), 0.0, 1.2)
+        integrate(lambda t, x: x ** 2, np.array([1.0]), 0.0, 1.2, **TOL)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -353,14 +356,15 @@ def test_integrate_nan_field_raises():
     # the initial step is NaN, which a plain h < min-step test lets through
     # into an endless loop
     with pytest.raises(IntegrationError):
-        integrate(lambda t, x: np.array([np.nan]), np.array([1.0]), 0.0, 1.0)
+        integrate(lambda t, x: np.array([np.nan]), np.array([1.0]), 0.0, 1.0,
+                  **TOL)
 
 
 def test_integrate_nonnegative_states_under_nonnegative_input(ref_sys):
     def f(t, x):
         return ref_sys.A @ x + ref_sys.B * U_MAX_REF
 
-    traj = integrate(f, np.zeros(4), 0.0, 0.5)
+    traj = integrate(f, np.zeros(4), 0.0, 0.5, **TOL)
     assert np.all(traj.states >= -1e-9)
     assert np.all(np.isfinite(traj.states))
 
@@ -370,7 +374,7 @@ def test_integrate_nonnegative_states_under_nonnegative_input(ref_sys):
 def test_event_scalar_linear_known_root():
     # y(t) = exp(-t) - 0.5 crosses zero at ln 2
     traj, events = integrate_with_sign_event(
-        lambda t, y: -(y + 0.5), np.array([0.5]), 0.0, 3.0, watch=0)
+        lambda t, y: -(y + 0.5), np.array([0.5]), 0.0, 3.0, watch=0, **TOL)
     assert len(events) == 1
     assert abs(events[0] - np.log(2.0)) < 1e-9
     assert traj.times[-1] == events[0]
@@ -384,7 +388,7 @@ def test_event_reports_all_crossings_in_order():
     # event finds the next one
     events, t, y = [], 0.0, np.array([1.0, 0.0])
     while True:
-        traj, hit = integrate_with_sign_event(f, y, t, 9.0, watch=0)
+        traj, hit = integrate_with_sign_event(f, y, t, 9.0, watch=0, **TOL)
         if not hit:
             break
         events += hit
@@ -427,7 +431,7 @@ def test_event_stop_at_first_truncates_trajectory():
         return np.array([y[1], -y[0]])
 
     traj, events = integrate_with_sign_event(
-        f, np.array([1.0, 0.0]), 0.0, 9.0, watch=0)
+        f, np.array([1.0, 0.0]), 0.0, 9.0, watch=0, **TOL)
     assert len(events) == 1
     assert abs(events[0] - np.pi / 2) < 1e-9
     assert traj.times[-1] == pytest.approx(events[0], abs=1e-12)
@@ -436,21 +440,21 @@ def test_event_stop_at_first_truncates_trajectory():
 
 def test_event_no_sign_change_is_empty():
     traj, events = integrate_with_sign_event(
-        lambda t, y: -y, np.array([1.0]), 0.0, 2.0, watch=0)
+        lambda t, y: -y, np.array([1.0]), 0.0, 2.0, watch=0, **TOL)
     assert events == []
 
 
 def test_event_identically_positive_component_is_empty():
     traj, events = integrate_with_sign_event(
         lambda t, y: np.array([0.0, -y[1]]), np.array([2.0, 1.0]), 0.0, 4.0,
-        watch=0)
+        watch=0, **TOL)
     assert events == []
 
 
 def test_event_zero_start_is_not_a_crossing():
     # leaving zero at t0 is an initial condition, not a sign change
     traj, events = integrate_with_sign_event(
-        lambda t, y: np.ones(1), np.array([0.0]), 0.0, 1.0, watch=0)
+        lambda t, y: np.ones(1), np.array([0.0]), 0.0, 1.0, watch=0, **TOL)
     assert events == []
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from anesopt.errors import (DegenerateDemographicsError, DomainError,
                             ParameterRangeError)
-from anesopt.patient import (SCHNIDER_RANGE, PatientDemographics,
-                             PKPDParameters, assemble_system, bis, bis_inverse,
-                             equilibrium, lean_body_mass, schnider_parameters)
+from anesopt.patient import (BIS0, BIS_GAMMA, EC50, SCHNIDER_RANGE,
+                             PatientDemographics, PKPDParameters,
+                             assemble_system, bis, bis_inverse, equilibrium,
+                             lean_body_mass, schnider_parameters)
 
 from conftest import FROZEN
 
@@ -98,6 +99,38 @@ def test_bis_rejects_negative_level():
         bis(-0.001)
     with pytest.raises(DomainError):
         bis(float("nan"))
+
+
+# zeros, subnormals, the anchors, and 9.994132051438763, where numpy's SIMD
+# array power (x86-64, AVX-512) and libm pow differ in the last bit
+BIS_SPECIALS = (-0.0, 0.0, 1e-300, 5e-324, 2.5e-310, 0.5, 1.0, 3.4, 6.8,
+                1234567890.5, 9.994132051438763)
+
+
+def _bis_on_floats(v: float) -> float:
+    """The BIS curve on Python floats, whose ** is libm pow."""
+    xg = v ** BIS_GAMMA
+    return BIS0 * (1.0 - xg / (xg + EC50 ** BIS_GAMMA))
+
+
+def test_array_bis_is_the_scalar_bis_bit_for_bit():
+    x4 = np.concatenate([BIS_SPECIALS,
+                         np.random.default_rng(3).uniform(0.0, 10.0, 500)])
+    want = np.array([_bis_on_floats(v) for v in x4.tolist()])
+    got = bis(x4)
+    assert got.shape == x4.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    scalar = np.array([bis(v) for v in x4.tolist()])
+    assert np.array_equal(scalar.view(np.int64), want.view(np.int64))
+    grid = bis(x4[:500].reshape(20, 25))
+    assert np.array_equal(grid.ravel().view(np.int64), want[:500].view(np.int64))
+    assert type(bis(np.float64(9.994132051438763))) is float
+
+
+@pytest.mark.parametrize("bad", [-1e-12, -5e-324, float("nan")])
+def test_array_bis_rejects_a_negative_or_nan_entry(bad):
+    with pytest.raises(DomainError):
+        bis(np.array([*BIS_SPECIALS, bad, 2.0]))
 
 
 @pytest.mark.parametrize("target", [0.0, 100.0, -5.0, 120.0])

@@ -324,7 +324,8 @@ CASES = {
                                height=160.0, ratio=2.0, bis=60.0),
     "male32-2ue-bis40": dict(sex="male", age=32.0, weight=73.0, height=164.2,
                              ratio=2.0, bis=40.0),
-    # t_f = 31.02 min, past the strategy route's 30-min search horizon
+    # t_f = 31.02 min, past the strategy route's last start at 30 min
+    # (T_MAX / 2); its search horizon is 60 min and reaches it
     "male28.8-2ue": dict(sex="male", age=28.8, weight=44.8, height=158.4,
                          ratio=2.0),
 }

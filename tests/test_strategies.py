@@ -664,3 +664,29 @@ def test_select_with_no_feasible_raises():
                          residual=np.array([3.0, 1.0]), feasible=False)
     with pytest.raises(InfeasibleError):
         _select([bad])
+
+
+def _rejected(strategy, residual, note):
+    return StrategyResult(strategy=strategy, schedule=None,
+                          residual=np.array(residual), feasible=False,
+                          note=note)
+
+
+def test_select_names_the_best_residual_of_rootless_searches_only():
+    # a dominated root's residual lies below FEAS_TOL and is no miss
+    table = [_rejected(3, [3.6e-15, 1e-16], "dominated: the minimum-time "
+                       "representative has a vanishing segment"),
+             _rejected(1, [0.25, 2.0], "no root"),
+             _rejected(5, [4.0e-3, 1e-4], "no certified root"),
+             _rejected(2, [], "dominated by strategy 1")]
+    with pytest.raises(InfeasibleError, match=r"best residual 4\.000e-03\)"):
+        _select(table)
+
+
+def test_select_says_when_every_root_was_dominated():
+    table = [_rejected(3, [3.6e-15, 1e-16], "dominated"),
+             _rejected(7, [0.0, 2e-13], "root degenerate: a segment vanishes"),
+             _rejected(4, [], "dominated by strategy 1")]
+    with pytest.raises(InfeasibleError,
+                       match=r"\(every root found was dominated\)$"):
+        _select(table)
