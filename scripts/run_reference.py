@@ -13,7 +13,8 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from anesopt.cli import load_config, main as cli_main
-from anesopt.patient import PatientDemographics, bis, schnider_parameters
+from anesopt.patient import (PatientDemographics, bis, bis_inverse, equilibrium,
+                             schnider_parameters)
 from anesopt.problem import build_problem, sample_trajectory
 from anesopt.shooting import solve_shooting
 from anesopt.strategies import solve_all_patterns, solve_time_optimal
@@ -27,7 +28,7 @@ def run(config_path: str, out_dir: str) -> int:
     prob = build_problem(params, cfg.u_max, cfg.bis_target)
 
     print(f"patient: {cfg.sex}, {cfg.age:g} y, {cfg.weight:g} kg, {cfg.height:g} cm")
-    eq = prob.equilibrium
+    eq = equilibrium(params, bis_inverse(cfg.bis_target))
     print(f"targets: x1 = {prob.target_fast[0]:.4f} mg, x4 = {prob.target_fast[1]:.4f} mg"
           f"  (u_e = {eq.u_e:.4f} mg/min, bound u_max = {cfg.u_max:g})")
     print()

@@ -1,6 +1,7 @@
 """Linear-systems kernel: matrix exponential, exact constant-input propagation
-in modal form, adaptive DOP853 integration (8th order, with a 7th-order dense
-output for sign-event detection), controllability rank.
+in modal form, adaptive DOP853 integration (8th order; the event integration
+reads a 7th-order dense output and returns only the first sign change),
+controllability rank.
 
 Every LTISystem has a real, well-separated spectrum; the constructor rejects
 any other, so the exponential and the propagator each have one path, through
@@ -312,17 +313,15 @@ def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol, atol):
 
     Each accepted DOP853 step builds its 7th-order dense output, samples the
     watched component at _EVENT_SAMPLES points, and bisects the first
-    bracketed crossing to a ~1e-13 relative time window; the returned
-    trajectory then ends at the event state. Returns (Trajectory, [t_ev]),
-    or (Trajectory to t1, []) when the sign never changes. Successive
-    crossings are found by restarting from the returned event.
+    bracketed crossing to a ~1e-13 relative time window. Returns
+    (t, x, crossed): the crossing time, the dense-output state there and
+    True, or t1, x(t1) and False when the sign never changes. Successive
+    crossings are found by restarting from the returned (t, x).
     """
-    x0 = np.asarray(x0, dtype=float)
-    ts = [t0]
-    ys = [x0.copy()]
+    x = np.array(x0, dtype=float)
     # a zero at the start point is an initial condition, not a crossing
     t_guard = t0 + 1e-10 * max(1.0, abs(t0))
-    for t, y, h, K, y1 in _steps(f, x0, t0, t1, tol, atol):
+    for t, y, h, K, y1 in _steps(f, x, t0, t1, tol, atol):
         F = _dense_rows(f, t, y, h, K, y1)
         yw = float(y[watch])
         w = yw + F[:, watch] @ _THETA_BASIS
@@ -337,14 +336,10 @@ def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol, atol):
                 else:
                     a = m
             t_ev = t + 0.5 * (a + b) * h
-            if t_ev <= t_guard:
-                continue
-            ts.append(t_ev)
-            ys.append(_dense(y, F, 0.5 * (a + b)))
-            return Trajectory(np.array(ts), np.array(ys)), [t_ev]
-        ts.append(min(t + h, t1))
-        ys.append(y1)
-    return Trajectory(np.array(ts), np.array(ys)), []
+            if t_ev > t_guard:
+                return t_ev, _dense(y, F, 0.5 * (a + b)), True
+        x = y1
+    return t1, x, False
 
 
 def kalman_rank(sys: LTISystem) -> int:

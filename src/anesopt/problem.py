@@ -9,8 +9,7 @@ import numpy as np
 
 from .errors import DomainError
 from .lti import LTISystem, Trajectory, constant_input_propagator
-from .patient import (EquilibriumState, PKPDParameters, assemble_system,
-                      bis_inverse, equilibrium)
+from .patient import PKPDParameters, assemble_system, bis_inverse, equilibrium
 
 # compartments whose target values define induction completion
 FAST_IDX = (0, 3)
@@ -74,28 +73,24 @@ class ControlSchedule:
 
 @dataclass(frozen=True)
 class TimeOptimalProblem:
-    """Steer the fast state (x1, x4) from x0 to target_fast in minimum time
-    with 0 <= u <= u_max."""
+    """Steer the fast state (x1, x4) from x0 (rest when None) to target_fast
+    in minimum time with 0 <= u <= u_max. x0 and target_fast are kept as
+    read-only copies, so the caller's arrays stay writable."""
 
     sys: LTISystem
     target_fast: np.ndarray
     u_max: float
     x0: np.ndarray = None
-    equilibrium: EquilibriumState | None = None
 
     def __post_init__(self):
         if not 0 < self.u_max < np.inf:
             raise DomainError("u_max must be positive and finite")
-        x0 = np.zeros(self.sys.n) if self.x0 is None else np.asarray(self.x0, float)
+        x0 = np.zeros(self.sys.n) if self.x0 is None else np.array(self.x0, float)
         if not np.all(np.isfinite(x0)):
             raise DomainError("x0 must be finite")
-        target = np.asarray(self.target_fast, dtype=float)
+        target = np.array(self.target_fast, dtype=float)
         if target.shape != (2,):
             raise DomainError("target_fast must have two components (x1, x4)")
-        if self.equilibrium is not None:
-            ref = self.equilibrium.x_e[list(FAST_IDX)]
-            if not np.allclose(target, ref, rtol=1e-9, atol=1e-9):
-                raise DomainError("target_fast inconsistent with the equilibrium state")
         if np.allclose(target, x0[list(FAST_IDX)], rtol=0, atol=1e-12):
             raise DomainError("degenerate problem: target equals the initial fast state")
         x0.setflags(write=False)
@@ -115,7 +110,7 @@ def build_problem(params: PKPDParameters, u_max: float, bis_target: float = 50.0
     sys = assemble_system(params)
     return TimeOptimalProblem(sys=sys,
                               target_fast=eq.x_e[list(FAST_IDX)],
-                              u_max=u_max, x0=x0, equilibrium=eq)
+                              u_max=u_max, x0=x0)
 
 
 def sample_trajectory(sys: LTISystem, schedule: ControlSchedule, step: float,

@@ -88,12 +88,12 @@ def _sweep(M, y0, t1):
     events = []
     s_at = 0.0
     for _ in range(2 * len(M) + 4):
-        seg, hit = integrate_with_sign_event(
+        s_at, y, crossed = integrate_with_sign_event(
             rhs, y.reshape(-1), s_at, t1, watch=0, tol=_RTOL, atol=_ATOL)
-        y = seg.states[-1].reshape(shape)
-        if not hit:
+        y = y.reshape(shape)
+        if not crossed:
             return events, y
-        s_at = float(seg.times[-1])
+        s_at = float(s_at)
         events.append((s_at, y))
     raise IntegrationError("control keeps switching; chattering extremal")
 
@@ -157,12 +157,12 @@ def full_rate_onset(prob: TimeOptimalProblem) -> float:
     def rhs(t, y):
         return A @ y + drive
 
-    _, events = integrate_with_sign_event(rhs, prob.x0 - shift, 0.0,
-                                          _ONSET_HORIZON, watch=i, tol=_RTOL,
-                                          atol=_ATOL)
-    if not events:
+    t_on, _, crossed = integrate_with_sign_event(
+        rhs, prob.x0 - shift, 0.0, _ONSET_HORIZON, watch=i, tol=_RTOL,
+        atol=_ATOL)
+    if not crossed:
         raise InfeasibleError("x4 does not reach its target at full rate")
-    return events[0]
+    return t_on
 
 
 def default_seed_grid(t_on: float) -> list:

@@ -1,12 +1,14 @@
 """Bang-bang strategy enumeration for the minimum-time induction problem.
 
-Candidate controls alternate between 0 and u_max with at most n-1 switches.
-The unknowns of each pattern are its segment durations; endpoints and their
-exact first and second switching-time derivatives come from closed-form
-propagation, so neither the projected Gauss-Newton root search nor the KKT
-Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE solver. The KKT
-multipliers give the terminal costate psi(t_f) = C^T mu, and a pattern whose
-minimum-time representative has a vanishing segment is dominated.
+Candidate controls alternate between 0 and u_max with at most n - 1 = 3
+switches: eight patterns. The unknowns of a pattern are its segment
+durations, solved by a gap solver built for that pattern's levels; endpoints
+and their exact first and second switching-time derivatives come from
+closed-form propagation, so neither the projected Gauss-Newton root search
+nor the KKT Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE solver.
+The KKT multipliers give the terminal costate psi(t_f) = C^T mu, and a
+pattern whose minimum-time representative has a vanishing segment is
+dominated.
 
 From an equilibrium of an admissible constant control, a KKT point whose
 switching function psi^T B has exactly as many zeros as switches, with the
@@ -30,7 +32,6 @@ from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
 T_MAX = 60.0         # search horizon, min
 FEAS_TOL = 1e-9      # inf-norm residual bound for a feasible root
-FLOOR_TOL = 1e-6     # best residual above this declares nonexistence
 COLLAPSE_TOL = 1e-3  # segments shorter than this are vanishing
 GRID_POINTS = 8      # multistart points per time dimension
 STALL_TOL = 1e-6     # relative residual drop below which a search has stalled
@@ -52,13 +53,11 @@ class Pattern:
         return tuple(on[i % 2] for i in range(self.switches + 1))
 
 
-def enumerate_patterns(max_switches: int = 3) -> list:
-    """All alternating patterns with up to max_switches switches, in strategy
-    order: bolus-first ones have odd numbers, rest-first ones even."""
-    if max_switches < 0:
-        raise DomainError("max_switches must be nonnegative")
+def enumerate_patterns() -> list:
+    """The eight alternating patterns with up to n - 1 = 3 switches, in
+    strategy order: bolus-first ones have odd numbers, rest-first ones even."""
     pats = []
-    for k in range(max_switches + 1):
+    for k in range(4):
         pats.append(Pattern(strategy=2 * k + 1, starts_high=True, switches=k))
         pats.append(Pattern(strategy=2 * k + 2, starts_high=False, switches=k))
     return pats
@@ -94,23 +93,26 @@ class StrategyResult:
 
 
 class _GapSolver:
-    """Root finding over nonnegative segment durations for one problem."""
+    """Root finding over the nonnegative segment durations of one pattern's
+    levels on one problem."""
 
-    def __init__(self, prob: TimeOptimalProblem, levels):
+    def __init__(self, prob: TimeOptimalProblem, pattern: Pattern):
         self.prob = prob
-        self.props = {u: constant_input_propagator(prob.sys, u) for u in set(levels)}
+        self.levels = pattern.levels(prob.u_max)
+        self.props = {u: constant_input_propagator(prob.sys, u)
+                      for u in set(self.levels)}
 
-    def walk(self, levels, gaps) -> np.ndarray:
+    def walk(self, gaps) -> np.ndarray:
         """The state after each segment, one row per gap."""
         xs = np.empty((len(gaps), self.prob.sys.n))
         x = self.prob.x0
-        for j, (u, d) in enumerate(zip(levels, gaps)):
+        for j, (u, d) in enumerate(zip(self.levels, gaps)):
             if d > 0:
                 x = self.props[u](x, d)
             xs[j] = x
         return xs
 
-    def jac(self, levels, gaps, xs) -> np.ndarray:
+    def jac(self, gaps, xs) -> np.ndarray:
         """Exact switching-time derivatives of the endpoint (Kaya and Noakes
         1996): column j is the transport v_j = e^(A tau_j) (A x_j + B u_j),
         x_j = xs[j] the state after segment j and tau_j the time left after
@@ -118,7 +120,7 @@ class _GapSolver:
         sys = self.prob.sys
         tau = np.append(np.cumsum(gaps[:0:-1])[::-1], 0.0)
         V = np.empty((sys.n, len(gaps)))
-        for j, (u, x) in enumerate(zip(levels, xs)):
+        for j, (u, x) in enumerate(zip(self.levels, xs)):
             V[:, j] = sys.expm(tau[j]) @ (sys.A @ x + sys.B * u)
         return V
 
@@ -129,16 +131,18 @@ class _GapSolver:
             g = g * (T_MAX / total)
         return g
 
-    def starts(self, ndim: int):
-        """Multistart gap vectors, yielded lazily: ordered cut points on a
-        dyadic refinement of the horizon, T_MAX/2 down to T_MAX/256, which
-        reaches the sub-minute root scale that a uniform horizon grid never
-        does. A root past T_MAX/2 is reached by the search, not a start."""
+    def starts(self):
+        """Multistart gap vectors, one gap per level, yielded lazily: ordered
+        cut points on a dyadic refinement of the horizon, T_MAX/2 down to
+        T_MAX/256, which reaches the sub-minute root scale that a uniform
+        horizon grid never does. A root past T_MAX/2 is reached by the
+        search, not a start."""
         pts = sorted(T_MAX / 2 ** i for i in range(1, GRID_POINTS + 1))
+        ndim = len(self.levels)
         for combo in itertools.combinations_with_replacement(pts, ndim):
             yield np.diff(combo, prepend=0.0)
 
-    def search(self, levels, gaps0):
+    def search(self, gaps0):
         """Projected Gauss-Newton toward a residual zero: (gaps, r, xs) at
         the last point reached, with xs its walk.
 
@@ -147,13 +151,13 @@ class _GapSolver:
         clipped point lowers |r|.
         """
         g = np.asarray(gaps0, dtype=float)
-        xs = self.walk(levels, g)
+        xs = self.walk(g)
         r = self.prob.fast_residual(xs[-1])
         nr = np.linalg.norm(r)
         for _ in range(100):
             if nr < 1e-12:
                 break
-            J = self.jac(levels, g, xs)[FAST_IDX, :]
+            J = self.jac(g, xs)[FAST_IDX, :]
             # pin gaps held at zero by the projection, so the step runs
             # along the face instead of being clipped back every time
             pinned = (g == 0) & (J.T @ r > 0)
@@ -166,7 +170,7 @@ class _GapSolver:
                 gn = self._clip(g + scale * step)
                 if np.array_equal(gn, g):
                     return g, r, xs
-                xn = self.walk(levels, gn)
+                xn = self.walk(gn)
                 rn = self.prob.fast_residual(xn[-1])
                 nrn = np.linalg.norm(rn)
                 if nrn < nr:
@@ -180,32 +184,32 @@ class _GapSolver:
                 break  # a least-squares minimum, not a root
         return g, r, xs
 
-    def kkt_system(self, levels, gaps, xs, mu):
+    def kkt_system(self, gaps, xs, mu):
         """F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1 switches, and
-        its Jacobian [[J, 0], [M, J^T]], from xs = walk(levels, gaps). Since
+        its Jacobian [[J, 0], [M, J^T]], from xs = walk(gaps). Since
         dv_j/dd_i = A v_min(i,j), M_ji = mu^T C A v_min(i,j) (Maurer,
         Buskens, Kim and Kaya 2005)."""
-        V = self.jac(levels, gaps, xs)
+        V = self.jac(gaps, xs)
         J = V[FAST_IDX, :]
         w = mu @ self.prob.sys.A[FAST_IDX, :] @ V
         M = w[np.minimum.outer(range(len(gaps)), range(len(gaps)))]
         F = np.concatenate([self.prob.fast_residual(xs[-1]), 1.0 + J.T @ mu])
         return F, np.block([[J, np.zeros((2, 2))], [M, J.T]])
 
-    def kkt(self, levels, gaps, xs):
+    def kkt(self, gaps, xs):
         """Newton on the KKT system from a root and its walk xs, with
         mu0 = lstsq(J^T, -1): (gaps, mu, r) at a KKT point with no vanishing
         segment, or None when a segment vanishes, K is singular or Newton
         does not converge."""
         g, n = gaps, len(gaps)
-        J = self.jac(levels, g, xs)[FAST_IDX, :]
+        J = self.jac(g, xs)[FAST_IDX, :]
         mu = np.linalg.lstsq(J.T, -np.ones(n), rcond=None)[0]
         for i in range(20):
             if g.min() < COLLAPSE_TOL:
                 return None
             if i:  # the root's walk came with it
-                xs = self.walk(levels, g)
-            F, K = self.kkt_system(levels, g, xs, mu)
+                xs = self.walk(g)
+            F, K = self.kkt_system(g, xs, mu)
             if np.linalg.norm(F, np.inf) < FEAS_TOL:
                 return g, mu, F[:2]
             try:
@@ -237,11 +241,10 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     if not pattern.starts_high and not (prob.sys.A @ prob.x0).any():
         note = f"dominated by strategy {2 * k - 1}" if k else "never leaves rest"
         return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
-    levels = pattern.levels(prob.u_max)
-    sol = _GapSolver(prob, levels)
+    sol = _GapSolver(prob, pattern)
     best_nr, best_r, zero = np.inf, None, None
-    for g0 in sol.starts(k + 1):
-        g, r, xs = sol.search(levels, g0)
+    for g0 in sol.starts():
+        g, r, xs = sol.search(g0)
         nr = np.linalg.norm(r, np.inf)
         if nr < best_nr:
             best_nr, best_r = nr, r
@@ -249,25 +252,22 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
             zero = g
             break
     if zero is None:
-        if best_nr > FLOOR_TOL:
-            note = f"no root: best residual {best_nr:.3e} exceeds the {FLOOR_TOL:g} floor"
-        else:
-            note = f"no certified root: best residual {best_nr:.3e}"
-        return StrategyResult(pattern.strategy, None, best_r, False, note)
+        return StrategyResult(pattern.strategy, None, best_r, False,
+                              f"no root: best residual {best_nr:.3e}")
     if k == 0:
         if zero.min() < COLLAPSE_TOL:
             return StrategyResult(pattern.strategy, None, best_r, False,
                                   "root degenerate: a segment vanishes")
-        return StrategyResult(pattern.strategy, _to_schedule(levels, zero),
+        return StrategyResult(pattern.strategy, _to_schedule(sol.levels, zero),
                               r, True, "isolated root")
-    point = sol.kkt(levels, zero, xs)
+    point = sol.kkt(zero, xs)
     if point is None:
         return StrategyResult(pattern.strategy, None, best_r, False,
                               "dominated: the minimum-time representative "
                               "has a vanishing segment")
     g, mu, r = point
     psi_f = np.eye(prob.sys.n)[list(FAST_IDX)].T @ mu  # C^T mu
-    res = StrategyResult(pattern.strategy, _to_schedule(levels, g),
+    res = StrategyResult(pattern.strategy, _to_schedule(sol.levels, g),
                          r, True, "KKT point", psi_f)
     return replace(res, certified=_certify(prob, res))
 
@@ -326,7 +326,7 @@ def _validate(prob: TimeOptimalProblem) -> None:
 def solve_all_patterns(prob: TimeOptimalProblem) -> list:
     """StrategyResult for every candidate pattern, in strategy order."""
     _validate(prob)
-    return [solve_pattern(prob, p) for p in enumerate_patterns(prob.sys.n - 1)]
+    return [solve_pattern(prob, p) for p in enumerate_patterns()]
 
 
 def _select(results) -> StrategyResult:
@@ -334,16 +334,14 @@ def _select(results) -> StrategyResult:
     feas = [r for r in results if r.feasible]
     if not feas:
         # a search found a root exactly when its residual is below FEAS_TOL;
-        # such a root was then rejected as dominated, so it names no miss
+        # such a root was then rejected as dominated, so it names no miss.
+        # Every table holds searched bolus-first patterns, so norms is not
+        # empty.
         norms = [float(np.linalg.norm(r.residual, np.inf)) for r in results
-                 if r.residual is not None and r.residual.size]
+                 if r.residual.size]
         rootless = [nr for nr in norms if nr >= FEAS_TOL]
-        if rootless:
-            why = f"best residual {min(rootless):.3e}"
-        elif norms:
-            why = "every root found was dominated"
-        else:
-            why = "no pattern was searched"
+        why = (f"best residual {min(rootless):.3e}" if rootless
+               else "every root found was dominated")
         raise InfeasibleError(
             f"target unreachable under the control bound within the horizon "
             f"({why})")
@@ -361,8 +359,7 @@ def solve_time_optimal(prob: TimeOptimalProblem) -> StrategyResult:
     """
     _validate(prob)
     results = []
-    for pattern in sorted(enumerate_patterns(prob.sys.n - 1),
-                          key=lambda p: p.strategy != 3):
+    for pattern in sorted(enumerate_patterns(), key=lambda p: p.strategy != 3):
         res = solve_pattern(prob, pattern)
         if res.certified:
             return res

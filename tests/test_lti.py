@@ -373,11 +373,11 @@ def test_integrate_nonnegative_states_under_nonnegative_input(ref_sys):
 
 def test_event_scalar_linear_known_root():
     # y(t) = exp(-t) - 0.5 crosses zero at ln 2
-    traj, events = integrate_with_sign_event(
+    t, x, crossed = integrate_with_sign_event(
         lambda t, y: -(y + 0.5), np.array([0.5]), 0.0, 3.0, watch=0, **TOL)
-    assert len(events) == 1
-    assert abs(events[0] - np.log(2.0)) < 1e-9
-    assert traj.times[-1] == events[0]
+    assert crossed
+    assert abs(t - np.log(2.0)) < 1e-9
+    assert x.shape == (1,)
 
 
 def test_event_reports_all_crossings_in_order():
@@ -388,11 +388,10 @@ def test_event_reports_all_crossings_in_order():
     # event finds the next one
     events, t, y = [], 0.0, np.array([1.0, 0.0])
     while True:
-        traj, hit = integrate_with_sign_event(f, y, t, 9.0, watch=0, **TOL)
-        if not hit:
+        t, y, crossed = integrate_with_sign_event(f, y, t, 9.0, watch=0, **TOL)
+        if not crossed:
             break
-        events += hit
-        t, y = traj.times[-1], traj.states[-1]
+        events.append(t)
     expected = [np.pi / 2, 3 * np.pi / 2, 5 * np.pi / 2]
     assert len(events) == 3
     for got, want in zip(events, expected):
@@ -416,12 +415,11 @@ def test_event_finds_a_close_pair_inside_one_step():
     assert len(holding) == 1
     events, t, y = [], 0.0, y0
     while True:
-        traj, hit = integrate_with_sign_event(f, y, t, 4.0, watch=0, tol=tol,
-                                              atol=atol)
-        if not hit:
+        t, y, crossed = integrate_with_sign_event(f, y, t, 4.0, watch=0,
+                                                  tol=tol, atol=atol)
+        if not crossed:
             break
-        events += hit
-        t, y = traj.times[-1], traj.states[-1]
+        events.append(t)
     assert len(events) == 2
     assert np.max(np.abs(np.array(events) - roots)) < 1e-9
 
@@ -430,32 +428,44 @@ def test_event_stop_at_first_truncates_trajectory():
     def f(t, y):
         return np.array([y[1], -y[0]])
 
-    traj, events = integrate_with_sign_event(
+    t, x, crossed = integrate_with_sign_event(
         f, np.array([1.0, 0.0]), 0.0, 9.0, watch=0, **TOL)
-    assert len(events) == 1
-    assert abs(events[0] - np.pi / 2) < 1e-9
-    assert traj.times[-1] == pytest.approx(events[0], abs=1e-12)
-    assert abs(traj.states[-1, 0]) < 1e-9
+    assert crossed
+    assert abs(t - np.pi / 2) < 1e-9
+    assert abs(x[0]) < 1e-9
 
 
 def test_event_no_sign_change_is_empty():
-    traj, events = integrate_with_sign_event(
+    t, x, crossed = integrate_with_sign_event(
         lambda t, y: -y, np.array([1.0]), 0.0, 2.0, watch=0, **TOL)
-    assert events == []
+    assert not crossed
 
 
 def test_event_identically_positive_component_is_empty():
-    traj, events = integrate_with_sign_event(
+    t, x, crossed = integrate_with_sign_event(
         lambda t, y: np.array([0.0, -y[1]]), np.array([2.0, 1.0]), 0.0, 4.0,
         watch=0, **TOL)
-    assert events == []
+    assert not crossed
 
 
 def test_event_zero_start_is_not_a_crossing():
     # leaving zero at t0 is an initial condition, not a sign change
-    traj, events = integrate_with_sign_event(
+    t, x, crossed = integrate_with_sign_event(
         lambda t, y: np.ones(1), np.array([0.0]), 0.0, 1.0, watch=0, **TOL)
-    assert events == []
+    assert not crossed
+
+
+def test_event_without_a_crossing_ends_at_the_integrate_state():
+    # both take the same DOP853 step sequence, so the end state is bitwise
+    # the last node of integrate
+    def f(t, y):
+        return np.array([-0.3 * y[0] + 0.1, y[0] - 2.0 * y[1]])
+
+    x0 = np.array([1.0, 0.5])
+    t, x, crossed = integrate_with_sign_event(f, x0, 0.25, 7.5, watch=0, **TOL)
+    assert not crossed
+    assert t == 7.5
+    assert np.array_equal(x, integrate(f, x0, 0.25, 7.5, **TOL).states[-1])
 
 
 # ----------------------------------------------------------- kalman rank

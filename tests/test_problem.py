@@ -135,6 +135,21 @@ def test_problem_arrays_write_protected(ref_problem):
         ref_problem.target_fast[0] = 1.0
 
 
+def test_problem_copies_the_callers_arrays(ref_params, ref_sys):
+    # the problem freezes its own copies, never the arrays it was given
+    x0 = np.array([1.0, 2.0, 3.0, 0.5])
+    prob = build_problem(ref_params, u_max=U_MAX_REF, x0=x0)
+    target = np.array(prob.target_fast)
+    direct = TimeOptimalProblem(sys=ref_sys, target_fast=target,
+                                u_max=U_MAX_REF, x0=x0)
+    assert x0.flags.writeable and target.flags.writeable
+    x0[0] = 7.0
+    target[1] = 9.0
+    for p in (prob, direct):
+        assert p.x0[0] == 1.0
+    assert direct.target_fast[1] == prob.target_fast[1] != 9.0
+
+
 def test_problem_rejects_nonpositive_bound(ref_sys):
     with pytest.raises(DomainError):
         TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 1.0), u_max=0.0)
@@ -158,12 +173,6 @@ def test_problem_rejects_bad_target_shape(ref_sys):
         TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 2.0, 3.0), u_max=1.0)
 
 
-def test_problem_rejects_target_inconsistent_with_equilibrium(ref_sys, ref_eq):
-    with pytest.raises(DomainError):
-        TimeOptimalProblem(sys=ref_sys, target_fast=(10.0, 3.0), u_max=1.0,
-                           equilibrium=ref_eq)
-
-
 def test_problem_rejects_degenerate_target(ref_sys):
     with pytest.raises(DomainError):
         TimeOptimalProblem(sys=ref_sys, target_fast=(0.0, 0.0), u_max=1.0)
@@ -173,8 +182,6 @@ def test_build_problem_reference_values(ref_params, ref_problem):
     assert ref_problem.u_max == U_MAX_REF
     assert ref_problem.target_fast == pytest.approx(
         [FROZEN["x_e"][0], FROZEN["x_e"][3]], abs=1e-12)
-    assert ref_problem.equilibrium is not None
-    assert ref_problem.equilibrium.u_e == pytest.approx(FROZEN["u_e"])
 
 
 def test_build_problem_rejects_out_of_range_bis(ref_params):

@@ -47,18 +47,6 @@ def test_enumerate_all_patterns():
         assert p.switches == (p.strategy - 1) // 2
 
 
-def test_enumerate_zero_switches():
-    pats = enumerate_patterns(max_switches=0)
-    assert [p.strategy for p in pats] == [1, 2]
-    assert pats[0].levels(7.0) == (7.0,)
-    assert pats[1].levels(7.0) == (0.0,)
-
-
-def test_enumerate_rejects_negative_switch_count():
-    with pytest.raises(DomainError):
-        enumerate_patterns(max_switches=-1)
-
-
 def test_pattern_levels_alternate():
     p = Pattern(strategy=7, starts_high=True, switches=3)
     assert p.levels(2.0) == (2.0, 0.0, 2.0, 0.0)
@@ -154,59 +142,54 @@ def test_redundant_families_collapse_to_the_one_switch_root(all_results):
 
 # ------------------------------------------------- switching-time Jacobian
 
-def _resid(sol, levels, gaps):
-    return sol.prob.fast_residual(sol.walk(levels, gaps)[-1])
+def _resid(sol, gaps):
+    return sol.prob.fast_residual(sol.walk(gaps)[-1])
 
 
-def _jac(sol, levels, gaps):
-    return sol.jac(levels, gaps, sol.walk(levels, gaps))[FAST_IDX, :]
+def _jac(sol, gaps):
+    return sol.jac(gaps, sol.walk(gaps))[FAST_IDX, :]
 
 
-def _central(sol, levels, gaps, h=1e-5):
+def _central(sol, gaps, h=1e-5):
     J = np.empty((2, len(gaps)))
     for j in range(len(gaps)):
         e = np.zeros(len(gaps))
         e[j] = h
-        J[:, j] = (_resid(sol, levels, gaps + e)
-                   - _resid(sol, levels, gaps - e)) / (2 * h)
+        J[:, j] = (_resid(sol, gaps + e) - _resid(sol, gaps - e)) / (2 * h)
     return J
 
 
 @pytest.mark.parametrize("strategy", [3, 5, 7])
 def test_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
-    levels = pat.levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, pat)
     rng = np.random.default_rng(strategy)
     for _ in range(4):
         g = rng.uniform(0.2, 3.0, pat.switches + 1)
-        np.testing.assert_allclose(_jac(sol, levels, g),
-                                   _central(sol, levels, g), rtol=1e-6)
+        np.testing.assert_allclose(_jac(sol, g), _central(sol, g), rtol=1e-6)
 
 
 def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
-    levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, Pattern(strategy=7, starts_high=True, switches=3))
     g = np.array([0.8, 0.0, 0.6, 0.5])
     h = 1e-5
     e = np.array([0.0, h, 0.0, 0.0])
     # second-order forward difference: no point with a negative duration
-    fwd = (-3 * _resid(sol, levels, g) + 4 * _resid(sol, levels, g + e)
-           - _resid(sol, levels, g + 2 * e)) / (2 * h)
-    np.testing.assert_allclose(_jac(sol, levels, g)[:, 1], fwd, rtol=1e-6)
+    fwd = (-3 * _resid(sol, g) + 4 * _resid(sol, g + e)
+           - _resid(sol, g + 2 * e)) / (2 * h)
+    np.testing.assert_allclose(_jac(sol, g)[:, 1], fwd, rtol=1e-6)
 
 
 @pytest.mark.parametrize("strategy", [5, 7])
 def test_kkt_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
-    levels = pat.levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
+    sol = _GapSolver(ref_problem, pat)
     n = pat.switches + 1
     rng = np.random.default_rng(strategy)
     h = 1e-5
 
     def kkt_system(z):
-        return sol.kkt_system(levels, z[:n], sol.walk(levels, z[:n]), z[n:])
+        return sol.kkt_system(z[:n], sol.walk(z[:n]), z[n:])
 
     for _ in range(4):
         z = np.concatenate([rng.uniform(0.2, 3.0, n), rng.normal(size=2)])
@@ -225,9 +208,8 @@ def test_search_slides_along_a_pinned_gap(ref_problem):
     # strategy 7 from (3.75, 0, 0, 0): the descent direction pushes the zero
     # gaps negative, so an unpinned projected step is clipped back and
     # stalls near FEAS_TOL
-    levels = Pattern(strategy=7, starts_high=True, switches=3).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
-    g, r, _ = sol.search(levels, np.array([3.75, 0.0, 0.0, 0.0]))
+    sol = _GapSolver(ref_problem, Pattern(strategy=7, starts_high=True, switches=3))
+    g, r, _ = sol.search(np.array([3.75, 0.0, 0.0, 0.0]))
     assert np.linalg.norm(r, np.inf) < 1e-12
     assert np.all(g >= 0.0)
 
@@ -237,35 +219,33 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     walked = []
     walk = _GapSolver.walk
 
-    def counting_walk(self, levels, gaps):
+    def counting_walk(self, gaps):
         walked.append(tuple(gaps))
-        return walk(self, levels, gaps)
+        return walk(self, gaps)
 
     monkeypatch.setattr(_GapSolver, "walk", counting_walk)
-    levels = Pattern(strategy=3, starts_high=True, switches=1).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
-    g, r, xs = sol.search(levels, np.array([1.0, 1.0]))
+    sol = _GapSolver(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
+    g, r, xs = sol.search(np.array([1.0, 1.0]))
     assert np.linalg.norm(r, np.inf) < FEAS_TOL
     assert len(walked) > 2 and len(set(walked)) == len(walked)
-    assert np.array_equal(xs, walk(sol, levels, g))
+    assert np.array_equal(xs, walk(sol, g))
     # the KKT Newton starts from the search's walk of the root, which is
     # already a KKT point of this square pattern
     walked.clear()
-    point = sol.kkt(levels, g, xs)
+    point = sol.kkt(g, xs)
     assert point is not None and np.array_equal(point[0], g)
     assert walked == []
     # female 30 y at 5 u_e: strategy 5's first root is no KKT point, so the
     # Newton steps, walking each new point once and never the root again
     params = schnider_parameters(PatientDemographics("female", 30.0, 55.0, 160.0))
     prob = build_problem(params, 5.0 * equilibrium(params, bis_inverse(50.0)).u_e)
-    levels = Pattern(strategy=5, starts_high=True, switches=2).levels(prob.u_max)
-    sol = _GapSolver(prob, levels)
-    for g0 in sol.starts(3):
-        g, r, xs = sol.search(levels, g0)
+    sol = _GapSolver(prob, Pattern(strategy=5, starts_high=True, switches=2))
+    for g0 in sol.starts():
+        g, r, xs = sol.search(g0)
         if np.linalg.norm(r, np.inf) < FEAS_TOL:
             break
     walked.clear()
-    sol.kkt(levels, g, xs)
+    sol.kkt(g, xs)
     assert len(walked) > 0 and len(set(walked)) == len(walked)
     assert tuple(g) not in walked
 
@@ -281,8 +261,8 @@ def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch)
 
     search = _GapSolver.search
 
-    def counting_search(self, levels, gaps0):
-        g, r, xs = search(self, levels, gaps0)
+    def counting_search(self, gaps0):
+        g, r, xs = search(self, gaps0)
         searched.append(np.linalg.norm(r, np.inf))
         return g, r, xs
 
@@ -301,18 +281,17 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
     jacs = []
     jac = _GapSolver.jac
 
-    def counting_jac(self, levels, gaps, xs):
+    def counting_jac(self, gaps, xs):
         jacs.append(gaps)
-        return jac(self, levels, gaps, xs)
+        return jac(self, gaps, xs)
 
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
-    levels = Pattern(strategy=4, starts_high=False, switches=1).levels(U_MAX_REF)
-    sol = _GapSolver(ref_problem, levels)
-    starts = list(sol.starts(2))
+    sol = _GapSolver(ref_problem, Pattern(strategy=4, starts_high=False, switches=1))
+    starts = list(sol.starts())
     assert len(starts) == len(list(itertools.combinations_with_replacement(
         range(strategies.GRID_POINTS), 2)))
     for g0 in starts:
-        g, r, _ = sol.search(levels, g0)
+        g, r, _ = sol.search(g0)
         assert np.array_equal(g, g0) and np.linalg.norm(r, np.inf) > FEAS_TOL
     assert len(jacs) == len(starts)
 
@@ -338,7 +317,7 @@ def test_verdicts_do_not_depend_on_the_start_order(ref_problem, case, monkeypatc
     forward = solve_all_patterns(prob)
     starts = _GapSolver.starts
     monkeypatch.setattr(_GapSolver, "starts",
-                        lambda self, ndim: reversed(list(starts(self, ndim))))
+                        lambda self: reversed(list(starts(self))))
     backward = solve_all_patterns(prob)
     compared = 0
     for a, b in zip(forward, backward):
