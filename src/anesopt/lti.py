@@ -1,12 +1,13 @@
-"""Linear-systems kernel: matrix exponential, exact constant-input propagation
-in modal form, adaptive DOP853 integration (8th order; the event integration
-reads a 7th-order dense output and returns only the first sign change),
+"""Linear-systems kernel: exact constant-input propagation in modal form,
+adaptive DOP853 integration (8th order; the event integration reads a
+7th-order dense output and returns only the first sign change),
 controllability rank.
 
 Every LTISystem has a real, well-separated spectrum; the constructor rejects
-any other, so the exponential and the propagator each have one path, through
-the eigendecomposition. Time is in minutes and states in mg throughout the
-package, but nothing in this module depends on that convention.
+any other, so the propagator has one path, through the eigendecomposition,
+which the strategy route also reads directly. Time is in minutes and states
+in mg throughout the package, but nothing in this module depends on that
+convention.
 """
 from __future__ import annotations
 
@@ -68,9 +69,6 @@ class LTISystem:
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    def expm(self, t: float) -> np.ndarray:
-        return (self.V * np.exp(self.eigenvalues * t)) @ self.Vi
 
 
 def constant_input_propagator(sys: LTISystem, u: float):

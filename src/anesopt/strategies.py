@@ -3,8 +3,9 @@
 Candidate controls alternate between 0 and u_max with at most n - 1 = 3
 switches: eight patterns. The unknowns of a pattern are its segment
 durations, solved by a gap solver built for that pattern's levels; endpoints
-and their exact first and second switching-time derivatives come from
-closed-form propagation, so neither the projected Gauss-Newton root search
+come from closed-form propagation, and their exact first and second
+switching-time derivatives from transports on the eigenbasis of A, read on
+the two fast rows only, so neither the projected Gauss-Newton root search
 nor the KKT Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE solver.
 The KKT multipliers give the terminal costate psi(t_f) = C^T mu, and a
 pattern whose minimum-time representative has a vanishing segment is
@@ -22,6 +23,7 @@ pattern.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,6 +103,12 @@ class _GapSolver:
         self.levels = pattern.levels(prob.u_max)
         self.props = {u: constant_input_propagator(prob.sys, u)
                       for u in set(self.levels)}
+        # modal data of the transports: row j of ViBu is Vi B u_j, and the
+        # fast rows read C V and C V Lambda = C A V
+        sys = prob.sys
+        self.ViBu = np.multiply.outer(self.levels, sys.Vi @ sys.B)
+        self.CV = sys.V[list(FAST_IDX)]
+        self.CVL = self.CV * sys.eigenvalues
 
     def walk(self, gaps) -> np.ndarray:
         """The state after each segment, one row per gap."""
@@ -112,17 +120,26 @@ class _GapSolver:
             xs[j] = x
         return xs
 
-    def jac(self, gaps, xs) -> np.ndarray:
-        """Exact switching-time derivatives of the endpoint (Kaya and Noakes
-        1996): column j is the transport v_j = e^(A tau_j) (A x_j + B u_j),
-        x_j = xs[j] the state after segment j and tau_j the time left after
-        it; at d_j = 0 it is the right-derivative. Rows FAST_IDX are dr/dd."""
+    def jac(self, gaps, xs, mu=None):
+        """Exact switching-time derivatives of the residual (Kaya and Noakes
+        1996): column j is C v_j, the fast rows of the transport
+        v_j = e^(A tau_j) (A x_j + B u_j), x_j = xs[j] the state after
+        segment j and tau_j the time left after it; at d_j = 0 it is the
+        right-derivative. The transports are taken on the eigenbasis,
+        v_j = V z_j with z_j = e^(lam tau_j) * (lam * Vi x_j + Vi B u_j), so
+        J = (C V) Z costs one exp over the (k, n) array of tau x lam.
+
+        With KKT multipliers mu it returns (J, w), w_j = mu^T C A v_j =
+        mu^T (C V Lambda) z_j, the row of the KKT block (see kkt_system).
+        """
         sys = self.prob.sys
-        tau = np.append(np.cumsum(gaps[:0:-1])[::-1], 0.0)
-        V = np.empty((sys.n, len(gaps)))
-        for j, (u, x) in enumerate(zip(self.levels, xs)):
-            V[:, j] = sys.expm(tau[j]) @ (sys.A @ x + sys.B * u)
-        return V
+        lam = sys.eigenvalues
+        tau = np.zeros(len(gaps))
+        tau[:-1] = np.cumsum(gaps[:0:-1])[::-1]
+        Zt = (np.exp(np.multiply.outer(tau, lam))
+              * (lam * (xs @ sys.Vi.T) + self.ViBu)).T
+        J = self.CV @ Zt
+        return J if mu is None else (J, (mu @ self.CVL) @ Zt)
 
     def _clip(self, gaps) -> np.ndarray:
         g = np.maximum(gaps, 0.0)
@@ -153,11 +170,11 @@ class _GapSolver:
         g = np.asarray(gaps0, dtype=float)
         xs = self.walk(g)
         r = self.prob.fast_residual(xs[-1])
-        nr = np.linalg.norm(r)
+        nr = math.sqrt(r @ r)
         for _ in range(100):
             if nr < 1e-12:
                 break
-            J = self.jac(g, xs)[FAST_IDX, :]
+            J = self.jac(g, xs)
             # pin gaps held at zero by the projection, so the step runs
             # along the face instead of being clipped back every time
             pinned = (g == 0) & (J.T @ r > 0)
@@ -168,11 +185,11 @@ class _GapSolver:
             scale = 1.0
             while scale >= 1e-12:
                 gn = self._clip(g + scale * step)
-                if np.array_equal(gn, g):
+                if (gn == g).all():
                     return g, r, xs
                 xn = self.walk(gn)
                 rn = self.prob.fast_residual(xn[-1])
-                nrn = np.linalg.norm(rn)
+                nrn = math.sqrt(rn @ rn)
                 if nrn < nr:
                     break
                 scale *= 0.5
@@ -187,14 +204,17 @@ class _GapSolver:
     def kkt_system(self, gaps, xs, mu):
         """F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1 switches, and
         its Jacobian [[J, 0], [M, J^T]], from xs = walk(gaps). Since
-        dv_j/dd_i = A v_min(i,j), M_ji = mu^T C A v_min(i,j) (Maurer,
-        Buskens, Kim and Kaya 2005)."""
-        V = self.jac(gaps, xs)
-        J = V[FAST_IDX, :]
-        w = mu @ self.prob.sys.A[FAST_IDX, :] @ V
-        M = w[np.minimum.outer(range(len(gaps)), range(len(gaps)))]
+        dv_j/dd_i = A v_min(i,j), M_ji = w_min(i,j) with w = mu^T C A v
+        (Maurer, Buskens, Kim and Kaya 2005), read from the same modal
+        transports as J."""
+        J, w = self.jac(gaps, xs, mu)
+        k = len(gaps)
         F = np.concatenate([self.prob.fast_residual(xs[-1]), 1.0 + J.T @ mu])
-        return F, np.block([[J, np.zeros((2, 2))], [M, J.T]])
+        K = np.zeros((k + 2, k + 2))
+        K[:2, :k] = J
+        K[2:, :k] = w[np.minimum.outer(range(k), range(k))]
+        K[2:, k:] = J.T
+        return F, K
 
     def kkt(self, gaps, xs):
         """Newton on the KKT system from a root and its walk xs, with
@@ -202,7 +222,7 @@ class _GapSolver:
         segment, or None when a segment vanishes, K is singular or Newton
         does not converge."""
         g, n = gaps, len(gaps)
-        J = self.jac(g, xs)[FAST_IDX, :]
+        J = self.jac(g, xs)
         mu = np.linalg.lstsq(J.T, -np.ones(n), rcond=None)[0]
         for i in range(20):
             if g.min() < COLLAPSE_TOL:

@@ -52,9 +52,11 @@ def endpoint(sys, schedule, x0=None):
 
 
 def expm(A, t):
-    """e^(A t) through a system built on A."""
+    """e^(A t) = V e^(lam t) Vi from the eigendecomposition of a system
+    built on A."""
     A = np.asarray(A, dtype=float)
-    return LTISystem.from_matrices(A, np.zeros(A.shape[0])).expm(t)
+    sys = LTISystem.from_matrices(A, np.zeros(A.shape[0]))
+    return (sys.V * np.exp(sys.eigenvalues * t)) @ sys.Vi
 
 
 def extremal(prob, cert, step=1e-2):

@@ -8,9 +8,12 @@ Newton solve from any root of strategies 5 and 7 drives a segment to zero.
 """
 import dataclasses
 import itertools
+import json
+import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from anesopt import strategies
@@ -147,7 +150,7 @@ def _resid(sol, gaps):
 
 
 def _jac(sol, gaps):
-    return sol.jac(gaps, sol.walk(gaps))[FAST_IDX, :]
+    return sol.jac(gaps, sol.walk(gaps))
 
 
 def _central(sol, gaps, h=1e-5):
@@ -178,6 +181,31 @@ def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
     fwd = (-3 * _resid(sol, g) + 4 * _resid(sol, g + e)
            - _resid(sol, g + 2 * e)) / (2 * h)
     np.testing.assert_allclose(_jac(sol, g)[:, 1], fwd, rtol=1e-6)
+
+
+@pytest.mark.parametrize("strategy, gaps", [
+    (7, [0.5, 0.8, 1.2, 0.6]),   # interior
+    (7, [0.8, 0.0, 0.6, 0.5]),   # a zero gap: the right-derivative
+    (4, [1.0, 0.5]),             # a leading rest from rest
+], ids=["interior", "zero-gap", "rest-first"])
+def test_modal_transports_match_scipy_expm(ref_problem, strategy, gaps):
+    # column j is C e^(A tau_j) (A x_j + B u_j), taken here from scipy's
+    # exponential in state coordinates instead of the eigenbasis
+    pat = Pattern(strategy=strategy, starts_high=strategy % 2 == 1,
+                  switches=(strategy - 1) // 2)
+    sol = _GapSolver(ref_problem, pat)
+    g = np.array(gaps)
+    xs = sol.walk(g)
+    J = sol.jac(g, xs)
+    A, B = ref_problem.sys.A, ref_problem.sys.B
+    for j, (u, x) in enumerate(zip(sol.levels, xs)):
+        v = scipy.linalg.expm(A * g[j + 1:].sum()) @ (A @ x + B * u)
+        oracle = v[list(FAST_IDX)]
+        assert np.max(np.abs(J[:, j] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    if strategy == 4:
+        # the rest segment leaves x = 0: its column is exactly zero, which
+        # test_search_stops_when_a_free_gap_is_invisible relies on
+        assert not J[:, 0].any() and J[:, 1].any()
 
 
 @pytest.mark.parametrize("strategy", [5, 7])
@@ -561,6 +589,27 @@ def test_certified_solve_equals_the_full_enumeration(case):
         assert _certify(prob, bad) is False, name
         if name != "flipped-levels":  # the flip keeps the zero, not the law
             assert np.max(_psi1_at_switches(prob, bad)) >= 1e-7, name
+
+
+FROZEN_POPULATION = pathlib.Path(__file__).parent / "data" / "population_strategy.json"
+
+
+def test_population_answers_match_the_frozen_file():
+    # strategy, certificate, t_f and switch times of each POPULATION case,
+    # frozen from the state-coordinate Jacobian (one 4x4 exponential per
+    # switch): a change of basis may move them by rounding only. Never
+    # regenerate the file to make this pass.
+    frozen = json.loads(FROZEN_POPULATION.read_text())
+    assert set(frozen) == set(POPULATION)
+    for case, (params, u_max, x0) in POPULATION.items():
+        best = solve_time_optimal(build_problem(params, u_max, 50.0, x0=x0))
+        want = frozen[case]
+        assert (best.strategy, best.certified) == (want["strategy"],
+                                                   want["certified"]), case
+        assert best.t_f == pytest.approx(want["t_f"], rel=1e-12), case
+        np.testing.assert_allclose(best.schedule.breakpoints,
+                                   want["breakpoints"], rtol=1e-12, atol=0,
+                                   err_msg=case)
 
 
 def test_reachable_target_past_the_horizon_is_solved():
