@@ -75,23 +75,26 @@ def constant_input_propagator(sys: LTISystem, u: float):
     """Exact flow map (x0, dt) -> x(dt) for constant input u, in modal form:
     x(dt) = V (e^(lam dt) * Vi x0 + phi1(lam, dt) * Vi B u), where
     phi1 = expm1(lam dt) / lam and phi1 = dt at lam = 0, so a singular A
-    needs no inverse. dt is a scalar or a 1-D array; an array gives one
+    needs no inverse; the dt term is added only when the spectrum has a
+    zero eigenvalue. dt is a scalar or a 1-D array; an array gives one
     state per entry, as rows.
     """
     lam, V, Vi = sys.eigenvalues, sys.V, sys.Vi
     zero = lam == 0
     w = Vi @ (sys.B * u)
     w_lam = np.divide(w, lam, out=np.zeros(sys.n), where=~zero)
-    w_zero = np.where(zero, w, 0.0)
+    w_zero = np.where(zero, w, 0.0) if zero.any() else None
 
     def flow(x0, dt):
         ldt = lam * dt
-        y = np.exp(ldt) * (Vi @ x0) + np.expm1(ldt) * w_lam + dt * w_zero
+        y = np.exp(ldt) * (Vi @ x0) + np.expm1(ldt) * w_lam
+        if w_zero is not None:
+            y += dt * w_zero
         return y @ V.T
 
     def step(x0, dt):
         x0 = np.asarray(x0, dtype=float)
-        if np.ndim(dt) == 0:
+        if isinstance(dt, float) or np.ndim(dt) == 0:  # a float skips ndim's cost
             if not dt >= 0:
                 raise DomainError("propagation time must be >= 0")
             return flow(x0, dt) if dt > 0 else x0.copy()

@@ -142,12 +142,17 @@ def full_rate_onset(prob: TimeOptimalProblem) -> float:
     """First time x4 reaches its target under u = u_max, a lower bound on t_f.
 
     The system is positive, so x4(t) is monotone in the input and no
-    admissible control brings x4 to its target sooner.
+    admissible control brings x4 to its target sooner. An x4 that starts at
+    or above its target gives no onset, so the seed grid is empty: a valid
+    problem that this solver cannot seed, reported as NoConvergenceError
+    with no seed tried.
     """
     i = FAST_IDX[1]
     target = prob.target_fast[1]
     if not prob.x0[i] < target:
-        raise DomainError("shooting seeds need x4 to start below its target")
+        raise NoConvergenceError(
+            "no shooting seed: x4 starts at or above its target, so there "
+            "is no full-rate onset to seed t_f from", seeds_tried=0)
     # shift x4 by its target so the event is a sign change of the state
     shift = np.zeros(prob.sys.n)
     shift[i] = target

@@ -40,6 +40,8 @@ STALL_TOL = 1e-6     # relative residual drop below which a search has stalled
 _EQUILIBRIUM_RTOL = 1e-12  # |A x0 + B u0| against |A| |x0|: rounding only
 _MODAL_RTOL = 1e-12  # a modal coefficient below this share of the largest
                      # has no sign that rounding can be trusted with
+_EPS = 2.0 ** -52    # double machine epsilon, the unit of lstsq's rank cut-off
+_RANK_BAND = 1e3     # within this factor of that cut-off, lstsq decides the rank
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,58 @@ class StrategyResult:
         return None if self.schedule is None else self.schedule.t_f
 
 
+def _lstsq(A, b):
+    """np.linalg.lstsq(A, b, rcond=None)'s solution, as a list, and its rank
+    for an A with two rows or two columns, in closed form on Python floats.
+
+    The singular values of a 2 x m matrix W with rows p and q follow from
+    T = |W|_F^2 = s1^2 + s2^2 and D = det(W W^T) = s1^2 s2^2, the sum of
+    W's squared 2 x 2 minors (Cauchy-Binet; Golub and Van Loan, 8.6). The
+    rank is lstsq's: the count of s > eps max(2, m) s1. At rank 2, W^+ is
+    the mean of the inverses of W's 2 x 2 submatrices weighted by their
+    squared minors (Berg 1986; Ben-Israel 1992), so it reads the same
+    minors; at rank 1 it is W^T / T. Within a factor _RANK_BAND of the
+    cut-off, where rounding in D could turn the rank, and for a T near the
+    ends of the float range, np.linalg.lstsq is called instead.
+    """
+    tall = A.shape[0] != 2
+    p, q = (A.T if tall else A).tolist()
+    m = len(p)
+    T = 0.0
+    for a in p + q:
+        T += a * a
+    if T == 0.0:
+        return [0.0] * A.shape[1], 0
+    minors = [(i, j, p[i] * q[j] - p[j] * q[i])
+              for i, j in itertools.combinations(range(m), 2)]
+    D = 0.0
+    for _, _, M in minors:
+        D += M * M
+    cut = _EPS * max(2, m)
+    ratio = math.sqrt(D) / (0.5 * (T + math.sqrt(max(T * T - 4.0 * D, 0.0))))
+    if not 1e-150 < T < 1e150 or cut / _RANK_BAND <= ratio <= cut * _RANK_BAND:
+        x, _, rank, _ = np.linalg.lstsq(A, np.asarray(b, dtype=float), rcond=None)
+        return x.tolist(), int(rank)
+    if ratio > cut:
+        rank, P0, P1 = 2, [0.0] * m, [0.0] * m
+        for i, j, M in minors:
+            M /= D
+            P0[i] += M * q[j]
+            P1[i] -= M * p[j]
+            P0[j] -= M * q[i]
+            P1[j] += M * p[i]
+    else:
+        rank, P0, P1 = 1, [a / T for a in p], [a / T for a in q]
+    # P = [P0 P1] is W^+, m x 2; A^+ is P for a wide A and P^T for a tall one
+    if tall:
+        x0 = x1 = 0.0
+        for u, v, c in zip(P0, P1, b):
+            x0 += u * c
+            x1 += v * c
+        return [x0, x1], rank
+    return [x * b[0] + y * b[1] for x, y in zip(P0, P1)], rank
+
+
 class _GapSolver:
     """Root finding over the nonnegative segment durations of one pattern's
     levels on one problem."""
@@ -103,6 +157,7 @@ class _GapSolver:
         self.levels = pattern.levels(prob.u_max)
         self.props = {u: constant_input_propagator(prob.sys, u)
                       for u in set(self.levels)}
+        self.target = prob.target_fast.tolist()
         # modal data of the transports: row j of ViBu is Vi B u_j, and the
         # fast rows read C V and C V Lambda = C A V
         sys = prob.sys
@@ -120,7 +175,12 @@ class _GapSolver:
             xs[j] = x
         return xs
 
-    def jac(self, gaps, xs, mu=None):
+    def residual(self, xs) -> tuple:
+        """fast_residual of the walk's end state, as two Python floats."""
+        x = xs[-1].tolist()
+        return (x[FAST_IDX[0]] - self.target[0], x[FAST_IDX[1]] - self.target[1])
+
+    def jac(self, gaps, xs, kkt=False):
         """Exact switching-time derivatives of the residual (Kaya and Noakes
         1996): column j is C v_j, the fast rows of the transport
         v_j = e^(A tau_j) (A x_j + B u_j), x_j = xs[j] the state after
@@ -129,23 +189,27 @@ class _GapSolver:
         v_j = V z_j with z_j = e^(lam tau_j) * (lam * Vi x_j + Vi B u_j), so
         J = (C V) Z costs one exp over the (k, n) array of tau x lam.
 
-        With KKT multipliers mu it returns (J, w), w_j = mu^T C A v_j =
-        mu^T (C V Lambda) z_j, the row of the KKT block (see kkt_system).
+        With kkt=True it returns (J, CAv), CAv = (C V Lambda) Z the fast
+        rows of A v_j, which the KKT block reads (see kkt_system).
         """
         sys = self.prob.sys
         lam = sys.eigenvalues
-        tau = np.zeros(len(gaps))
-        tau[:-1] = np.cumsum(gaps[:0:-1])[::-1]
+        tau = [0.0] * len(gaps)
+        for j in range(len(gaps) - 1, 0, -1):
+            tau[j - 1] = tau[j] + gaps[j]
         Zt = (np.exp(np.multiply.outer(tau, lam))
               * (lam * (xs @ sys.Vi.T) + self.ViBu)).T
         J = self.CV @ Zt
-        return J if mu is None else (J, (mu @ self.CVL) @ Zt)
+        return (J, self.CVL @ Zt) if kkt else J
 
-    def _clip(self, gaps) -> np.ndarray:
-        g = np.maximum(gaps, 0.0)
-        total = g.sum()
+    def _clip(self, gaps) -> list:
+        g = [0.0 if d <= 0.0 else d for d in gaps]
+        total = 0.0
+        for d in g:
+            total += d
         if total > T_MAX:
-            g = g * (T_MAX / total)
+            f = T_MAX / total
+            g = [d * f for d in g]
         return g
 
     def starts(self):
@@ -157,39 +221,44 @@ class _GapSolver:
         pts = sorted(T_MAX / 2 ** i for i in range(1, GRID_POINTS + 1))
         ndim = len(self.levels)
         for combo in itertools.combinations_with_replacement(pts, ndim):
-            yield np.diff(combo, prepend=0.0)
+            yield [b - a for a, b in zip((0.0,) + combo, combo)]
 
     def search(self, gaps0):
         """Projected Gauss-Newton toward a residual zero: (gaps, r, xs) at
-        the last point reached, with xs its walk.
+        the last point reached, with r as two floats and xs its walk.
 
         The minimum-norm least-squares step (Ben-Israel 1966) serves square,
         over- and underdetermined patterns alike; it is halved until the
-        clipped point lowers |r|.
+        clipped point lowers |r|. Step and rank come from _lstsq's closed
+        form, so np.linalg.lstsq runs only near its own rank cut-off, and
+        every stop decision is the one lstsq would make.
         """
-        g = np.asarray(gaps0, dtype=float)
+        g = [float(d) for d in gaps0]
         xs = self.walk(g)
-        r = self.prob.fast_residual(xs[-1])
-        nr = math.sqrt(r @ r)
+        r = self.residual(xs)
+        nr = math.sqrt(r[0] * r[0] + r[1] * r[1])
         for _ in range(100):
             if nr < 1e-12:
                 break
             J = self.jac(g, xs)
-            # pin gaps held at zero by the projection, so the step runs
-            # along the face instead of being clipped back every time
-            pinned = (g == 0) & (J.T @ r > 0)
-            J[:, pinned] = 0.0
-            step, _, rank, _ = np.linalg.lstsq(J, -r, rcond=None)
-            if rank < min(len(r), np.count_nonzero(~pinned)):
+            free = len(g)
+            if 0.0 in g:
+                # pin gaps held at zero by the projection, so the step runs
+                # along the face instead of being clipped back every time
+                pinned = (np.array(g) == 0) & (J.T @ np.array(r) > 0)
+                J[:, pinned] = 0.0
+                free -= int(np.count_nonzero(pinned))
+            step, rank = _lstsq(J, (-r[0], -r[1]))
+            if rank < min(2, free):
                 break  # a free gap the endpoint cannot see has no Newton step
             scale = 1.0
             while scale >= 1e-12:
-                gn = self._clip(g + scale * step)
-                if (gn == g).all():
-                    return g, r, xs
+                gn = self._clip([d + scale * s for d, s in zip(g, step)])
+                if gn == g:
+                    return np.array(g), r, xs
                 xn = self.walk(gn)
-                rn = self.prob.fast_residual(xn[-1])
-                nrn = math.sqrt(rn @ rn)
+                rn = self.residual(xn)
+                nrn = math.sqrt(rn[0] * rn[0] + rn[1] * rn[1])
                 if nrn < nr:
                     break
                 scale *= 0.5
@@ -199,38 +268,43 @@ class _GapSolver:
             g, r, nr, xs = gn, rn, nrn, xn
             if stalled:
                 break  # a least-squares minimum, not a root
-        return g, r, xs
+        return np.array(g), r, xs
 
-    def kkt_system(self, gaps, xs, mu):
-        """F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1 switches, and
-        its Jacobian [[J, 0], [M, J^T]], from xs = walk(gaps). Since
-        dv_j/dd_i = A v_min(i,j), M_ji = w_min(i,j) with w = mu^T C A v
-        (Maurer, Buskens, Kim and Kaya 2005), read from the same modal
-        transports as J."""
-        J, w = self.jac(gaps, xs, mu)
+    def kkt_system(self, gaps, xs, mu=None):
+        """(F, K, mu): F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1
+        switches, and its Jacobian K = [[J, 0], [M, J^T]], from
+        xs = walk(gaps). Since dv_j/dd_i = A v_min(i,j), M_ji = w_min(i,j)
+        with w = mu^T C A v (Maurer, Buskens, Kim and Kaya 2005), read from
+        the same modal transports as J. mu defaults to lstsq(J^T, -1), the
+        multipliers that best fit stationarity at d. K is None when
+        |F|_inf < FEAS_TOL: a KKT point takes no Newton step."""
+        J, CAv = self.jac(gaps, xs, kkt=True)
         k = len(gaps)
+        if mu is None:
+            mu = np.array(_lstsq(J.T, (-1.0,) * k)[0])
         F = np.concatenate([self.prob.fast_residual(xs[-1]), 1.0 + J.T @ mu])
+        if np.linalg.norm(F, np.inf) < FEAS_TOL:
+            return F, None, mu
         K = np.zeros((k + 2, k + 2))
         K[:2, :k] = J
-        K[2:, :k] = w[np.minimum.outer(range(k), range(k))]
+        K[2:, :k] = (mu @ CAv)[np.minimum.outer(range(k), range(k))]
         K[2:, k:] = J.T
-        return F, K
+        return F, K, mu
 
     def kkt(self, gaps, xs):
-        """Newton on the KKT system from a root and its walk xs, with
-        mu0 = lstsq(J^T, -1): (gaps, mu, r) at a KKT point with no vanishing
-        segment, or None when a segment vanishes, K is singular or Newton
-        does not converge."""
-        g, n = gaps, len(gaps)
-        J = self.jac(g, xs)
-        mu = np.linalg.lstsq(J.T, -np.ones(n), rcond=None)[0]
+        """Newton on the KKT system from a root and its walk xs, with mu0 =
+        lstsq(J^T, -1) in _lstsq's closed form: (gaps, mu, r) at a KKT point
+        with no vanishing segment, or None when a segment vanishes, K is
+        singular or Newton does not converge. A root that is already a KKT
+        point, as every root of a square pattern is, costs one jac."""
+        g, n, mu = gaps, len(gaps), None
         for i in range(20):
             if g.min() < COLLAPSE_TOL:
                 return None
             if i:  # the root's walk came with it
                 xs = self.walk(g)
-            F, K = self.kkt_system(g, xs, mu)
-            if np.linalg.norm(F, np.inf) < FEAS_TOL:
+            F, K, mu = self.kkt_system(g, xs, mu)
+            if K is None:
                 return g, mu, F[:2]
             try:
                 step = np.linalg.solve(K, -F)
@@ -265,7 +339,7 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     best_nr, best_r, zero = np.inf, None, None
     for g0 in sol.starts():
         g, r, xs = sol.search(g0)
-        nr = np.linalg.norm(r, np.inf)
+        nr = max(abs(r[0]), abs(r[1]))
         if nr < best_nr:
             best_nr, best_r = nr, r
         if nr < FEAS_TOL:
@@ -321,20 +395,22 @@ def _certify(prob: TimeOptimalProblem, result: StrategyResult) -> bool:
     """
     sys, sched = prob.sys, result.schedule
     c = (sys.Vi @ sys.B) * (sys.V.T @ result.terminal_costate)
-    signs = np.sign(c[c != 0])
-    sign_changes = int(np.count_nonzero(np.diff(signs)))
-    knots = np.array((0.0,) + sched.breakpoints + (sched.t_f,))
-
-    def psi1(t):
-        return np.exp(np.multiply.outer(sched.t_f - t, sys.eigenvalues)) @ c
-
-    mid = psi1((knots[:-1] + knots[1:]) / 2)
+    cs = c.tolist()
+    signs = [x < 0 for x in cs if x != 0]
+    sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
+    big = max(abs(x) for x in cs)
+    knots = (0.0,) + sched.breakpoints + (sched.t_f,)
+    mids = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
+    # psi1 at the segment midpoints, then at the switches: one exp
+    s = sched.t_f - np.array(mids + list(sched.breakpoints))
+    psi1 = (np.exp(np.multiply.outer(s, sys.eigenvalues)) @ c).tolist()
+    mid, at_switch = psi1[:len(mids)], psi1[len(mids):]
     return bool(
-        np.all(np.abs(c) > _MODAL_RTOL * np.max(np.abs(c)))
+        all(abs(x) > _MODAL_RTOL * big for x in cs)
         and sign_changes == len(sched.breakpoints)
-        and np.all(np.abs(psi1(knots[1:-1])) * prob.u_max <= FEAS_TOL)
-        and np.all(mid != 0)
-        and np.array_equal(sched.levels, np.where(mid < 0, prob.u_max, 0.0))
+        and all(abs(x) * prob.u_max <= FEAS_TOL for x in at_switch)
+        and 0.0 not in mid
+        and sched.levels == tuple(prob.u_max if x < 0 else 0.0 for x in mid)
         and _admissible_equilibrium(prob))
 
 

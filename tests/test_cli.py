@@ -224,6 +224,23 @@ def test_solve_infeasible_bound_exits_3(tmp_path, capsys):
     assert "solver failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method, rc", [("strategy", 0), ("both", 3)])
+def test_x4_above_its_target_fails_only_the_shooting_route(tmp_path, capsys,
+                                                           method, rc):
+    # a valid config: the strategy route solves it, while shooting has no
+    # onset to seed from, which is a solver failure, not a config error
+    cfg = write_config(tmp_path, x0=[2.0, 19.2711, 243.9024, 4.0],
+                       method=method, step=0.01)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert "solver failed" in err and "config error" not in err
+    else:
+        sched = json.loads((out / "schedule_strategy.json").read_text())
+        assert sched["t_f"] == pytest.approx(0.4728, abs=1e-4)
+
+
 # ----------------------------------------------------------- JSON emission
 
 @pytest.mark.parametrize("x", [sys.float_info.max, -sys.float_info.max])

@@ -248,10 +248,14 @@ def test_propagator_singular_system_takes_the_phi1_limit():
     assert np.isrealobj(sys.eigenvalues) and 0.0 in sys.eigenvalues
     step = constant_input_propagator(sys, 1.5)
     x0 = np.array([0.4, -1.0])
-    for dt in (1e-6, 0.5, 3.0):
+    dts = (1e-6, 0.5, 3.0)
+    for dt in dts:
         x = step(x0, dt)
         assert np.all(np.isfinite(x))
         assert np.max(np.abs(x - augmented_flow(sys, x0, 1.5, dt))) < 1e-12
+    # the array path adds the same dt term, one row per entry
+    rows = step(x0, np.array(dts))
+    assert np.max(np.abs(rows - [step(x0, dt) for dt in dts])) < 1e-12
 
 
 # ------------------------------------------------------------- integrate

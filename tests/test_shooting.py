@@ -4,6 +4,7 @@ The frozen costate root in conftest is the independent cross-check for the
 strategy-enumeration answer; both must land on the same switching structure.
 """
 import ast
+import dataclasses
 import functools
 import pathlib
 
@@ -170,6 +171,22 @@ def test_solver_reports_no_convergence_with_best_residual(ref_problem,
         solve_shooting(ref_problem)
     assert exc.value.seeds_tried == 1
     assert exc.value.best_residual == pytest.approx(14.944307411185035, abs=1e-6)
+
+
+@pytest.mark.parametrize("above", [0.0, 0.6])  # x4 at, then above the target
+def test_x4_at_or_above_its_target_is_a_solver_failure(ref_problem, above):
+    # a valid problem that the strategy route solves (t_f = 0.4728 from
+    # x4 = 4), but the onset seed grid is empty: no seed is tried
+    x4 = ref_problem.target_fast[1] + above
+    prob = dataclasses.replace(
+        ref_problem, x0=np.array([2.0, 19.2711, 243.9024, x4]))
+    for solve in (full_rate_onset, solve_shooting):
+        with pytest.raises(NoConvergenceError) as exc:
+            solve(prob)
+        assert exc.value.seeds_tried == 0 and exc.value.residual_evals == 0
+        assert exc.value.best_residual is None
+    if above:
+        assert solve_time_optimal(prob).t_f == pytest.approx(0.4728, abs=1e-4)
 
 
 def test_solver_stops_at_the_residual_evaluation_cap(ref_problem, monkeypatch):

@@ -258,11 +258,19 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     assert len(walked) > 2 and len(set(walked)) == len(walked)
     assert np.array_equal(xs, walk(sol, g))
     # the KKT Newton starts from the search's walk of the root, which is
-    # already a KKT point of this square pattern
+    # already a KKT point of this square pattern: one Jacobian, no K
     walked.clear()
+    jacs = []
+    jac = _GapSolver.jac
+
+    def counting_jac(self, gaps, xs, kkt=False):
+        jacs.append(kkt)
+        return jac(self, gaps, xs, kkt)
+
+    monkeypatch.setattr(_GapSolver, "jac", counting_jac)
     point = sol.kkt(g, xs)
     assert point is not None and np.array_equal(point[0], g)
-    assert walked == []
+    assert walked == [] and jacs == [True]
     # female 30 y at 5 u_e: strategy 5's first root is no KKT point, so the
     # Newton steps, walking each new point once and never the root again
     params = schnider_parameters(PatientDemographics("female", 30.0, 55.0, 160.0))
@@ -322,6 +330,82 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
         g, r, _ = sol.search(g0)
         assert np.array_equal(g, g0) and np.linalg.norm(r, np.inf) > FEAS_TOL
     assert len(jacs) == len(starts)
+
+
+# ------------------------------------------------ closed-form least squares
+
+# s_min / s_max is 1.03 times lstsq's cut-off here (lstsq: rank 2), within
+# rounding of the closed-form D; from a hot-start or u_max = 6.2 search
+BORDERLINE = np.array([[0.09227907941607955, 0.0, 0.09227907941607949],
+                       [0.025404940576197833, 0.0, 0.02540494057619795]])
+
+
+def _oracle_matrices():
+    """2 x m matrices, m = 1..4: random over six decades of scale, with
+    zeroed (pinned) columns, exactly rank 1, all zero, and BORDERLINE."""
+    rng = np.random.default_rng(19)
+    for m in range(1, 5):
+        for _ in range(40):
+            yield rng.normal(size=(2, m)) * 10.0 ** rng.uniform(-3, 3)
+        for _ in range(20):
+            J = rng.normal(size=(2, m))
+            J[:, rng.random(m) < 0.5] = 0.0
+            yield J
+        # rows v and 2 v: every 2 x 2 minor rounds to exactly 0
+        v = rng.normal(size=m)
+        yield np.array([v, 2.0 * v])
+        yield np.zeros((2, m))
+    yield BORDERLINE
+
+
+def test_closed_form_step_matches_lstsq(monkeypatch):
+    # the search's step lstsq(J, -r) and the KKT start lstsq(J^T, -1)
+    rng = np.random.default_rng(7)
+    lstsq = np.linalg.lstsq
+    fallbacks = []
+
+    def spy(*args, **kwargs):
+        fallbacks.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    ranks = set()
+    for J in _oracle_matrices():
+        for A in (J, J.T):
+            b = rng.normal(size=A.shape[0])
+            fallbacks.clear()
+            x, rank = strategies._lstsq(A, tuple(b))
+            want, _, want_rank, _ = lstsq(A, b, rcond=None)
+            assert rank == want_rank, A
+            assert np.linalg.norm(np.subtract(x, want)) <= 1e-12 * np.linalg.norm(want)
+            # lstsq itself runs only within _RANK_BAND of its cut-off
+            assert bool(fallbacks) == (J is BORDERLINE), A
+            ranks.add(rank)
+    assert ranks == {0, 1, 2}
+
+
+@pytest.mark.parametrize("case", ["reference", "male80-5ue", "hot-start",
+                                  "unreachable"])
+def test_every_rank_decision_is_lstsqs(ref_problem, ref_params, case,
+                                       monkeypatch):
+    # the search stops on the rank, so the closed form must never turn it
+    prob = {"reference": lambda: ref_problem,
+            "male80-5ue": _male80_5ue,
+            "hot-start": lambda: dataclasses.replace(
+                ref_problem, x0=np.array([43.554, 19.2711, 243.9024, 2.72])),
+            "unreachable": lambda: build_problem(ref_params, u_max=6.2)}[case]()
+    ranks = []  # (closed-form rank, lstsq rank) of each step
+    closed = strategies._lstsq
+
+    def audited(A, b):
+        x, rank = closed(A, b)
+        ranks.append((rank, np.linalg.lstsq(A, np.asarray(b), rcond=None)[2]))
+        return x, rank
+
+    monkeypatch.setattr(strategies, "_lstsq", audited)
+    solve_all_patterns(prob)
+    assert len(ranks) > 20
+    assert all(closed == want for closed, want in ranks)
 
 
 def _male80_5ue():
