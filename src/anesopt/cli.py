@@ -1,7 +1,9 @@
 """Command-line front end: parameter reports, solve runs, schedule replay.
 
 Outputs are plain JSON/CSV with 10-significant-digit numeric emission so
-repeated runs of the same config are bitwise identical.
+repeated runs of the same config are bitwise identical. A CSV number is
+the text of "%.10g"; the trajectory writer builds it for whole blocks of
+rows from tables, and leaves each value they cannot decide to Python.
 """
 from __future__ import annotations
 
@@ -26,9 +28,6 @@ from .strategies import solve_time_optimal
 _METHODS = ("shooting", "strategy", "both")
 
 CSV_HEADER = "t,x1,x2,x3,x4,u,bis"
-# a row template is head + the run's control text + tail
-_CSV_ROW_HEAD = "%.10g," * 5
-_CSV_ROW_TAIL = ",%.10g\n"
 _CSV_BLOCK_ROWS = 2048
 
 
@@ -146,33 +145,185 @@ def _resolve(cfg: RunConfig):
     return demo, params, eq
 
 
+# A CSV cell is 24 bytes, three little-endian words, NUL where it has no
+# text:
+#   byte 0        the sign
+#   bytes 1-5     "0." and up to three zeros, for 1e-4 <= |x| < 1
+#   bytes 8-18    the digits, with at most one point among them
+#   bytes 19-22   "e+XX" or "e-XX"
+#   byte 23       the separator, "," ("\n" at the end of a row)
+# Deleting the NULs leaves "%.10g" % x and its separator.
+_CELL = 24
+_X_LO, _X_HI = -13, 32    # exponents with a layout; 32 only by a carry
+_N_X = _X_HI - _X_LO + 1
+_UNDECIDED = 2 * _N_X * 10  # the row left to Python's formatter
+_ZERO = _UNDECIDED + 1      # then "0" and "-0"
+_SHIFTS = tuple(np.uint64(k) for k in (8, 24, 40, 56))
+
+
+def _layout(neg: bool, e: int, sig: int) -> tuple:
+    """The template of x with sign `neg`, decimal exponent e and `sig`
+    significant digits, laid out as "%.10g" does, then how many digits
+    stand before the point and how many are shown."""
+    cell = bytearray(_CELL)
+    cell[-1] = ord(",")
+    if neg:
+        cell[0] = ord("-")
+    if e < -4 or e >= 10:
+        cell[19:23] = b"e%+03d" % e
+        shown, point = sig, 1
+    elif e < 0:
+        cell[1:2 - e] = b"0." + b"0" * (-1 - e)
+        shown, point = sig, sig
+    else:
+        shown, point = max(sig, e + 1), e + 1
+    if point < shown:
+        cell[8 + point] = ord(".")
+    return cell, point, shown
+
+
+@functools.cache
+def _cell_tables() -> tuple:
+    """The tables of `_csv_cells`, built at the first CSV write.
+
+    For k < 100,000: the text of "%05d" % k as a word, and the significant
+    digits less one that k brings as the first and as the last five of ten
+    digits. Entry 100,000 is the carry of N = 1e10: the text "10000" and
+    10 more, which `_classify` reads as the next exponent with one digit.
+    Then the masks and templates of the layouts, and the exact powers of
+    ten that scale x to ten integer digits.
+    """
+    # one byte-wide digit column at a time: no temporary outgrows a column
+    text = np.zeros((100_001, 8), np.uint8)
+    text[-1, :5] = np.frombuffer(b"10000", np.uint8)
+    zeros = np.zeros(len(text), np.int8)  # trailing zeros of "%05d" % k
+    trailing = np.ones(len(text), bool)
+    for j in range(5):
+        digit = np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8),
+                          10 ** j)
+        text[:-1, 4 - j] = np.tile(digit, 10 ** (4 - j))
+        trailing &= text[:, 4 - j] == ord("0")
+        zeros += trailing
+    # a nonzero last half decides alone: it gives 5-9, and 0 gives -1
+    sig_hi = 4 - zeros
+    sig_hi[-1] = 10
+    sig_lo = 9 - zeros
+    sig_lo[0] = -1
+    rows = [_layout(neg, e, sig) for neg in (False, True)
+            for e in range(_X_LO, _X_HI + 1) for sig in range(1, 11)]
+    undecided = bytearray(_CELL)
+    undecided[-1] = ord(",")
+    zero = undecided.copy()
+    zero[8] = ord("0")
+    rows += [(undecided, 0, 0), (zero, 0, 0), (b"-" + zero[1:], 0, 0)]
+    templates = np.frombuffer(b"".join(r[0] for r in rows), "<u8")
+    # the digit bytes shown before the point, and those shown after it
+    point, shown = np.array([r[1:] for r in rows]).T[:, :, None]
+    byte = np.arange(16)
+    masks = np.concatenate([byte < point, (byte >= point) & (byte < shown)],
+                           axis=1) * np.uint8(0xff)
+    # float(10**k) is exact up to k = 22, whatever pow the platform has
+    up = np.array([float(10 ** max(9 - e, 0)) for e in range(_X_LO, _X_HI)])
+    down = np.array([float(10 ** max(e - 9, 0)) for e in range(_X_LO, _X_HI)])
+    tables = (text.view("<u8").ravel(), sig_hi, sig_lo,
+              masks.view("<u8").T.copy(), templates.reshape(-1, 3), up, down)
+    for t in tables:  # shared by every caller in the process
+        t.setflags(write=False)
+    return tables
+
+
+def _g10_text(x: float) -> bytes:
+    """Python's own "%.10g", for the cells the tables cannot decide."""
+    return ("%.10g" % x).encode("ascii")
+
+
+def _classify(v: np.ndarray, tables: tuple) -> tuple:
+    """The layout row of each x, and the two 5-digit halves of N.
+
+    A finite nonzero x with X = floor(log10|x|) in [-13, 31] has
+    10**(9 - X) exact, so one multiply or one divide scales it to
+    y = |x| 10**(9 - X) within 1.2e-6 of the exact product; log10 may be
+    one off, and X is corrected once. For y in [1e9, 1e10), rint(y) is the
+    correctly rounded ten-digit integer N unless y lies within 1e-5 of a
+    tie, and N = 1e10 carries to 1e9 with X + 1. The halves of N give the
+    significant digits, which with the sign and X pick the layout. Zeros
+    have layouts of their own. Non-finite values, magnitudes outside
+    [1e-13, 1e32), scalings that stay out of range and near-ties get the
+    row `_UNDECIDED`.
+    """
+    _, sig_hi, sig_lo, _, _, up, down = tables
+    a = np.abs(v)
+    with np.errstate(all="ignore"):
+        # fmax sends NaN to the lowest exponent, and the range check drops it
+        e = np.fmin(np.fmax(np.floor(np.log10(a)), _X_LO), _X_HI - 1)
+        xi = (e - _X_LO).astype(np.intp)
+        y = a * up[xi] / down[xi]
+        out = np.flatnonzero((y < 1e9) | (y >= 1e10))
+        if out.size:  # log10 one off next to a power of ten, or no fit
+            xo = np.clip(xi[out] + np.where(y[out] < 1e9, -1, 1), 0,
+                         len(up) - 1)
+            xi[out] = xo
+            y[out] = a[out] * up[xo] / down[xo]
+            out = out[(y[out] < 1e9) | (y[out] >= 1e10)]
+        n10 = np.rint(y)
+        ok = np.abs(y - n10) < 0.5 - 1e-5
+    ok[out] = False
+    n = np.where(ok, n10, 0.0).astype(np.int64)
+    hi = n // 100_000
+    lo = n - hi * 100_000
+    neg = np.signbit(v)
+    code = np.where(ok, (neg * _N_X + xi) * 10
+                    + np.maximum(sig_hi[hi], sig_lo[lo]), _UNDECIDED)
+    zero = out[a[out] == 0]
+    code[zero] = _ZERO + neg[zero]
+    return code, hi, lo
+
+
+def _csv_cells(v: np.ndarray) -> np.ndarray:
+    """The (n, 24) uint8 cells of a float vector, each "%.10g" % x then ","
+    once the NULs are deleted: the digits of N from the text table, placed
+    by the masks of the layout `_classify` picks, in its template, and the
+    text of `_g10_text` for each undecided x."""
+    tables = _cell_tables()
+    code, hi, lo = _classify(v, tables)
+    digits5, _, _, masks, templates, _, _ = tables
+    head0, head1, tail0, tail1 = masks
+    s8, s24, s40, s56 = _SHIFTS
+    w0 = digits5[hi] | (digits5[lo] << s40)  # digits 1-8 as text
+    w1 = digits5[lo] >> s24                   # digits 9-10
+    # the digits after the point move one byte up, past it
+    t0 = w0 & tail0[code]
+    cells = np.take(templates, code, axis=0)
+    cells[:, 1] |= (w0 & head0[code]) | (t0 << s8)
+    cells[:, 2] |= ((w1 & head1[code]) | ((w1 & tail1[code]) << s8)
+                    | (t0 >> s56))
+    cells = cells.view(np.uint8)
+    for i in np.flatnonzero(code == _UNDECIDED).tolist():
+        text = _g10_text(float(v[i]))
+        cells[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return cells
+
+
 def _write_trajectory_csv(path: str, traj) -> None:
     """One row per sample: t, x1..x4, u and the BIS of max(x4, 0).
 
     A single %.10g prints the same text as _g10 then .10g, since rounding
     to 10 significant digits twice changes nothing. BIS comes from one
-    array call of `bis`, bitwise its scalar values. A bang-bang control is
-    constant between switches, so its text is formatted once per run of
-    bitwise-equal values (-0.0 prints -0, 0.0 prints 0) and inlined into
-    the run's row template. Rows are zipped from the columns of one block
-    at a time, so neither the text nor a row list of the whole file is
-    ever held.
+    array call of `bis`, bitwise its scalar values. `_csv_cells` prints
+    the seven columns of 2,048 rows at a time, from tables, and leaves
+    each value the tables cannot decide to Python's formatter. Each block
+    is written before the next is formatted, so the text of the whole
+    file is never held.
     """
-    cols = (traj.times, *traj.states.T,
+    cols = (traj.times, traj.states, np.asarray(traj.control, dtype=float),
             bis(np.maximum(traj.states[:, 3], 0.0)))
-    u = np.asarray(traj.control, dtype=float)
-    bits = u.view(np.int64)
-    # ~ flips every bit, so the first row always starts a run
-    starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))
-    cuts = [*starts.tolist(), len(u)]
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for a, b in zip(cuts, cuts[1:]):
-            row = _CSV_ROW_HEAD + ("%.10g" % u[a]) + _CSV_ROW_TAIL
-            for i in range(a, b, _CSV_BLOCK_ROWS):
-                j = min(i + _CSV_BLOCK_ROWS, b)
-                block = [c[i:j].tolist() for c in cols]
-                fh.write("".join(map(row.__mod__, zip(*block))))
+    with open(path, "wb") as fh:
+        fh.write(CSV_HEADER.encode("ascii") + b"\n")
+        for i in range(0, len(traj.times), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in cols])
+            cells = _csv_cells(block.ravel()).reshape(len(block), 7, _CELL)
+            cells[:, -1, -1] = ord("\n")
+            fh.write(cells.tobytes().translate(None, b"\0"))
 
 
 def cmd_params(cfg: RunConfig) -> int:

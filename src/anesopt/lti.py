@@ -11,6 +11,7 @@ convention.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +70,11 @@ class LTISystem:
     @property
     def n(self) -> int:
         return self.A.shape[0]
+
+    @functools.cached_property
+    def controllability_rank(self) -> int:
+        """kalman_rank of the system, computed at first use and kept."""
+        return kalman_rank(self)
 
 
 def constant_input_propagator(sys: LTISystem, u: float):

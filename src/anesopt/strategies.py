@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .lti import constant_input_propagator, kalman_rank
+from .lti import constant_input_propagator
 from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
 T_MAX = 60.0         # search horizon, min
@@ -360,10 +360,10 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
                               "dominated: the minimum-time representative "
                               "has a vanishing segment")
     g, mu, r = point
+    schedule = _to_schedule(sol.levels, g)
     psi_f = np.eye(prob.sys.n)[list(FAST_IDX)].T @ mu  # C^T mu
-    res = StrategyResult(pattern.strategy, _to_schedule(sol.levels, g),
-                         r, True, "KKT point", psi_f)
-    return replace(res, certified=_certify(prob, res))
+    return StrategyResult(pattern.strategy, schedule, r, True, "KKT point",
+                          psi_f, _certify(prob, schedule, psi_f))
 
 
 def _admissible_equilibrium(prob: TimeOptimalProblem) -> bool:
@@ -377,9 +377,10 @@ def _admissible_equilibrium(prob: TimeOptimalProblem) -> bool:
                 and 0.0 <= u0 <= prob.u_max)
 
 
-def _certify(prob: TimeOptimalProblem, result: StrategyResult) -> bool:
-    """Whether a feasible KKT result is certified, read from the problem
-    statement alone: the modal data of A and psi(t_f) = C^T mu.
+def _certify(prob: TimeOptimalProblem, sched: ControlSchedule,
+             psi_f: np.ndarray) -> bool:
+    """Whether the schedule of a feasible KKT point is certified, read from
+    the problem statement alone: the modal data of A and psi(t_f) = C^T mu.
 
     In s = t_f - t the switching function is psi1(s) = psi(s)^T B =
     sum c_i e^(lam_i s), c = (V^-1 B) * (V^T C^T mu). By Laguerre's rule
@@ -393,8 +394,8 @@ def _certify(prob: TimeOptimalProblem, result: StrategyResult) -> bool:
     faster control, held first at the equilibrium input, would give
     int psi1 (u - u*) = 0 with a nonnegative integrand.
     """
-    sys, sched = prob.sys, result.schedule
-    c = (sys.Vi @ sys.B) * (sys.V.T @ result.terminal_costate)
+    sys = prob.sys
+    c = (sys.Vi @ sys.B) * (sys.V.T @ psi_f)
     cs = c.tolist()
     signs = [x < 0 for x in cs if x != 0]
     sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
@@ -415,7 +416,7 @@ def _certify(prob: TimeOptimalProblem, result: StrategyResult) -> bool:
 
 
 def _validate(prob: TimeOptimalProblem) -> None:
-    if kalman_rank(prob.sys) != prob.sys.n:
+    if prob.sys.controllability_rank != prob.sys.n:
         raise DomainError("system is not controllable from the infusion input")
 
 

@@ -335,6 +335,92 @@ def test_csv_writer_rejects_a_nan_effect_site_level(tmp_path):
     assert not path.exists()
 
 
+# the CSV cell formatter against Python's own %.10g
+
+def _cell_texts(values):
+    cells = cli._csv_cells(np.asarray(values, dtype=float))
+    return cells.tobytes().translate(None, b"\0").decode().split(",")[:-1]
+
+
+def _ulp_neighbours(v):
+    return np.concatenate([v, np.nextafter(v, -np.inf),
+                           np.nextafter(v, np.inf)])
+
+
+def _powers_of_ten():
+    # float("1e-330") is 0 and float("1e310") is inf: both ends included
+    return _ulp_neighbours(np.array([float(f"1e{k}")
+                                     for k in range(-330, 311)]))
+
+
+def _ties(exponents):
+    # the double nearest (m + 1/2) 10^e, m a ten-digit integer, and its
+    # neighbours: within 1e-5 of a tie once scaled to ten integer digits
+    rng = np.random.default_rng(5)
+    m = rng.integers(10**9, 10**10, 20 * len(exponents))
+    e = np.repeat(exponents, 20)
+    return _ulp_neighbours(np.array(
+        [float(f"{a}5e{b - 1}") for a, b in zip(m.tolist(), e.tolist())]))
+
+
+ORACLE = {
+    "random-bits": lambda: np.random.default_rng(3).integers(
+        0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+    "powers-of-ten": _powers_of_ten,
+    "ties": lambda: _ties(range(-330, 300)),
+    "carry-edge": lambda: _ulp_neighbours(np.array(
+        [float(f"99999999995e{k - 10}") for k in range(-330, 300)])),
+    "specials": lambda: np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+         2.225073858507201e-308, -1.5e-315, sys.float_info.min,
+         sys.float_info.max, -sys.float_info.max]),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE))
+def test_csv_cells_equal_python_g10(name):
+    values = ORACLE[name]()
+    got = _cell_texts(values)
+    want = ["%.10g" % v for v in values.tolist()]
+    assert len(got) == len(want)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+def test_csv_cells_leave_near_ties_to_python(monkeypatch):
+    # every tie whose ten-digit scaling is exact in double (exponents
+    # -13 to 31) is undecidable by the tables
+    values = _ties(range(-22, 23))
+    seen = []
+    g10 = cli._g10_text
+    monkeypatch.setattr(cli, "_g10_text", lambda x: seen.append(x) or g10(x))
+    assert _cell_texts(values) == ["%.10g" % v for v in values.tolist()]
+    assert seen == values.tolist()
+
+
+def test_csv_block_without_undecidable_values_never_calls_python(
+        monkeypatch):
+    # nine significant digits scale to a multiple of ten, far from a tie,
+    # at every exponent the tables hold; zeros have layouts of their own.
+    # A few ulps below a power of ten, log10 can round up to it, and the
+    # one correction of X catches that.
+    def refuse(x):
+        raise AssertionError(f"{x!r} sent to Python's formatter")
+
+    rng = np.random.default_rng(13)
+    n = 7 * cli._CSV_BLOCK_ROWS
+    drawn = rng.choice([-1, 1], n) * 10.0 ** rng.uniform(-13, 32, n)
+    values = np.array([float(f"{v:.9g}") for v in drawn.tolist()])
+    below = np.array([float(f"1e{k}") for k in range(-12, 32)])
+    for _ in range(3):
+        below = np.nextafter(below, 0.0)
+    assert (np.floor(np.log10(below)) == range(-12, 32)).any()
+    values[:4] = [0.0, -0.0, 1e-13, -9.99999999e31]
+    values[4:4 + len(below)] = below
+    monkeypatch.setattr(cli, "_g10_text", refuse)
+    assert _cell_texts(values) == ["%.10g" % v for v in values.tolist()]
+
+
 def test_strategy_csv_matches_the_committed_reference(tmp_path, capsys):
     root = Path(__file__).resolve().parent
     out = tmp_path / "o"

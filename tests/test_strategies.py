@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from anesopt import strategies
+from anesopt import lti, strategies
 from anesopt.errors import DomainError, InfeasibleError
 from anesopt.lti import LTISystem, constant_input_propagator, integrate
 from anesopt.patient import (PatientDemographics, bis_inverse, equilibrium,
@@ -537,6 +537,20 @@ def test_uncontrollable_system_rejected(ref_eq):
         solve_all_patterns(prob)
 
 
+def test_controllability_is_computed_once_per_system(ref_params,
+                                                     monkeypatch):
+    calls = []
+    rank = lti.kalman_rank
+    monkeypatch.setattr(lti, "kalman_rank",
+                        lambda sys: calls.append(sys) or rank(sys))
+    prob = build_problem(ref_params, U_MAX_REF, 50.0)
+    assert calls == []  # building the problem does not pay for it
+    first = solve_time_optimal(prob)
+    _same(first, solve_time_optimal(prob))
+    solve_all_patterns(prob)
+    assert calls == [prob.sys]
+
+
 def test_complex_spectrum_rejected():
     # no problem can be stated on a complex spectrum: the system rejects it
     A = np.array([[0.0, 1.0, 0.0, 0.0],
@@ -612,10 +626,12 @@ def _mutations(res):
 
 def test_reference_optimum_is_certified(ref_problem, optimal):
     assert optimal.certified and _sign_changes(ref_problem, optimal) == 1
-    assert _certify(ref_problem, optimal) is True
+    assert _certify(ref_problem, optimal.schedule,
+                    optimal.terminal_costate) is True
     assert np.max(_psi1_at_switches(ref_problem, optimal)) <= 1e-13
     for name, bad in _mutations(optimal).items():
-        assert _certify(ref_problem, bad) is False, name
+        assert _certify(ref_problem, bad.schedule,
+                        bad.terminal_costate) is False, name
 
 
 def test_non_equilibrium_start_falls_back_to_the_enumeration(ref_problem,
@@ -670,7 +686,8 @@ def test_certified_solve_equals_the_full_enumeration(case):
     _same(best, _select(solve_all_patterns(prob)))
     assert np.max(_psi1_at_switches(prob, best)) <= 1e-13
     for name, bad in _mutations(best).items():
-        assert _certify(prob, bad) is False, name
+        assert _certify(prob, bad.schedule,
+                        bad.terminal_costate) is False, name
         if name != "flipped-levels":  # the flip keeps the zero, not the law
             assert np.max(_psi1_at_switches(prob, bad)) >= 1e-7, name
 
