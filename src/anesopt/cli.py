@@ -161,25 +161,31 @@ _ZERO = _UNDECIDED + 1      # then "0" and "-0"
 _SHIFTS = tuple(np.uint64(k) for k in (8, 24, 40, 56))
 
 
-def _layout(neg: bool, e: int, sig: int) -> tuple:
-    """The template of x with sign `neg`, decimal exponent e and `sig`
-    significant digits, laid out as "%.10g" does, then how many digits
-    stand before the point and how many are shown."""
-    cell = bytearray(_CELL)
-    cell[-1] = ord(",")
-    if neg:
-        cell[0] = ord("-")
-    if e < -4 or e >= 10:
-        cell[19:23] = b"e%+03d" % e
-        shown, point = sig, 1
-    elif e < 0:
-        cell[1:2 - e] = b"0." + b"0" * (-1 - e)
-        shown, point = sig, sig
-    else:
-        shown, point = max(sig, e + 1), e + 1
-    if point < shown:
-        cell[8 + point] = ord(".")
-    return cell, point, shown
+def _layouts() -> tuple:
+    """The templates of every (sign, exponent e, significant digits sig), in
+    that order and as "%.10g" lays them out, then the undecided row, "0" and
+    "-0"; with the digits before the point and those shown, as columns."""
+    e = np.tile(np.repeat(np.arange(_X_LO, _X_HI + 1), 10), 2)
+    sig = np.tile(np.arange(1, 11), 2 * _N_X)
+    sci, lead = (e < -4) | (e >= 10), (e < 0) & (e >= -4)
+    point = np.pad(np.where(sci, 1, np.where(lead, sig, e + 1)), (0, 3))
+    shown = np.pad(np.where(sci | lead, sig, np.maximum(sig, e + 1)), (0, 3))
+    cells = np.zeros((len(e) + 3, _CELL), np.uint8)
+    cells[:, -1] = ord(",")
+    cells[len(e) // 2:-3, 0] = cells[-1, 0] = ord("-")
+    cells[-2:, 8] = ord("0")
+    # "0." and up to three zeros, the point among the digits, and "e+XX"
+    byte = np.arange(_CELL)
+    zero = lead[:, None] & (byte > 0) & (byte < 2 - e[:, None])
+    cells[:-3][zero] = ord("0")
+    cells[np.flatnonzero(lead), 2] = ord(".")
+    dot = np.flatnonzero(point < shown)
+    cells[dot, 8 + point[dot]] = ord(".")
+    exp = b"".join(b"e%+03d" % k for k in range(_X_LO, _X_HI + 1))
+    rows = np.flatnonzero(sci)
+    cells[rows, 19:23] = np.frombuffer(exp, np.uint8).reshape(-1, 4)[
+        e[rows] - _X_LO]
+    return cells.view("<u8"), point[:, None], shown[:, None]
 
 
 @functools.cache
@@ -193,32 +199,26 @@ def _cell_tables() -> tuple:
     Then the masks and templates of the layouts, and the exact powers of
     ten that scale x to ten integer digits.
     """
-    # one byte-wide digit column at a time: no temporary outgrows a column
     text = np.zeros((100_001, 8), np.uint8)
     text[-1, :5] = np.frombuffer(b"10000", np.uint8)
-    zeros = np.zeros(len(text), np.int8)  # trailing zeros of "%05d" % k
-    trailing = np.ones(len(text), bool)
-    for j in range(5):
-        digit = np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8),
-                          10 ** j)
-        text[:-1, 4 - j] = np.tile(digit, 10 ** (4 - j))
-        trailing &= text[:, 4 - j] == ord("0")
+    # digit j of k runs along axis j of a (10,) * 5 grid
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    grid = text[:-1].reshape((10,) * 5 + (8,))
+    zeros = np.zeros((10,) * 5, np.int8)  # trailing zeros of "%05d" % k
+    trailing = True
+    for j in reversed(range(5)):
+        column = digits.reshape((10,) + (1,) * (4 - j))
+        grid[..., j] = column
+        trailing = trailing & (column == ord("0"))
         zeros += trailing
+    zeros = np.append(zeros.ravel(), np.int8(4))  # "10000"
     # a nonzero last half decides alone: it gives 5-9, and 0 gives -1
     sig_hi = 4 - zeros
     sig_hi[-1] = 10
     sig_lo = 9 - zeros
     sig_lo[0] = -1
-    rows = [_layout(neg, e, sig) for neg in (False, True)
-            for e in range(_X_LO, _X_HI + 1) for sig in range(1, 11)]
-    undecided = bytearray(_CELL)
-    undecided[-1] = ord(",")
-    zero = undecided.copy()
-    zero[8] = ord("0")
-    rows += [(undecided, 0, 0), (zero, 0, 0), (b"-" + zero[1:], 0, 0)]
-    templates = np.frombuffer(b"".join(r[0] for r in rows), "<u8")
+    templates, point, shown = _layouts()
     # the digit bytes shown before the point, and those shown after it
-    point, shown = np.array([r[1:] for r in rows]).T[:, :, None]
     byte = np.arange(16)
     masks = np.concatenate([byte < point, (byte >= point) & (byte < shown)],
                            axis=1) * np.uint8(0xff)
@@ -226,7 +226,7 @@ def _cell_tables() -> tuple:
     up = np.array([float(10 ** max(9 - e, 0)) for e in range(_X_LO, _X_HI)])
     down = np.array([float(10 ** max(e - 9, 0)) for e in range(_X_LO, _X_HI)])
     tables = (text.view("<u8").ravel(), sig_hi, sig_lo,
-              masks.view("<u8").T.copy(), templates.reshape(-1, 3), up, down)
+              masks.view("<u8").T.copy(), templates, up, down)
     for t in tables:  # shared by every caller in the process
         t.setflags(write=False)
     return tables

@@ -10,14 +10,16 @@ of psi1, so the scale r plays no part: (theta, t_f) solve the two target
 conditions, a square 2x2 system, by damped Newton inside a trust region,
 and r is fixed afterwards by H(t_f) = 0.
 
-One evaluation at (theta, t_f) integrates the costate backward, in
-s = t_f - t, where it decays: this sweep (_sweep) yields the switch times
-and the unit-scale psi0. The state is then walked forward between the known
-switches (_walk). The exact Jacobian comes from the same sweep: the adjoints
-of x1 and x4 at each switch, and the rate at which each switch moves with
-theta. So Newton pays one evaluation per step. The certificate is built
-from the last evaluation; H(0) = 0 joins the target gap in its residual,
-tying the backward costate and the forward state to one extremal.
+One evaluation at (theta, t_f) is one backward pass: the costate is
+integrated in s = t_f - t, where it decays, and this sweep (_sweep) yields
+the switch times and the unit-scale psi0. The rows it carries are the
+adjoints of x1 and x4, so one appended quadrature column gives the endpoint
+x(t_f) by the adjoint identity, and no state is integrated. The exact
+Jacobian comes from the same sweep: the adjoints at each switch, and the
+rate at which each switch moves with theta. So Newton pays one evaluation
+per step. The certificate is built from the last evaluation, scaled by
+H(t_f) = 0 at that endpoint; H(0) = 0 at x0 joins the target gap in its
+residual, so both ends of the extremal hold the same Hamiltonian.
 
 Seeds are a short theta grid crossed with multiples of t_on, the first time
 x4 reaches its target at full rate, which bounds t_f from below. Every
@@ -43,7 +45,7 @@ TRANSVERSALITY_ACCEPT = 1e-8
 MAX_RESIDUAL_EVALS = 200
 
 # switch-time error feeds the endpoint at a rate of order u_max, so the
-# sweep and the walk run tighter than the module-default integrator tolerance
+# sweep runs tighter than the module-default integrator tolerance
 _RTOL = 1e-12
 _ATOL = 1e-14
 
@@ -72,22 +74,29 @@ def hamiltonian(prob: TimeOptimalProblem, x, u: float, psi) -> float:
 
 
 def _sweep(M, y0, t1):
-    """Integrate rows y with dy/ds = y M over [0, t1], restarting at each
-    sign change of entry 0.
+    """Integrate rows y with dy/ds = y[..., :n] M over [0, t1], M of n rows,
+    restarting at each sign change of entry 0.
 
-    Returns ([(s_i, y(s_i))], y(t1)), the events in increasing s, with y in
-    the shape of y0. Restarting at each event keeps every crossing exact; an
-    event on each of 2n + 4 restarts is read as a chattering extremal.
+    A square M moves the whole row; columns of M past n append quadratures
+    of the first n entries. Returns ([(s_i, y(s_i))], y(t1)), the events in
+    increasing s, with y in the shape of y0. Restarting at each event keeps
+    every crossing exact; an event on each of 2n + 4 restarts is read as a
+    chattering extremal.
     """
     y = np.asarray(y0, dtype=float)
     shape = y.shape
+    n, m = M.shape
+    # the same product on the flat rows: y K, with K = I (x) [M; 0]
+    K = np.zeros((m, m))
+    K[:n] = M
+    K = np.kron(np.eye(y.size // m), K)
 
     def rhs(_, y):
-        return (y.reshape(shape) @ M).reshape(-1)
+        return y @ K
 
     events = []
     s_at = 0.0
-    for _ in range(2 * len(M) + 4):
+    for _ in range(2 * n + 4):
         s_at, y, crossed = integrate_with_sign_event(
             rhs, y.reshape(-1), s_at, t1, watch=0, tol=_RTOL, atol=_ATOL)
         y = y.reshape(shape)
@@ -100,7 +109,11 @@ def _sweep(M, y0, t1):
 
 def _walk(prob, levels, switches, t_f):
     """x(t_f) from x0 under levels[k] between the knots 0, switches, t_f:
-    one integration per segment."""
+    one integration per segment.
+
+    Only shooting_residual walks the state, and the walk goes with it; the
+    solver reads its endpoint from the adjoint columns of its sweep.
+    """
     A, B = prob.sys.A, prob.sys.B
     knots = (0.0,) + tuple(switches) + (t_f,)
     x = prob.x0
@@ -124,10 +137,10 @@ def _levels(psi1_0, u_max, switches):
 def shooting_residual(prob: TimeOptimalProblem, psi0, t_f: float) -> np.ndarray:
     """(x1(t_f) - target1, x4(t_f) - target4, H(t_f)) for the extremal from psi0.
 
-    A forward diagnostic on the solver's sweep and walk, not the solver path:
-    it sweeps the costate forward from psi0, where it grows with the fastest
-    system mode (e^(0.94 t) on the reference patient), so it loses accuracy
-    on long horizons.
+    A forward diagnostic, not the solver path: it walks the state (_walk)
+    and sweeps the costate forward from psi0, where the costate grows with
+    the fastest system mode (e^(0.94 t) on the reference patient), so it
+    loses accuracy on long horizons.
     """
     if not t_f > 0:
         raise DomainError("shooting horizon t_f must be positive")
@@ -223,7 +236,8 @@ class _Point:
 
     gap is the target gap and jac its exact Jacobian in (theta, t_f); psi0 is
     psi(0) for psi(t_f) = (cos theta, 0, 0, sin theta), and d = psi(t_f) .
-    x'(t_f), so that psi0 <- -psi0 / d makes H(t_f) = 0 whenever d < 0.
+    x'(t_f), so that psi0 <- -psi0 / d makes H(t_f) = 0 whenever d < 0; gap
+    and d are read from the backward sweep's adjoint columns.
     """
 
     theta: float
@@ -245,18 +259,25 @@ class _Shooter:
         self.best = np.inf
 
     def __call__(self, theta, t_f) -> _Point:
-        """Backward costate sweep, forward state, exact Jacobian.
+        """One backward sweep: switches, psi0, endpoint and exact Jacobian.
 
         In s = t_f - t the costate obeys dpsi/ds = A^T psi and decays, so
-        the pair [psi_theta, psi_perp] is integrated in s from
+        the rows y = [psi_theta; psi_perp] are integrated in s from
         psi_theta = (cos theta, 0, 0, sin theta) and its theta-derivative
         psi_perp, restarting at each zero s_i of psi_theta,1: a switch at
         t_i = t_f - s_i. The control starts at the sign of psi0 and flips at
-        each switch; the state is then integrated forward segment by segment.
+        each switch.
 
-        With Psi = [psi_theta, psi_perp] R(theta)^T, the adjoints of x1 and
-        x4, a switch at t_i moves the target by Psi(s_i)^T B (u_i- - u_i+)
-        per unit of t_i. t_i moves one for one with t_f, and with theta at
+        One more column carries w(s) = int_0^s y B, and the endpoint comes
+        from the adjoint identity y(0) x(t_f) = y(t_f) x0 + int y B u ds
+        (Bryson & Ho 1975, ch. 2): with R = R(theta) and the levels u_k in
+        s order, E x(t_f) = R (y(t_f) x0 + sum_k u_k dw_k) and E x'(t_f) =
+        R (y(t_f) A x0 + sum_k u_k dy_k B + y(0) B u(t_f)), E the rows x1
+        and x4. No state is integrated.
+
+        With Psi = [psi_theta, psi_perp] R^T, the adjoints of x1 and x4, a
+        switch at t_i moves the target by Psi(s_i)^T B (u_i- - u_i+) per
+        unit of t_i. t_i moves one for one with t_f, and with theta at
         -ds_i/dtheta = psi_perp,1 / (A^T psi_theta)_1 (Kaya & Noakes 1996).
         """
         if self.evals >= MAX_RESIDUAL_EVALS:
@@ -266,31 +287,38 @@ class _Shooter:
         A, B, n = prob.sys.A, prob.sys.B, prob.sys.n
         c, s = np.cos(theta), np.sin(theta)
         rot = np.array([[c, -s], [s, c]])
-        y = np.zeros((2, n))
+        y = np.zeros((2, n + 1))  # [y | w], w(0) = 0
         y[:, FAST_IDX[0]] = c, -s
         y[:, FAST_IDX[1]] = s, c
-        events, (psi0, _) = _sweep(A, y, t_f)
+        events, y_f = _sweep(np.column_stack((A, B)), y, t_f)
+        psi0 = y_f[0, :n]
         levels = _levels(psi0[0], prob.u_max, len(events))
         switches = tuple(t_f - s_i for s_i, _ in reversed(events))
-        x = _walk(prob, levels, switches, t_f)
-        x_dot = A @ x + B * levels[-1]
-        gap = prob.fast_residual(x)
-        d = c * x_dot[FAST_IDX[0]] + s * x_dot[FAST_IDX[1]]
+        # sum_k u_k (Y(s_k+1) - Y(s_k)) over the s-segments, levels reversed
+        knots = [y] + [P for _, P in events] + [y_f]
+        drive = sum(u * (b - a) for u, a, b
+                    in zip(reversed(levels), knots, knots[1:]))
+        x0 = prob.x0
+        gap = rot @ (y_f[:, :n] @ x0 + drive[:, n]) - prob.target_fast
+        # y(0) x'(t_f), whose first row is d = psi(t_f) . x'(t_f)
+        v = (y_f[:, :n] @ (A @ x0) + drive[:, :n] @ B
+             + y[:, :n] @ B * levels[-1])
+        d = float(v[0])
 
         jac = np.zeros((2, 2))
-        jac[:, 1] = x_dot[list(FAST_IDX)]
+        jac[:, 1] = rot @ v
         # switch k (in t order) lies between levels[k] and levels[k + 1]
         for k, (_, P) in zip(reversed(range(len(events))), events):
-            jump = rot @ (P @ B) * (levels[k] - levels[k + 1])
+            jump = rot @ (P[:, :n] @ B) * (levels[k] - levels[k + 1])
             jac[:, 1] += jump
-            jac[:, 0] += jump * P[1, 0] / (P[0] @ A[:, 0])
+            jac[:, 0] += jump * P[1, 0] / (P[0, :n] @ A[:, 0])
         if not events and abs(c) <= _TIE_COS:
             # psi1(t_f) = 0: take the right-derivative, in which a switch
             # enters at s = 0 when ds/dtheta > 0
-            rate = y[1, 0] / (y[0] @ A[:, 0])  # -ds/dtheta
+            rate = y[1, 0] / (y[0, :n] @ A[:, 0])  # -ds/dtheta
             if rate < 0.0:
                 u_in = prob.u_max if levels[-1] == 0.0 else 0.0
-                jac[:, 0] += rot @ (y @ B) * (levels[-1] - u_in) * rate
+                jac[:, 0] += rot @ (y[:, :n] @ B) * (levels[-1] - u_in) * rate
 
         # no positive scale zeroes H when d >= 0; the unit scale is reported
         h = 0.0 if d < 0.0 else 1.0 + d
@@ -364,8 +392,8 @@ def solve_shooting(prob: TimeOptimalProblem) -> ExtremalCertificate:
 
 
 def _certify(prob, p: _Point) -> ExtremalCertificate:
-    """Scale the last evaluation by H(t_f) = 0; H(0) ties its backward
-    costate and forward state to one extremal."""
+    """Scale the last evaluation by H(t_f) = 0 at its adjoint endpoint;
+    H(0) = 0 at x0 then checks that scale at the other end."""
     psi0 = -p.psi0 / p.d
     psi_f = np.zeros(prob.sys.n)
     psi_f[list(FAST_IDX)] = np.cos(p.theta), np.sin(p.theta)

@@ -387,6 +387,52 @@ def test_csv_cells_equal_python_g10(name):
     assert not bad, bad[:5]
 
 
+def _layout_by_hand(neg, e, sig):
+    """One template, written out per row as "%.10g" lays it out, with its
+    digits before the point and digits shown."""
+    cell = bytearray(cli._CELL)
+    cell[-1] = ord(",")
+    if neg:
+        cell[0] = ord("-")
+    if e < -4 or e >= 10:
+        cell[19:23] = b"e%+03d" % e
+        shown, point = sig, 1
+    elif e < 0:
+        cell[1:2 - e] = b"0." + b"0" * (-1 - e)
+        shown, point = sig, sig
+    else:
+        shown, point = max(sig, e + 1), e + 1
+    if point < shown:
+        cell[8 + point] = ord(".")
+    return bytes(cell), point, shown
+
+
+def test_cell_tables_equal_their_per_row_construction():
+    rows = [_layout_by_hand(neg, e, sig) for neg in (False, True)
+            for e in range(cli._X_LO, cli._X_HI + 1) for sig in range(1, 11)]
+    zero = bytearray(cli._CELL)
+    zero[-1] = ord(",")
+    rows.append((bytes(zero), 0, 0))  # the undecided row
+    zero[8] = ord("0")
+    rows += [(bytes(zero), 0, 0), (b"-" + bytes(zero[1:]), 0, 0)]
+    templates, point, shown = cli._layouts()
+    want = np.frombuffer(b"".join(r[0] for r in rows), "<u8").reshape(-1, 3)
+    assert templates.dtype == want.dtype and np.array_equal(templates, want)
+    assert point.ravel().tolist() == [r[1] for r in rows]
+    assert shown.ravel().tolist() == [r[2] for r in rows]
+    # "%05d" % k as words, and the carry "10000"
+    texts = ["%05d" % k for k in range(100_000)] + ["10000"]
+    digits5, sig_hi, sig_lo = cli._cell_tables()[:3]
+    words = np.frombuffer(b"".join(t.encode() + b"\0" * 3 for t in texts),
+                          "<u8")
+    assert np.array_equal(digits5, words)
+    zeros = np.array([len(t) - len(t.rstrip("0")) for t in texts])
+    assert sig_hi[:-1].tolist() == (4 - zeros[:-1]).tolist()
+    assert sig_hi[-1] == 10
+    assert sig_lo[1:].tolist() == (9 - zeros[1:]).tolist()
+    assert sig_lo[0] == -1
+
+
 def test_csv_cells_leave_near_ties_to_python(monkeypatch):
     # every tie whose ten-digit scaling is exact in double (exponents
     # -13 to 31) is undecidable by the tables

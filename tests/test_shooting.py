@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from anesopt import shooting, strategies
-from anesopt.errors import DomainError, NoConvergenceError
-from anesopt.lti import constant_input_propagator
+from anesopt.errors import DomainError, IntegrationError, NoConvergenceError
+from anesopt.lti import constant_input_propagator, integrate_with_sign_event
 from anesopt.patient import (PatientDemographics, bis_inverse, equilibrium,
                              schnider_parameters)
 from anesopt.shooting import (
@@ -199,8 +199,9 @@ def test_solver_stops_at_the_residual_evaluation_cap(ref_problem, monkeypatch):
 
 
 def test_reference_solve_stays_inside_its_rhs_budget(ref_problem, monkeypatch):
-    # the bound is a third of the 13,868 right-hand-side evaluations that a
-    # 5th-order pair needs on this solve; DOP853 takes about 3,300
+    # one backward sweep per evaluation, with the endpoint read from its
+    # adjoint columns, takes about 1,740 right-hand-side evaluations here;
+    # the bound leaves about 1.4x of headroom
     calls = [0]
 
     def counted(integrator):
@@ -215,7 +216,86 @@ def test_reference_solve_stays_inside_its_rhs_budget(ref_problem, monkeypatch):
         monkeypatch.setattr(shooting, name, counted(getattr(shooting, name)))
     cert = solve_shooting(ref_problem)
     assert cert.residual_norm < RESIDUAL_ACCEPT
-    assert 0 < calls[0] <= 4600
+    assert 0 < calls[0] <= 2400
+
+
+def test_solver_integrates_no_state(ref_problem, monkeypatch):
+    # the endpoint comes from the adjoint columns of the backward sweep
+    def no_state_walk(*args, **kwargs):
+        raise AssertionError("the solver integrated the state")
+
+    monkeypatch.setattr(shooting, "integrate", no_state_walk)
+    cert = solve_shooting(ref_problem)
+    assert abs(cert.t_f - FROZEN["t_f"]) < 1e-9
+
+
+# (theta, t_f): one-switch, rest-first and switchless sweeps; the pump-off
+# point leaves the endpoint to y(t_f) x0 alone
+_ROOT_OFFSETS = [(0.0, 1.0), (0.02, 1.03)]  # (dtheta, t_f / t_f*)
+_ENDPOINT_POINTS = {"reference": [(2.0, 3.0), (-2.0, 2.0)],
+                    "redose0.3": [(2.0, 3.0), (-2.0, 2.0), (0.0, 1.0)]}
+
+
+@pytest.mark.parametrize("case", list(_ENDPOINT_POINTS))
+def test_adjoint_endpoint_matches_the_forward_walk(case):
+    prob, cert = _solved(case)
+    A, B = prob.sys.A, prob.sys.B
+    fast = list(FAST_IDX)
+    theta0 = np.arctan2(cert.terminal_costate[3], cert.terminal_costate[0])
+    points = [(theta0 + dt, f * cert.t_f) for dt, f in _ROOT_OFFSETS]
+    shooter = shooting._Shooter(prob)
+    switchless = 0
+    for theta, t_f in points + _ENDPOINT_POINTS[case]:
+        p = shooter(theta, t_f)
+        switchless += not p.switches
+        x = shooting._walk(prob, p.levels, p.switches, t_f)
+        x_dot = A @ x + B * p.levels[-1]
+        assert np.linalg.norm(x[fast]) > 0.0
+        gap = prob.fast_residual(x)
+        assert np.linalg.norm(p.gap - gap) <= 1e-9 * np.linalg.norm(x[fast])
+        c, s = np.cos(theta), np.sin(theta)
+        scale = np.linalg.norm(x_dot[fast])
+        assert abs(p.d - (c * x_dot[0] + s * x_dot[3])) <= 1e-9 * scale
+        # dx(t_f)/dt_f: the end rate plus each switch's closed-form jump,
+        # which cancel from rest at the root (a delayed start changes nothing)
+        jumps = [(expm(A, t_f - t_i) @ B * (u_a - u_b))[fast]
+                 for t_i, u_a, u_b in zip(p.switches, p.levels,
+                                          p.levels[1:])]
+        col = x_dot[fast] + sum(jumps)
+        scale += sum(np.linalg.norm(j) for j in jumps)
+        assert np.linalg.norm(p.jac[:, 1] - col) <= 1e-9 * scale
+    assert switchless == len(_ENDPOINT_POINTS[case]) - 1
+
+
+def _rotating_sweep(t1, monkeypatch):
+    # rows y = [cos s, sin s, 0, 0 | w] with w' = y_0: a costate that
+    # switches at s = pi/2 + k pi, carrying one quadrature column
+    M = np.zeros((4, 5))
+    M[0, 1], M[1, 0], M[0, 4] = 1.0, -1.0, 1.0
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return integrate_with_sign_event(*args, **kwargs)
+
+    monkeypatch.setattr(shooting, "integrate_with_sign_event", counted)
+    y0 = np.zeros((2, 5))
+    y0[0, 0] = y0[1, 1] = 1.0
+    try:
+        return shooting._sweep(M, y0, t1), calls[0]
+    except IntegrationError:
+        return None, calls[0]
+
+
+def test_sweep_reads_chattering_after_2n_plus_4_restarts(monkeypatch):
+    # n = 4 rows of M give 12 restarts; the quadrature column adds none.
+    # Eleven switches fit in s < 34.5, twelve in s < 38.
+    (events, y_f), calls = _rotating_sweep(34.5, monkeypatch)
+    assert len(events) == 11 and calls == 12
+    assert y_f[0, 0] == pytest.approx(np.cos(34.5), abs=1e-9)
+    assert y_f[0, 4] == pytest.approx(np.sin(34.5), abs=1e-9)
+    swept, calls = _rotating_sweep(38.0, monkeypatch)
+    assert swept is None and calls == 2 * 4 + 4
 
 
 # --------------------------------------------------------------- certificate
