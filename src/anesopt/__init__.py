@@ -15,8 +15,7 @@ from .patient import (EquilibriumState, PatientDemographics, PKPDParameters,
 from .problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                       build_problem, sample_trajectory)
 from .shooting import (ExtremalCertificate, bang_control, default_seed_grid,
-                       full_rate_onset, hamiltonian, shooting_residual,
-                       solve_shooting)
+                       full_rate_onset, hamiltonian, solve_shooting)
 from .strategies import (Pattern, StrategyResult, enumerate_patterns,
                          solve_all_patterns, solve_pattern, solve_time_optimal)
 
@@ -33,7 +32,7 @@ __all__ = [
     "default_seed_grid", "enumerate_patterns", "equilibrium",
     "full_rate_onset", "hamiltonian", "integrate",
     "integrate_with_sign_event", "kalman_rank", "lean_body_mass",
-    "sample_trajectory", "schnider_parameters", "shooting_residual",
+    "sample_trajectory", "schnider_parameters",
     "solve_all_patterns", "solve_pattern", "solve_shooting",
     "solve_time_optimal",
 ]

@@ -303,7 +303,8 @@ _THETA_BASIS = _dense(0.0, np.eye(7)[:, :, None], _THETA)
 def integrate(f, x0, t0, t1, tol, atol) -> Trajectory:
     """Adaptive DOP853 integration of x' = f(t, x) from t0 to t1, returning
     the accepted step nodes; tol is the relative tolerance. No dense output
-    is built."""
+    is built. Neither solver calls it: it is kept as the RK replay of a
+    schedule in the benchmark's rk_gap check and in the tests' oracles."""
     if t1 < t0:
         raise DomainError("integrate: t1 < t0")
     x0 = np.asarray(x0, dtype=float)

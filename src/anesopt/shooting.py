@@ -10,16 +10,17 @@ of psi1, so the scale r plays no part: (theta, t_f) solve the two target
 conditions, a square 2x2 system, by damped Newton inside a trust region,
 and r is fixed afterwards by H(t_f) = 0.
 
-One evaluation at (theta, t_f) is one backward pass: the costate is
-integrated in s = t_f - t, where it decays, and this sweep (_sweep) yields
-the switch times and the unit-scale psi0. The rows it carries are the
-adjoints of x1 and x4, so one appended quadrature column gives the endpoint
-x(t_f) by the adjoint identity, and no state is integrated. The exact
-Jacobian comes from the same sweep: the adjoints at each switch, and the
-rate at which each switch moves with theta. So Newton pays one evaluation
-per step. The certificate is built from the last evaluation, scaled by
-H(t_f) = 0 at that endpoint; H(0) = 0 at x0 joins the target gap in its
-residual, so both ends of the extremal hold the same Hamiltonian.
+One evaluation, shooting_residual(prob, theta, t_f), is one backward pass:
+the costate is integrated in s = t_f - t, where it decays, and this sweep
+(_sweep) yields the switch times and the unit-scale psi0. The rows it
+carries are the adjoints of x1 and x4, so one appended quadrature column
+gives the endpoint x(t_f) by the adjoint identity, and no state is
+integrated. The exact Jacobian comes from the same sweep: the adjoints at
+each switch, and the rate at which each switch moves with theta. So Newton
+pays one evaluation per step, and the solver makes no other. The
+certificate is built from the last evaluation, scaled by H(t_f) = 0 at that
+endpoint; H(0) = 0 at x0 joins the target gap in its residual, so both ends
+of the extremal hold the same Hamiltonian.
 
 Seeds are a short theta grid crossed with multiples of t_on, the first time
 x4 reaches its target at full rate, which bounds t_f from below. Every
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import (DomainError, InfeasibleError, IntegrationError,
                      NoConvergenceError)
-from .lti import integrate, integrate_with_sign_event
+from .lti import integrate_with_sign_event
 from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
 THETA_SEEDS = tuple(-np.pi / 2 + k * np.pi / 8 for k in range(16))
@@ -77,11 +78,11 @@ def _sweep(M, y0, t1):
     """Integrate rows y with dy/ds = y[..., :n] M over [0, t1], M of n rows,
     restarting at each sign change of entry 0.
 
-    A square M moves the whole row; columns of M past n append quadratures
-    of the first n entries. Returns ([(s_i, y(s_i))], y(t1)), the events in
-    increasing s, with y in the shape of y0. Restarting at each event keeps
-    every crossing exact; an event on each of 2n + 4 restarts is read as a
-    chattering extremal.
+    Columns of M past n append quadratures of the first n entries; the
+    solver's M = [A | B] carries one. Returns ([(s_i, y(s_i))], y(t1)), the
+    events in increasing s, with y in the shape of y0. Restarting at each
+    event keeps every crossing exact; an event on each of 2n + 4 restarts is
+    read as a chattering extremal.
     """
     y = np.asarray(y0, dtype=float)
     shape = y.shape
@@ -107,24 +108,6 @@ def _sweep(M, y0, t1):
     raise IntegrationError("control keeps switching; chattering extremal")
 
 
-def _walk(prob, levels, switches, t_f):
-    """x(t_f) from x0 under levels[k] between the knots 0, switches, t_f:
-    one integration per segment.
-
-    Only shooting_residual walks the state, and the walk goes with it; the
-    solver reads its endpoint from the adjoint columns of its sweep.
-    """
-    A, B = prob.sys.A, prob.sys.B
-    knots = (0.0,) + tuple(switches) + (t_f,)
-    x = prob.x0
-    for u, a, b in zip(levels, knots, knots[1:]):
-        def state(_, x, drive=B * u):
-            return A @ x + drive
-
-        x = integrate(state, x, a, b, tol=_RTOL, atol=_ATOL).states[-1]
-    return x
-
-
 def _levels(psi1_0, u_max, switches):
     """The sign law's level at t = 0, flipped at each switch: re-reading the
     sign at a located event would decide on a psi1 of order 1e-15."""
@@ -132,23 +115,6 @@ def _levels(psi1_0, u_max, switches):
     for _ in range(switches):
         levels.append(u_max if levels[-1] == 0.0 else 0.0)
     return tuple(levels)
-
-
-def shooting_residual(prob: TimeOptimalProblem, psi0, t_f: float) -> np.ndarray:
-    """(x1(t_f) - target1, x4(t_f) - target4, H(t_f)) for the extremal from psi0.
-
-    A forward diagnostic, not the solver path: it walks the state (_walk)
-    and sweeps the costate forward from psi0, where the costate grows with
-    the fastest system mode (e^(0.94 t) on the reference patient), so it
-    loses accuracy on long horizons.
-    """
-    if not t_f > 0:
-        raise DomainError("shooting horizon t_f must be positive")
-    events, psi_f = _sweep(-prob.sys.A, psi0, t_f)
-    levels = _levels(psi0[0], prob.u_max, len(events))
-    x_f = _walk(prob, levels, [s for s, _ in events], t_f)
-    gap = prob.fast_residual(x_f)
-    return np.array([gap[0], gap[1], hamiltonian(prob, x_f, levels[-1], psi_f)])
 
 
 def full_rate_onset(prob: TimeOptimalProblem) -> float:
@@ -250,6 +216,67 @@ class _Point:
     levels: tuple
 
 
+def shooting_residual(prob: TimeOptimalProblem, theta, t_f) -> _Point:
+    """One backward sweep: switches, psi0, endpoint and exact Jacobian.
+
+    In s = t_f - t the costate obeys dpsi/ds = A^T psi and decays, so the
+    rows y = [psi_theta; psi_perp] are integrated in s from psi_theta =
+    (cos theta, 0, 0, sin theta) and its theta-derivative psi_perp,
+    restarting at each zero s_i of psi_theta,1: a switch at t_i = t_f - s_i.
+    The control starts at the sign of psi0 and flips at each switch.
+
+    One more column carries w(s) = int_0^s y B, and the endpoint comes from
+    the adjoint identity y(0) x(t_f) = y(t_f) x0 + int y B u ds (Bryson &
+    Ho 1975, ch. 2): with R = R(theta) and the levels u_k in s order,
+    E x(t_f) = R (y(t_f) x0 + sum_k u_k dw_k) and E x'(t_f) =
+    R (y(t_f) A x0 + sum_k u_k dy_k B + y(0) B u(t_f)), E the rows x1 and
+    x4. No state is integrated.
+
+    With Psi = [psi_theta, psi_perp] R^T, the adjoints of x1 and x4, a
+    switch at t_i moves the target by Psi(s_i)^T B (u_i- - u_i+) per unit
+    of t_i. t_i moves one for one with t_f, and with theta at
+    -ds_i/dtheta = psi_perp,1 / (A^T psi_theta)_1 (Kaya & Noakes 1996).
+    """
+    if not t_f > 0:
+        raise DomainError("shooting horizon t_f must be positive")
+    A, B, n = prob.sys.A, prob.sys.B, prob.sys.n
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    y = np.zeros((2, n + 1))  # [y | w], w(0) = 0
+    y[:, FAST_IDX[0]] = c, -s
+    y[:, FAST_IDX[1]] = s, c
+    events, y_f = _sweep(np.column_stack((A, B)), y, t_f)
+    psi0 = y_f[0, :n]
+    levels = _levels(psi0[0], prob.u_max, len(events))
+    switches = tuple(t_f - s_i for s_i, _ in reversed(events))
+    # sum_k u_k (Y(s_k+1) - Y(s_k)) over the s-segments, levels reversed
+    knots = [y] + [P for _, P in events] + [y_f]
+    drive = sum(u * (b - a) for u, a, b
+                in zip(reversed(levels), knots, knots[1:]))
+    x0 = prob.x0
+    gap = rot @ (y_f[:, :n] @ x0 + drive[:, n]) - prob.target_fast
+    # y(0) x'(t_f), whose first row is d = psi(t_f) . x'(t_f)
+    v = (y_f[:, :n] @ (A @ x0) + drive[:, :n] @ B
+         + y[:, :n] @ B * levels[-1])
+    d = float(v[0])
+
+    jac = np.zeros((2, 2))
+    jac[:, 1] = rot @ v
+    # switch k (in t order) lies between levels[k] and levels[k + 1]
+    for k, (_, P) in zip(reversed(range(len(events))), events):
+        jump = rot @ (P[:, :n] @ B) * (levels[k] - levels[k + 1])
+        jac[:, 1] += jump
+        jac[:, 0] += jump * P[1, 0] / (P[0, :n] @ A[:, 0])
+    if not events and abs(c) <= _TIE_COS:
+        # psi1(t_f) = 0: take the right-derivative, in which a switch enters
+        # at s = 0 when ds/dtheta > 0
+        rate = y[1, 0] / (y[0, :n] @ A[:, 0])  # -ds/dtheta
+        if rate < 0.0:
+            u_in = prob.u_max if levels[-1] == 0.0 else 0.0
+            jac[:, 0] += rot @ (y[:, :n] @ B) * (levels[-1] - u_in) * rate
+    return _Point(theta, t_f, gap, jac, psi0, d, switches, tuple(levels))
+
+
 class _Shooter:
     """Residual evaluations on the transversality subspace, under a cap."""
 
@@ -259,71 +286,17 @@ class _Shooter:
         self.best = np.inf
 
     def __call__(self, theta, t_f) -> _Point:
-        """One backward sweep: switches, psi0, endpoint and exact Jacobian.
-
-        In s = t_f - t the costate obeys dpsi/ds = A^T psi and decays, so
-        the rows y = [psi_theta; psi_perp] are integrated in s from
-        psi_theta = (cos theta, 0, 0, sin theta) and its theta-derivative
-        psi_perp, restarting at each zero s_i of psi_theta,1: a switch at
-        t_i = t_f - s_i. The control starts at the sign of psi0 and flips at
-        each switch.
-
-        One more column carries w(s) = int_0^s y B, and the endpoint comes
-        from the adjoint identity y(0) x(t_f) = y(t_f) x0 + int y B u ds
-        (Bryson & Ho 1975, ch. 2): with R = R(theta) and the levels u_k in
-        s order, E x(t_f) = R (y(t_f) x0 + sum_k u_k dw_k) and E x'(t_f) =
-        R (y(t_f) A x0 + sum_k u_k dy_k B + y(0) B u(t_f)), E the rows x1
-        and x4. No state is integrated.
-
-        With Psi = [psi_theta, psi_perp] R^T, the adjoints of x1 and x4, a
-        switch at t_i moves the target by Psi(s_i)^T B (u_i- - u_i+) per
-        unit of t_i. t_i moves one for one with t_f, and with theta at
-        -ds_i/dtheta = psi_perp,1 / (A^T psi_theta)_1 (Kaya & Noakes 1996).
-        """
+        """shooting_residual at (theta, t_f), counted against the cap; the
+        name is read from the module at each call."""
         if self.evals >= MAX_RESIDUAL_EVALS:
             raise _BudgetSpent
         self.evals += 1
-        prob = self.prob
-        A, B, n = prob.sys.A, prob.sys.B, prob.sys.n
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        y = np.zeros((2, n + 1))  # [y | w], w(0) = 0
-        y[:, FAST_IDX[0]] = c, -s
-        y[:, FAST_IDX[1]] = s, c
-        events, y_f = _sweep(np.column_stack((A, B)), y, t_f)
-        psi0 = y_f[0, :n]
-        levels = _levels(psi0[0], prob.u_max, len(events))
-        switches = tuple(t_f - s_i for s_i, _ in reversed(events))
-        # sum_k u_k (Y(s_k+1) - Y(s_k)) over the s-segments, levels reversed
-        knots = [y] + [P for _, P in events] + [y_f]
-        drive = sum(u * (b - a) for u, a, b
-                    in zip(reversed(levels), knots, knots[1:]))
-        x0 = prob.x0
-        gap = rot @ (y_f[:, :n] @ x0 + drive[:, n]) - prob.target_fast
-        # y(0) x'(t_f), whose first row is d = psi(t_f) . x'(t_f)
-        v = (y_f[:, :n] @ (A @ x0) + drive[:, :n] @ B
-             + y[:, :n] @ B * levels[-1])
-        d = float(v[0])
-
-        jac = np.zeros((2, 2))
-        jac[:, 1] = rot @ v
-        # switch k (in t order) lies between levels[k] and levels[k + 1]
-        for k, (_, P) in zip(reversed(range(len(events))), events):
-            jump = rot @ (P[:, :n] @ B) * (levels[k] - levels[k + 1])
-            jac[:, 1] += jump
-            jac[:, 0] += jump * P[1, 0] / (P[0, :n] @ A[:, 0])
-        if not events and abs(c) <= _TIE_COS:
-            # psi1(t_f) = 0: take the right-derivative, in which a switch
-            # enters at s = 0 when ds/dtheta > 0
-            rate = y[1, 0] / (y[0, :n] @ A[:, 0])  # -ds/dtheta
-            if rate < 0.0:
-                u_in = prob.u_max if levels[-1] == 0.0 else 0.0
-                jac[:, 0] += rot @ (y[:, :n] @ B) * (levels[-1] - u_in) * rate
-
+        p = shooting_residual(self.prob, theta, t_f)
         # no positive scale zeroes H when d >= 0; the unit scale is reported
-        h = 0.0 if d < 0.0 else 1.0 + d
-        self.best = min(self.best, float(np.linalg.norm([gap[0], gap[1], h])))
-        return _Point(theta, t_f, gap, jac, psi0, d, switches, tuple(levels))
+        h = 0.0 if p.d < 0.0 else 1.0 + p.d
+        self.best = min(self.best,
+                        float(np.linalg.norm([p.gap[0], p.gap[1], h])))
+        return p
 
     def newton(self, theta, t_f, t_hi) -> _Point:
         """Damped Newton on the gap; returns the last point reached.

@@ -1,4 +1,4 @@
-"""Shooting-method tests: sign law, forward residual, seeds, certificate.
+"""Shooting-method tests: sign law, residual, seeds, certificate.
 
 The frozen costate root in conftest is the independent cross-check for the
 strategy-enumeration answer; both must land on the same switching structure.
@@ -10,12 +10,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anesopt import shooting, strategies
 from anesopt.errors import DomainError, IntegrationError, NoConvergenceError
 from anesopt.lti import constant_input_propagator, integrate_with_sign_event
-from anesopt.patient import (PatientDemographics, bis_inverse, equilibrium,
-                             schnider_parameters)
+from anesopt.patient import (SCHNIDER_RANGE, PatientDemographics, bis_inverse,
+                             equilibrium, schnider_parameters)
 from anesopt.shooting import (
     RESIDUAL_ACCEPT,
     T_F_SEED_FACTORS,
@@ -69,7 +70,8 @@ def test_shooting_route_takes_only_the_integrator_from_lti():
                 from_lti |= names
             else:
                 assert "lti" not in names
-    assert from_lti == {"integrate", "integrate_with_sign_event"}
+    assert from_lti == {"integrate_with_sign_event"}
+    assert not hasattr(shooting, "integrate")
 
 
 def test_strategy_route_takes_no_integrator():
@@ -90,52 +92,74 @@ def test_strategy_route_takes_no_integrator():
 
 # ------------------------------------------------------------------ residual
 
+def _frozen_theta(prob):
+    """The root's theta from the closed form psi(t_f) = e^(-A^T t_f) psi0."""
+    psi_f = expm(-prob.sys.A.T, FROZEN["t_f"]) @ FROZEN["psi0"]
+    return np.arctan2(psi_f[3], psi_f[0])
+
+
 def test_residual_at_frozen_root(ref_problem):
-    r = shooting_residual(ref_problem, FROZEN["psi0"], FROZEN["t_f"])
-    assert np.linalg.norm(r) < 1e-9
+    theta = _frozen_theta(ref_problem)
+    p = shooting_residual(ref_problem, theta, FROZEN["t_f"])
+    assert p.d < 0.0
+    psi0 = -p.psi0 / p.d  # the scale that makes H(t_f) = 0
+    h0 = hamiltonian(ref_problem, ref_problem.x0, p.levels[0], psi0)
+    assert np.linalg.norm([p.gap[0], p.gap[1], h0]) < 1e-9
+    assert np.max(np.abs(psi0 - FROZEN["psi0"])) < 1e-9
 
 
 def test_residual_discriminates_a_plausible_wrong_seed(ref_problem):
-    wrong = np.array([-0.0076, 0.0031, -0.0393, -0.0374])
-    r = shooting_residual(ref_problem, wrong, 1.8397)
-    assert 18.5 < np.linalg.norm(r) < 19.2
+    # one switch, about 0.02 rad off the root's theta, at its t_f to four
+    # digits
+    p = shooting_residual(ref_problem, -1.3682, 1.8397)
+    assert len(p.switches) == 1
+    assert 3.43 < np.linalg.norm(p.gap) < 3.57
 
 
 def test_four_decimal_rounding_of_the_root_is_not_a_root(ref_problem):
     # the boundary value problem is sharp: four printed digits are far
     # outside the acceptance bound
-    psi = np.round(FROZEN["psi0"], 4)
-    r = shooting_residual(ref_problem, psi, round(FROZEN["t_f"], 4))
-    assert np.linalg.norm(r) > 1e-3
+    theta = round(_frozen_theta(ref_problem), 4)
+    p = shooting_residual(ref_problem, theta, round(FROZEN["t_f"], 4))
+    assert np.linalg.norm(p.gap) > 1e-3
 
 
 def test_positive_costate_means_no_infusion(ref_problem):
-    psi0 = np.array([0.05, 0.0, 0.0, 0.0])
-    r = shooting_residual(ref_problem, psi0, 1.0)
-    assert np.allclose(r, [-14.518, -3.4, 1.0], rtol=0, atol=1e-12)
-    # psi1(t) = (e^(-A^T t) psi0)_1 stays positive, so the pump stays off
-    psi1 = [(expm(-ref_problem.sys.A.T, t) @ psi0)[0]
-            for t in np.linspace(0.0, 1.0, 101)]
+    # theta = 0 puts psi(t_f) = e1: the pump stays off from rest, so the
+    # endpoint is x0 = 0 and the gap is the target exactly
+    p = shooting_residual(ref_problem, 0.0, 1.0)
+    assert p.levels == (0.0,) and p.switches == ()
+    assert np.array_equal(p.gap, -ref_problem.target_fast)
+    # psi1(t) = (e^(A^T (t_f - t)) e1)_1 stays positive
+    e1 = np.eye(4)[0]
+    psi1 = [(expm(ref_problem.sys.A.T, s) @ e1)[0]
+            for s in np.linspace(0.0, 1.0, 101)]
     assert min(psi1) > 0.0
 
 
 def test_residual_rejects_nonpositive_horizon(ref_problem):
     with pytest.raises(DomainError):
-        shooting_residual(ref_problem, FROZEN["psi0"], 0.0)
+        shooting_residual(ref_problem, 0.0, 0.0)
     with pytest.raises(DomainError):
-        shooting_residual(ref_problem, FROZEN["psi0"], -1.0)
+        shooting_residual(ref_problem, 0.0, -1.0)
 
 
 def test_costate_scaling_preserves_the_flight_but_not_the_hamiltonian(ref_problem):
     c = 3.0
-    r = shooting_residual(ref_problem, c * FROZEN["psi0"], FROZEN["t_f"])
-    assert np.max(np.abs(r[:2])) < 1e-9  # same control, same endpoint
-    assert r[2] == pytest.approx(1.0 - c, abs=1e-9)
     M = -ref_problem.sys.A  # rows psi follow dpsi/dt = psi (-A)
     base, _ = shooting._sweep(M, FROZEN["psi0"], FROZEN["t_f"])
     scaled, _ = shooting._sweep(M, c * FROZEN["psi0"], FROZEN["t_f"])
-    assert len(base) == len(scaled) == 1
+    assert len(base) == len(scaled) == 1  # same control, same endpoint
     assert base[0][0] == pytest.approx(scaled[0][0], abs=1e-9)
+    # H(t_f) on the closed-form endpoint: 0 at the scale -1/d, 1 - c at c
+    # times it
+    theta = _frozen_theta(ref_problem)
+    p = shooting_residual(ref_problem, theta, FROZEN["t_f"])
+    x_f = endpoint(ref_problem.sys,
+                   ControlSchedule(p.levels, p.switches, FROZEN["t_f"]))
+    psi_f = np.array([np.cos(theta), 0.0, 0.0, np.sin(theta)]) / -p.d
+    h = hamiltonian(ref_problem, x_f, p.levels[-1], c * psi_f)
+    assert h == pytest.approx(1.0 - c, abs=1e-9)
 
 
 # ----------------------------------------------------------------- seed grid
@@ -212,21 +236,43 @@ def test_reference_solve_stays_inside_its_rhs_budget(ref_problem, monkeypatch):
             return integrator(g, *args, **kwargs)
         return run
 
-    for name in ("integrate", "integrate_with_sign_event"):
-        monkeypatch.setattr(shooting, name, counted(getattr(shooting, name)))
+    monkeypatch.setattr(shooting, "integrate_with_sign_event",
+                        counted(shooting.integrate_with_sign_event))
     cert = solve_shooting(ref_problem)
     assert cert.residual_norm < RESIDUAL_ACCEPT
     assert 0 < calls[0] <= 2400
 
 
-def test_solver_integrates_no_state(ref_problem, monkeypatch):
-    # the endpoint comes from the adjoint columns of the backward sweep
-    def no_state_walk(*args, **kwargs):
-        raise AssertionError("the solver integrated the state")
-
-    monkeypatch.setattr(shooting, "integrate", no_state_walk)
+def test_solver_integrates_no_state(ref_problem):
+    # the endpoint comes from the adjoint columns of the backward sweep; the
+    # module has no state integrator to call
+    assert not hasattr(shooting, "integrate")
     cert = solve_shooting(ref_problem)
     assert abs(cert.t_f - FROZEN["t_f"]) < 1e-9
+
+
+def test_every_evaluation_goes_through_the_module_attribute(ref_problem,
+                                                            monkeypatch):
+    # a wrapper on shooting.shooting_residual, as a tracer installs one,
+    # sees each evaluation the solver counts
+    calls = [0]
+    residual = shooting.shooting_residual
+
+    def counted(*args):
+        calls[0] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(shooting, "shooting_residual", counted)
+    cert = solve_shooting(ref_problem)
+    assert abs(cert.t_f - FROZEN["t_f"]) < 1e-9
+    assert calls[0] > 0
+    # a hot start that shooting fails: the count is the one it reports
+    hot = dataclasses.replace(
+        ref_problem, x0=np.array([43.554, 19.2711, 243.9024, 2.72]))
+    calls[0] = 0
+    with pytest.raises(NoConvergenceError) as exc:
+        solve_shooting(hot)
+    assert calls[0] == exc.value.residual_evals > 0
 
 
 # (theta, t_f): one-switch, rest-first and switchless sweeps; the pump-off
@@ -243,12 +289,12 @@ def test_adjoint_endpoint_matches_the_forward_walk(case):
     fast = list(FAST_IDX)
     theta0 = np.arctan2(cert.terminal_costate[3], cert.terminal_costate[0])
     points = [(theta0 + dt, f * cert.t_f) for dt, f in _ROOT_OFFSETS]
-    shooter = shooting._Shooter(prob)
     switchless = 0
     for theta, t_f in points + _ENDPOINT_POINTS[case]:
-        p = shooter(theta, t_f)
+        p = shooting_residual(prob, theta, t_f)
         switchless += not p.switches
-        x = shooting._walk(prob, p.levels, p.switches, t_f)
+        x = endpoint(prob.sys, ControlSchedule(p.levels, p.switches, t_f),
+                     x0=prob.x0)
         x_dot = A @ x + B * p.levels[-1]
         assert np.linalg.norm(x[fast]) > 0.0
         gap = prob.fast_residual(x)
@@ -472,6 +518,30 @@ def test_strategy_multipliers_witness_the_terminal_costate(case):
     assert np.linalg.norm(psi_f - cert.terminal_costate) <= 1e-8 * scale
 
 
+@given(sex=st.sampled_from(["male", "female"]),
+       demo=st.fixed_dictionaries(
+           {name: st.floats(lo, hi)
+            for name, (lo, hi) in SCHNIDER_RANGE.items()}),
+       ratio=st.floats(2.0, 40.0), bis=st.floats(40.0, 60.0),
+       x0_frac=st.one_of(st.none(), st.floats(0.0, 0.9)))
+# 60 draws at about 20 ms each: 1.6-2 s of the suite
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_routes_agree_from_equilibrium_starts(sex, demo, ratio, bis, x0_frac):
+    # from rest or a re-dosing start f x_e the strategy route certifies its
+    # answer, and shooting must land on the same extremal
+    prob = _panel_problem(sex, ratio=ratio, x0_frac=x0_frac, bis=bis, **demo)
+    best = solve_time_optimal(prob)
+    assert best.certified
+    cert = solve_shooting(prob)
+    assert len(cert.switch_times) == len(best.schedule.breakpoints)
+    assert abs(cert.t_f - best.t_f) <= 1e-9
+    for t_c, t_s in zip(cert.switch_times, best.schedule.breakpoints):
+        assert abs(t_c - t_s) <= 1e-9
+    a, b = cert.terminal_costate, best.terminal_costate
+    assert np.linalg.norm(a / np.linalg.norm(a)
+                          - b / np.linalg.norm(b)) <= 1e-8
+
+
 # the forward closed form e^(-A^T t_f) amplifies rounding by about
 # e^(0.94 t_f), past what its bound allows beyond 30 min: a limit of this
 # oracle, so the past-horizon case is left out
@@ -490,8 +560,8 @@ def test_costate_closed_form_holds_on_every_case(case):
 
 # ------------------------------------------------------------ exact Jacobian
 
-def _gap(shooter, theta, t_f):
-    return shooter(theta, t_f).gap
+def _gap(prob, theta, t_f):
+    return shooting_residual(prob, theta, t_f).gap
 
 
 @pytest.mark.parametrize("case", ["reference"] + PANEL + LONG_HORIZON)
@@ -499,17 +569,16 @@ def test_exact_jacobian_matches_central_differences(case):
     prob, cert = _solved(case)
     psi_f = cert.terminal_costate
     theta0 = np.arctan2(psi_f[3], psi_f[0])
-    shooter = shooting._Shooter(prob)
     h = 1e-5
     for theta, t_f in [(theta0, cert.t_f), (theta0 + 0.02, 1.03 * cert.t_f),
                        (theta0 + 0.01, 0.98 * cert.t_f)]:
-        p = shooter(theta, t_f)
+        p = shooting_residual(prob, theta, t_f)
         assert len(p.switches) == 1
         central = [
-            (_gap(shooter, theta + h, t_f) - _gap(shooter, theta - h, t_f))
+            (_gap(prob, theta + h, t_f) - _gap(prob, theta - h, t_f))
             / (2 * h),
-            (_gap(shooter, theta, t_f + h * t_f)
-             - _gap(shooter, theta, t_f - h * t_f)) / (2 * h * t_f),
+            (_gap(prob, theta, t_f + h * t_f)
+             - _gap(prob, theta, t_f - h * t_f)) / (2 * h * t_f),
         ]
         for k in range(2):
             col = p.jac[:, k]
@@ -522,12 +591,11 @@ def test_jacobian_at_a_terminal_tie_is_the_right_derivative(ref_problem, theta):
     # psi1(t_f) = cos theta ~ 6e-17: no switch lies inside (0, t_f), but any
     # theta step to the right lets one enter at t_f
     t_f = T_F_SEED_FACTORS[0] * full_rate_onset(ref_problem)
-    shooter = shooting._Shooter(ref_problem)
-    p = shooter(theta, t_f)
+    p = shooting_residual(ref_problem, theta, t_f)
     assert p.switches == ()
     col = p.jac[:, 0]
     assert np.linalg.norm(col) > 0.0
     h = 1e-6  # second-order one-sided difference
-    forward = (-3 * p.gap + 4 * _gap(shooter, theta + h, t_f)
-               - _gap(shooter, theta + 2 * h, t_f)) / (2 * h)
+    forward = (-3 * p.gap + 4 * _gap(ref_problem, theta + h, t_f)
+               - _gap(ref_problem, theta + 2 * h, t_f)) / (2 * h)
     assert np.linalg.norm(col - forward) <= 1e-6 * np.linalg.norm(col)

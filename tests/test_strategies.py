@@ -726,6 +726,22 @@ def test_reachable_target_past_the_horizon_is_solved():
     assert best.certified and best.strategy == 3
 
 
+@pytest.mark.parametrize("T", [0.3, 1.0, 2.0])
+def test_full_rate_target_is_the_isolated_root_of_strategy_one(ref_problem, T):
+    # the fast rows of the full-rate state at T: strategy 1 reaches them at
+    # T, and no control sooner (x1 and x4 rise fastest at full rate)
+    full = constant_input_propagator(ref_problem.sys, ref_problem.u_max)
+    x_T = full(ref_problem.x0, T)
+    prob = dataclasses.replace(ref_problem, target_fast=x_T[list(FAST_IDX)])
+    alone = solve_pattern(prob, Pattern(1, True, 0))
+    assert alone.feasible and alone.note == "isolated root"
+    assert alone.schedule.levels == (ref_problem.u_max,)
+    assert alone.t_f == pytest.approx(T, rel=1e-12)
+    best = solve_time_optimal(prob)
+    assert best.strategy == 1
+    assert best.t_f == pytest.approx(T, rel=1e-12)
+
+
 def _recording(monkeypatch):
     """The list that records the strategy of each solve_pattern call."""
     calls = []
