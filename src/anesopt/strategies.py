@@ -2,14 +2,16 @@
 
 Candidate controls alternate between 0 and u_max with at most n - 1 = 3
 switches: eight patterns. The unknowns of a pattern are its segment
-durations, solved by a gap solver built for that pattern's levels; endpoints
-come from closed-form propagation, and their exact first and second
-switching-time derivatives from transports on the eigenbasis of A, read on
-the two fast rows only, so neither the projected Gauss-Newton root search
-nor the KKT Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE solver.
-The KKT multipliers give the terminal costate psi(t_f) = C^T mu, and a
-pattern whose minimum-time representative has a vanishing segment is
-dominated.
+durations, solved by a gap solver built for that pattern's levels. It walks
+the segments in the modal coordinates z = V^-1 x of A's eigenbasis, with the
+closed-form flow of lti.constant_input_propagator on Python floats, and
+reads the endpoint and the exact first and second switching-time
+derivatives, transports on the same eigenbasis, from the walked modal rows
+on the two fast rows only; so neither the projected Gauss-Newton root
+search nor the KKT Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE
+solver or leaves the eigenbasis. The KKT multipliers give the terminal
+costate psi(t_f) = C^T mu, and a pattern whose minimum-time representative
+has a vanishing segment is dominated.
 
 From an equilibrium of an admissible constant control, a KKT point whose
 switching function psi^T B has exactly as many zeros as switches, with the
@@ -29,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .lti import constant_input_propagator
+# unused here: the benchmark tracer (perfbench/tracing.py) wraps this module
+# attribute and fails without it, until that tracer spans the modal walk
+from .lti import constant_input_propagator  # noqa: F401
 from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
 T_MAX = 60.0         # search horizon, min
@@ -65,6 +69,11 @@ def enumerate_patterns() -> list:
         pats.append(Pattern(strategy=2 * k + 1, starts_high=True, switches=k))
         pats.append(Pattern(strategy=2 * k + 2, starts_high=False, switches=k))
     return pats
+
+
+# solve_time_optimal's order: strategy 3 first, then the rest in strategy order
+_SOLVE_ORDER = tuple(sorted(enumerate_patterns(),
+                            key=lambda p: p.strategy != 3))
 
 
 @dataclass(frozen=True)
@@ -155,52 +164,72 @@ class _GapSolver:
     def __init__(self, prob: TimeOptimalProblem, pattern: Pattern):
         self.prob = prob
         self.levels = pattern.levels(prob.u_max)
-        self.props = {u: constant_input_propagator(prob.sys, u)
-                      for u in set(self.levels)}
         self.target = prob.target_fast.tolist()
+        sys = prob.sys
         # modal data of the transports: row j of ViBu is Vi B u_j, and the
         # fast rows read C V and C V Lambda = C A V
-        sys = prob.sys
         self.ViBu = np.multiply.outer(self.levels, sys.Vi @ sys.B)
         self.CV = sys.V[list(FAST_IDX)]
         self.CVL = self.CV * sys.eigenvalues
+        # the walk's data, as Python floats: z0 = Vi x0, lam, the rows of C V,
+        # and per segment Vi B u_j / lam (Vi B u_j itself at lam = 0, where
+        # phi1 = d), or None at u_j = 0
+        self.lam = sys.eigenvalues.tolist()
+        self.z0 = (sys.Vi @ prob.x0).tolist()
+        self.rows = self.CV.tolist()
+        self.inputs = [[w / l if l else w for l, w in zip(self.lam, row)]
+                       if u else None
+                       for u, row in zip(self.levels, self.ViBu.tolist())]
 
-    def walk(self, gaps) -> np.ndarray:
-        """The state after each segment, one row per gap."""
-        xs = np.empty((len(gaps), self.prob.sys.n))
-        x = self.prob.x0
-        for j, (u, d) in enumerate(zip(self.levels, gaps)):
+    def walk(self, gaps) -> list:
+        """The modal state z = Vi x after each segment, one row per gap: the
+        closed form of constant_input_propagator on the eigenbasis,
+        z_j = e^(lam d_j) * z_(j-1) + expm1(lam d_j) * w_j / lam, on Python
+        floats, so a segment costs no numpy call and no change of basis."""
+        exp, expm1, lam = math.exp, math.expm1, self.lam
+        zs = []
+        z = self.z0
+        for d, wl in zip(gaps, self.inputs):
             if d > 0:
-                x = self.props[u](x, d)
-            xs[j] = x
-        return xs
+                if wl is None:
+                    z = [exp(l * d) * y for l, y in zip(lam, z)]
+                else:
+                    z = [exp(x := l * d) * y + (expm1(x) * w if l else d * w)
+                         for l, y, w in zip(lam, z, wl)]
+            zs.append(z)
+        return zs
 
-    def residual(self, xs) -> tuple:
-        """fast_residual of the walk's end state, as two Python floats."""
-        x = xs[-1].tolist()
-        return (x[FAST_IDX[0]] - self.target[0], x[FAST_IDX[1]] - self.target[1])
+    def residual(self, zs) -> tuple:
+        """fast_residual of the walk's end state, C V z_k - target, as two
+        Python floats."""
+        z = zs[-1]
+        (p, q), (t0, t1) = self.rows, self.target
+        x0 = x1 = 0.0
+        for a, b, y in zip(p, q, z):
+            x0 += a * y
+            x1 += b * y
+        return (x0 - t0, x1 - t1)
 
-    def jac(self, gaps, xs, kkt=False):
+    def jac(self, gaps, zs, kkt=False):
         """Exact switching-time derivatives of the residual (Kaya and Noakes
         1996): column j is C v_j, the fast rows of the transport
-        v_j = e^(A tau_j) (A x_j + B u_j), x_j = xs[j] the state after
+        v_j = e^(A tau_j) (A x_j + B u_j), x_j = V zs[j] the state after
         segment j and tau_j the time left after it; at d_j = 0 it is the
         right-derivative. The transports are taken on the eigenbasis,
-        v_j = V z_j with z_j = e^(lam tau_j) * (lam * Vi x_j + Vi B u_j), so
-        J = (C V) Z costs one exp over the (k, n) array of tau x lam.
+        v_j = V y_j with y_j = e^(lam tau_j) * (lam * zs[j] + Vi B u_j), so
+        J = (C V) Y costs one exp over the (k, n) array of tau x lam.
 
-        With kkt=True it returns (J, CAv), CAv = (C V Lambda) Z the fast
+        With kkt=True it returns (J, CAv), CAv = (C V Lambda) Y the fast
         rows of A v_j, which the KKT block reads (see kkt_system).
         """
-        sys = self.prob.sys
-        lam = sys.eigenvalues
+        lam = self.prob.sys.eigenvalues
         tau = [0.0] * len(gaps)
         for j in range(len(gaps) - 1, 0, -1):
             tau[j - 1] = tau[j] + gaps[j]
-        Zt = (np.exp(np.multiply.outer(tau, lam))
-              * (lam * (xs @ sys.Vi.T) + self.ViBu)).T
-        J = self.CV @ Zt
-        return (J, self.CVL @ Zt) if kkt else J
+        Yt = (np.exp(np.multiply.outer(tau, lam))
+              * (lam * np.array(zs) + self.ViBu)).T
+        J = self.CV @ Yt
+        return (J, self.CVL @ Yt) if kkt else J
 
     def _clip(self, gaps) -> list:
         g = [0.0 if d <= 0.0 else d for d in gaps]
@@ -224,8 +253,9 @@ class _GapSolver:
             yield [b - a for a, b in zip((0.0,) + combo, combo)]
 
     def search(self, gaps0):
-        """Projected Gauss-Newton toward a residual zero: (gaps, r, xs) at
-        the last point reached, with r as two floats and xs its walk.
+        """Projected Gauss-Newton toward a residual zero: (gaps, r, zs) at
+        the last point reached, with r as two floats and zs its walk's
+        modal rows.
 
         The minimum-norm least-squares step (Ben-Israel 1966) serves square,
         over- and underdetermined patterns alike; it is halved until the
@@ -234,13 +264,13 @@ class _GapSolver:
         every stop decision is the one lstsq would make.
         """
         g = [float(d) for d in gaps0]
-        xs = self.walk(g)
-        r = self.residual(xs)
+        zs = self.walk(g)
+        r = self.residual(zs)
         nr = math.sqrt(r[0] * r[0] + r[1] * r[1])
         for _ in range(100):
             if nr < 1e-12:
                 break
-            J = self.jac(g, xs)
+            J = self.jac(g, zs)
             free = len(g)
             if 0.0 in g:
                 # pin gaps held at zero by the projection, so the step runs
@@ -255,9 +285,9 @@ class _GapSolver:
             while scale >= 1e-12:
                 gn = self._clip([d + scale * s for d, s in zip(g, step)])
                 if gn == g:
-                    return np.array(g), r, xs
-                xn = self.walk(gn)
-                rn = self.residual(xn)
+                    return np.array(g), r, zs
+                zn = self.walk(gn)
+                rn = self.residual(zn)
                 nrn = math.sqrt(rn[0] * rn[0] + rn[1] * rn[1])
                 if nrn < nr:
                     break
@@ -265,24 +295,24 @@ class _GapSolver:
             else:
                 break  # no halving lowers the residual
             stalled = nr - nrn < STALL_TOL * nr
-            g, r, nr, xs = gn, rn, nrn, xn
+            g, r, nr, zs = gn, rn, nrn, zn
             if stalled:
                 break  # a least-squares minimum, not a root
-        return np.array(g), r, xs
+        return np.array(g), r, zs
 
-    def kkt_system(self, gaps, xs, mu=None):
+    def kkt_system(self, gaps, zs, mu=None):
         """(F, K, mu): F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1
-        switches, and its Jacobian K = [[J, 0], [M, J^T]], from
-        xs = walk(gaps). Since dv_j/dd_i = A v_min(i,j), M_ji = w_min(i,j)
-        with w = mu^T C A v (Maurer, Buskens, Kim and Kaya 2005), read from
-        the same modal transports as J. mu defaults to lstsq(J^T, -1), the
-        multipliers that best fit stationarity at d. K is None when
-        |F|_inf < FEAS_TOL: a KKT point takes no Newton step."""
-        J, CAv = self.jac(gaps, xs, kkt=True)
+        switches, and its Jacobian K = [[J, 0], [M, J^T]], from the modal
+        rows zs = walk(gaps). Since dv_j/dd_i = A v_min(i,j),
+        M_ji = w_min(i,j) with w = mu^T C A v (Maurer, Buskens, Kim and Kaya
+        2005), read from the same modal transports as J. mu defaults to
+        lstsq(J^T, -1), the multipliers that best fit stationarity at d. K is
+        None when |F|_inf < FEAS_TOL: a KKT point takes no Newton step."""
+        J, CAv = self.jac(gaps, zs, kkt=True)
         k = len(gaps)
         if mu is None:
             mu = np.array(_lstsq(J.T, (-1.0,) * k)[0])
-        F = np.concatenate([self.prob.fast_residual(xs[-1]), 1.0 + J.T @ mu])
+        F = np.concatenate([self.residual(zs), 1.0 + J.T @ mu])
         if np.linalg.norm(F, np.inf) < FEAS_TOL:
             return F, None, mu
         K = np.zeros((k + 2, k + 2))
@@ -291,19 +321,19 @@ class _GapSolver:
         K[2:, k:] = J.T
         return F, K, mu
 
-    def kkt(self, gaps, xs):
-        """Newton on the KKT system from a root and its walk xs, with mu0 =
-        lstsq(J^T, -1) in _lstsq's closed form: (gaps, mu, r) at a KKT point
-        with no vanishing segment, or None when a segment vanishes, K is
-        singular or Newton does not converge. A root that is already a KKT
-        point, as every root of a square pattern is, costs one jac."""
+    def kkt(self, gaps, zs):
+        """Newton on the KKT system from a root and its walk's modal rows zs,
+        with mu0 = lstsq(J^T, -1) in _lstsq's closed form: (gaps, mu, r) at a
+        KKT point with no vanishing segment, or None when a segment vanishes,
+        K is singular or Newton does not converge. A root that is already a
+        KKT point, as every root of a square pattern is, costs one jac."""
         g, n, mu = gaps, len(gaps), None
         for i in range(20):
             if g.min() < COLLAPSE_TOL:
                 return None
             if i:  # the root's walk came with it
-                xs = self.walk(g)
-            F, K, mu = self.kkt_system(g, xs, mu)
+                zs = self.walk(g.tolist())
+            F, K, mu = self.kkt_system(g, zs, mu)
             if K is None:
                 return g, mu, F[:2]
             try:
@@ -338,7 +368,7 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     sol = _GapSolver(prob, pattern)
     best_nr, best_r, zero = np.inf, None, None
     for g0 in sol.starts():
-        g, r, xs = sol.search(g0)
+        g, r, zs = sol.search(g0)
         nr = max(abs(r[0]), abs(r[1]))
         if nr < best_nr:
             best_nr, best_r = nr, r
@@ -354,7 +384,7 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
                                   "root degenerate: a segment vanishes")
         return StrategyResult(pattern.strategy, _to_schedule(sol.levels, zero),
                               r, True, "isolated root")
-    point = sol.kkt(zero, xs)
+    point = sol.kkt(zero, zs)
     if point is None:
         return StrategyResult(pattern.strategy, None, best_r, False,
                               "dominated: the minimum-time representative "
@@ -456,7 +486,7 @@ def solve_time_optimal(prob: TimeOptimalProblem) -> StrategyResult:
     """
     _validate(prob)
     results = []
-    for pattern in sorted(enumerate_patterns(), key=lambda p: p.strategy != 3):
+    for pattern in _SOLVE_ORDER:
         res = solve_pattern(prob, pattern)
         if res.certified:
             return res

@@ -145,8 +145,13 @@ def test_redundant_families_collapse_to_the_one_switch_root(all_results):
 
 # ------------------------------------------------- switching-time Jacobian
 
+def _states(sol, zs):
+    """The walk's modal rows z_j mapped to states x_j = V z_j."""
+    return np.array(zs) @ sol.prob.sys.V.T
+
+
 def _resid(sol, gaps):
-    return sol.prob.fast_residual(sol.walk(gaps)[-1])
+    return sol.prob.fast_residual(_states(sol, sol.walk(gaps))[-1])
 
 
 def _jac(sol, gaps):
@@ -195,10 +200,10 @@ def test_modal_transports_match_scipy_expm(ref_problem, strategy, gaps):
                   switches=(strategy - 1) // 2)
     sol = _GapSolver(ref_problem, pat)
     g = np.array(gaps)
-    xs = sol.walk(g)
-    J = sol.jac(g, xs)
+    zs = sol.walk(g)
+    J = sol.jac(g, zs)
     A, B = ref_problem.sys.A, ref_problem.sys.B
-    for j, (u, x) in enumerate(zip(sol.levels, xs)):
+    for j, (u, x) in enumerate(zip(sol.levels, _states(sol, zs))):
         v = scipy.linalg.expm(A * g[j + 1:].sum()) @ (A @ x + B * u)
         oracle = v[list(FAST_IDX)]
         assert np.max(np.abs(J[:, j] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -206,6 +211,50 @@ def test_modal_transports_match_scipy_expm(ref_problem, strategy, gaps):
         # the rest segment leaves x = 0: its column is exactly zero, which
         # test_search_stops_when_a_free_gap_is_invisible relies on
         assert not J[:, 0].any() and J[:, 1].any()
+
+
+def _integrator_chain():
+    """A controllable 4-compartment chain fed at its head whose last
+    compartment only accumulates: the spectrum holds an exact 0, where the
+    walk takes phi1 = d."""
+    A = np.array([[-2.0, 0.0, 0.0, 0.0],
+                  [1.0, -1.0, 0.0, 0.0],
+                  [0.0, 0.5, -0.5, 0.0],
+                  [0.0, 0.0, 0.25, 0.0]])
+    sys = LTISystem.from_matrices(A, [1.0, 0.0, 0.0, 0.0])
+    assert 0.0 in sys.eigenvalues and sys.controllability_rank == 4
+    return TimeOptimalProblem(sys=sys, target_fast=np.array([1.0, 2.0]),
+                              u_max=3.0, x0=np.array([0.2, 0.1, 0.4, 0.3]))
+
+
+@pytest.mark.parametrize("start, strategy, gaps", [
+    ("rest", 7, [0.5, 0.8, 1.2, 0.6]),
+    ("rest", 7, [0.8, 0.0, 0.6, 0.0]),   # zero gaps leave the state alone
+    ("rest", 5, [0.0, 0.0, 0.0]),
+    ("rest", 4, [1.0, 0.5]),             # a leading rest from rest
+    ("rest", 8, [0.3, 0.0, 1.2, 0.4]),
+    ("redose", 5, [0.4, 1.1, 0.7]),      # x0 = 0.3 x_e
+    ("redose", 6, [0.9, 0.0, 2.5]),
+    ("integrator", 7, [0.5, 0.8, 1.2, 0.6]),
+    ("integrator", 8, [0.7, 1.5, 0.0, 2.0]),
+])
+def test_walk_matches_chained_propagators(ref_problem, ref_eq, start, strategy,
+                                          gaps):
+    # V z_j after every segment against one constant_input_propagator call
+    # per segment, in state coordinates
+    if start == "integrator":
+        prob = _integrator_chain()
+    elif start == "redose":
+        prob = dataclasses.replace(ref_problem, x0=0.3 * ref_eq.x_e)
+    else:
+        prob = ref_problem
+    pat = Pattern(strategy=strategy, starts_high=strategy % 2 == 1,
+                  switches=(strategy - 1) // 2)
+    sol = _GapSolver(prob, pat)
+    x = prob.x0
+    for u, d, got in zip(sol.levels, gaps, _states(sol, sol.walk(gaps))):
+        x = constant_input_propagator(prob.sys, u)(x, d)
+        assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("strategy", [5, 7])
@@ -243,7 +292,7 @@ def test_search_slides_along_a_pinned_gap(ref_problem):
 
 
 def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
-    # the Jacobian reads the states of the walk that scored its point
+    # the Jacobian reads the modal rows of the walk that scored its point
     walked = []
     walk = _GapSolver.walk
 
@@ -253,22 +302,22 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
 
     monkeypatch.setattr(_GapSolver, "walk", counting_walk)
     sol = _GapSolver(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
-    g, r, xs = sol.search(np.array([1.0, 1.0]))
+    g, r, zs = sol.search(np.array([1.0, 1.0]))
     assert np.linalg.norm(r, np.inf) < FEAS_TOL
     assert len(walked) > 2 and len(set(walked)) == len(walked)
-    assert np.array_equal(xs, walk(sol, g))
+    assert np.array_equal(zs, walk(sol, g))
     # the KKT Newton starts from the search's walk of the root, which is
     # already a KKT point of this square pattern: one Jacobian, no K
     walked.clear()
     jacs = []
     jac = _GapSolver.jac
 
-    def counting_jac(self, gaps, xs, kkt=False):
+    def counting_jac(self, gaps, zs, kkt=False):
         jacs.append(kkt)
-        return jac(self, gaps, xs, kkt)
+        return jac(self, gaps, zs, kkt)
 
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
-    point = sol.kkt(g, xs)
+    point = sol.kkt(g, zs)
     assert point is not None and np.array_equal(point[0], g)
     assert walked == [] and jacs == [True]
     # female 30 y at 5 u_e: strategy 5's first root is no KKT point, so the
@@ -277,11 +326,11 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     prob = build_problem(params, 5.0 * equilibrium(params, bis_inverse(50.0)).u_e)
     sol = _GapSolver(prob, Pattern(strategy=5, starts_high=True, switches=2))
     for g0 in sol.starts():
-        g, r, xs = sol.search(g0)
+        g, r, zs = sol.search(g0)
         if np.linalg.norm(r, np.inf) < FEAS_TOL:
             break
     walked.clear()
-    sol.kkt(g, xs)
+    sol.kkt(g, zs)
     assert len(walked) > 0 and len(set(walked)) == len(walked)
     assert tuple(g) not in walked
 
@@ -298,9 +347,9 @@ def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch)
     search = _GapSolver.search
 
     def counting_search(self, gaps0):
-        g, r, xs = search(self, gaps0)
+        g, r, zs = search(self, gaps0)
         searched.append(np.linalg.norm(r, np.inf))
-        return g, r, xs
+        return g, r, zs
 
     monkeypatch.setattr(itertools, "combinations_with_replacement", counting_combos)
     monkeypatch.setattr(_GapSolver, "search", counting_search)
@@ -317,9 +366,9 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
     jacs = []
     jac = _GapSolver.jac
 
-    def counting_jac(self, gaps, xs):
+    def counting_jac(self, gaps, zs):
         jacs.append(gaps)
-        return jac(self, gaps, xs)
+        return jac(self, gaps, zs)
 
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
     sol = _GapSolver(ref_problem, Pattern(strategy=4, starts_high=False, switches=1))
@@ -444,18 +493,16 @@ def test_verdicts_do_not_depend_on_the_start_order(ref_problem, case, monkeypatc
 
 def test_rootless_searches_stop_once_the_step_moves_nothing(ref_problem, monkeypatch):
     # a converged multistart used to run out its lambda escalations: with
-    # central-difference Jacobians the three searches took 1,048 propagations
+    # central-difference Jacobians the three searches took 1,048 propagations,
+    # one per segment of positive duration walked
     calls = []
+    walk = _GapSolver.walk
 
-    def counting(sys, u):
-        step = constant_input_propagator(sys, u)
+    def counting_walk(self, gaps):
+        calls.extend(d for d in gaps if d > 0)
+        return walk(self, gaps)
 
-        def counted(x0, dt):
-            calls.append(dt)
-            return step(x0, dt)
-        return counted
-
-    monkeypatch.setattr(strategies, "constant_input_propagator", counting)
+    monkeypatch.setattr(_GapSolver, "walk", counting_walk)
     r = solve_pattern(ref_problem, Pattern(strategy=1, starts_high=True, switches=0))
     assert not r.feasible and r.note.startswith("no root")
     assert np.linalg.norm(r.residual, np.inf) == pytest.approx(3.2858202287560356,
@@ -711,6 +758,50 @@ def test_population_answers_match_the_frozen_file():
         np.testing.assert_allclose(best.schedule.breakpoints,
                                    want["breakpoints"], rtol=1e-12, atol=0,
                                    err_msg=case)
+
+
+def _grid():
+    """36 non-equilibrium starts x0 = x_e * (f1, 0.3, 0.3, f4): three
+    patients at three bounds u_max / u_e, f1 in (1, 3) and f4 in (0.2, 0.8).
+    No start is held by an admissible control, so every case walks all
+    eight patterns and returns _select's uncertified answer."""
+    cases = {}
+    for demo in (("male", 53.0, 77.0, 177.0), ("female", 30.0, 55.0, 160.0),
+                 ("male", 80.0, 70.0, 170.0)):
+        params = schnider_parameters(PatientDemographics(*demo))
+        eq = equilibrium(params, bis_inverse(50.0))
+        for ratio in (2.0, 5.0, 17.4):
+            for f1 in (1.0, 3.0):
+                for f4 in (0.2, 0.8):
+                    case = f"{demo[0]}{demo[1]:g}-{ratio:g}ue-f1{f1:g}-f4{f4:g}"
+                    cases[case] = (params, ratio * eq.u_e,
+                                   eq.x_e * np.array([f1, 0.3, 0.3, f4]))
+    return cases
+
+
+FROZEN_GRID = pathlib.Path(__file__).parent / "data" / "grid_strategy.json"
+
+
+def test_grid_answers_match_the_frozen_file():
+    # strategy, certificate, t_f and switch times of each _grid case, frozen
+    # from the state-coordinate walk (one constant_input_propagator call per
+    # segment): strategy 4 and uncertified answers, which the population
+    # lacks. Never regenerate the file to make this pass.
+    frozen = json.loads(FROZEN_GRID.read_text())
+    grid = _grid()
+    assert set(frozen) == set(grid)
+    seen = set()
+    for case, (params, u_max, x0) in grid.items():
+        best = solve_time_optimal(build_problem(params, u_max, 50.0, x0=x0))
+        want = frozen[case]
+        assert (best.strategy, best.certified) == (want["strategy"],
+                                                   want["certified"]), case
+        assert best.t_f == pytest.approx(want["t_f"], rel=1e-12), case
+        np.testing.assert_allclose(best.schedule.breakpoints,
+                                   want["breakpoints"], rtol=1e-12, atol=0,
+                                   err_msg=case)
+        seen.add((best.strategy, best.certified))
+    assert seen == {(3, False), (4, False)}
 
 
 def test_reachable_target_past_the_horizon_is_solved():
