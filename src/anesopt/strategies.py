@@ -9,9 +9,13 @@ reads the endpoint and the exact first and second switching-time
 derivatives, transports on the same eigenbasis, from the walked modal rows
 on the two fast rows only; so neither the projected Gauss-Newton root
 search nor the KKT Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE
-solver or leaves the eigenbasis. The KKT multipliers give the terminal
-costate psi(t_f) = C^T mu, and a pattern whose minimum-time representative
-has a vanishing segment is dominated.
+solver or leaves the eigenbasis. The Jacobian, the closed-form
+least-squares step, the KKT check and the certificate are Python floats
+too: past the set-up and the result's arrays, numpy runs only
+np.linalg.lstsq near its rank cut-off and np.linalg.solve for a KKT Newton
+step. The KKT multipliers give the terminal costate psi(t_f) = C^T mu,
+and a pattern whose minimum-time representative has a vanishing segment
+is dominated.
 
 From an equilibrium of an admissible constant control, a KKT point whose
 switching function psi^T B has exactly as many zeros as switches, with the
@@ -95,7 +99,8 @@ class StrategyResult:
         if self.feasible:
             if self.schedule is None:
                 raise DomainError("feasible result requires a schedule")
-            if not np.linalg.norm(self.residual, np.inf) < FEAS_TOL:
+            r = self.residual.tolist()
+            if not (r and all(abs(x) < FEAS_TOL for x in r)):
                 raise DomainError("feasible result violates the residual bound")
         if self.certified and (not self.feasible or self.terminal_costate is None):
             raise DomainError("a certificate needs a feasible KKT point")
@@ -105,37 +110,52 @@ class StrategyResult:
         return None if self.schedule is None else self.schedule.t_f
 
 
-def _lstsq(A, b):
-    """np.linalg.lstsq(A, b, rcond=None)'s solution, as a list, and its rank
-    for an A with two rows or two columns, in closed form on Python floats.
+# index pairs (i, j), i < j, of the 2 x 2 minors of a 2 x m matrix, m <= 4
+_PAIRS = [tuple(itertools.combinations(range(m), 2)) for m in range(5)]
 
-    The singular values of a 2 x m matrix W with rows p and q follow from
-    T = |W|_F^2 = s1^2 + s2^2 and D = det(W W^T) = s1^2 s2^2, the sum of
-    W's squared 2 x 2 minors (Cauchy-Binet; Golub and Van Loan, 8.6). The
-    rank is lstsq's: the count of s > eps max(2, m) s1. At rank 2, W^+ is
-    the mean of the inverses of W's 2 x 2 submatrices weighted by their
-    squared minors (Berg 1986; Ben-Israel 1992), so it reads the same
-    minors; at rank 1 it is W^T / T. Within a factor _RANK_BAND of the
-    cut-off, where rounding in D could turn the rank, and for a T near the
-    ends of the float range, np.linalg.lstsq is called instead.
+
+def _dot2(rows, y) -> tuple:
+    """(p . y, q . y) for the two rows (p, q), summed in index order."""
+    p, q = rows
+    x0 = x1 = 0.0
+    for a, b, v in zip(p, q, y):
+        x0 += a * v
+        x1 += b * v
+    return x0, x1
+
+
+def _lstsq(rows, b, tall=False):
+    """np.linalg.lstsq(A, b, rcond=None)'s solution, as a list, and its rank
+    for A = W, or A = W^T when tall, with W the 2 x m matrix of the two rows
+    (p, q), in closed form on Python floats.
+
+    The singular values of W follow from T = |W|_F^2 = s1^2 + s2^2 and
+    D = det(W W^T) = s1^2 s2^2, the sum of W's squared 2 x 2 minors
+    (Cauchy-Binet; Golub and Van Loan, 8.6). The rank is lstsq's: the count
+    of s > eps max(2, m) s1. At rank 2, W^+ is the mean of the inverses of
+    W's 2 x 2 submatrices weighted by their squared minors (Berg 1986;
+    Ben-Israel 1992), so it reads the same minors; at rank 1 it is W^T / T.
+    Within a factor _RANK_BAND of the cut-off, where rounding in D could turn
+    the rank, and for a T near the ends of the float range, np.linalg.lstsq
+    is called on an array built from the rows instead.
     """
-    tall = A.shape[0] != 2
-    p, q = (A.T if tall else A).tolist()
+    p, q = rows
     m = len(p)
     T = 0.0
     for a in p + q:
         T += a * a
     if T == 0.0:
-        return [0.0] * A.shape[1], 0
-    minors = [(i, j, p[i] * q[j] - p[j] * q[i])
-              for i, j in itertools.combinations(range(m), 2)]
+        return [0.0] * (2 if tall else m), 0
+    minors = [(i, j, p[i] * q[j] - p[j] * q[i]) for i, j in _PAIRS[m]]
     D = 0.0
     for _, _, M in minors:
         D += M * M
     cut = _EPS * max(2, m)
     ratio = math.sqrt(D) / (0.5 * (T + math.sqrt(max(T * T - 4.0 * D, 0.0))))
     if not 1e-150 < T < 1e150 or cut / _RANK_BAND <= ratio <= cut * _RANK_BAND:
-        x, _, rank, _ = np.linalg.lstsq(A, np.asarray(b, dtype=float), rcond=None)
+        W = np.array(rows, dtype=float)
+        x, _, rank, _ = np.linalg.lstsq(W.T if tall else W,
+                                        np.asarray(b, dtype=float), rcond=None)
         return x.tolist(), int(rank)
     if ratio > cut:
         rank, P0, P1 = 2, [0.0] * m, [0.0] * m
@@ -149,11 +169,7 @@ def _lstsq(A, b):
         rank, P0, P1 = 1, [a / T for a in p], [a / T for a in q]
     # P = [P0 P1] is W^+, m x 2; A^+ is P for a wide A and P^T for a tall one
     if tall:
-        x0 = x1 = 0.0
-        for u, v, c in zip(P0, P1, b):
-            x0 += u * c
-            x1 += v * c
-        return [x0, x1], rank
+        return list(_dot2((P0, P1), b)), rank
     return [x * b[0] + y * b[1] for x, y in zip(P0, P1)], rank
 
 
@@ -166,20 +182,19 @@ class _GapSolver:
         self.levels = pattern.levels(prob.u_max)
         self.target = prob.target_fast.tolist()
         sys = prob.sys
-        # modal data of the transports: row j of ViBu is Vi B u_j, and the
-        # fast rows read C V and C V Lambda = C A V
-        self.ViBu = np.multiply.outer(self.levels, sys.Vi @ sys.B)
-        self.CV = sys.V[list(FAST_IDX)]
-        self.CVL = self.CV * sys.eigenvalues
-        # the walk's data, as Python floats: z0 = Vi x0, lam, the rows of C V,
-        # and per segment Vi B u_j / lam (Vi B u_j itself at lam = 0, where
-        # phi1 = d), or None at u_j = 0
+        # the modal data, as Python floats: z0 = Vi x0, lam, the fast rows
+        # C V and C V Lambda = C A V, row j of ViBu is Vi B u_j, and per
+        # segment the walk's input Vi B u_j / lam (Vi B u_j itself at
+        # lam = 0, where phi1 = d), or None at u_j = 0
         self.lam = sys.eigenvalues.tolist()
         self.z0 = (sys.Vi @ prob.x0).tolist()
-        self.rows = self.CV.tolist()
+        self.CV = sys.V[list(FAST_IDX)].tolist()
+        self.CAV = [[a * l for a, l in zip(row, self.lam)] for row in self.CV]
+        ViB = (sys.Vi @ sys.B).tolist()
+        self.ViBu = [[u * w for w in ViB] for u in self.levels]
         self.inputs = [[w / l if l else w for l, w in zip(self.lam, row)]
                        if u else None
-                       for u, row in zip(self.levels, self.ViBu.tolist())]
+                       for u, row in zip(self.levels, self.ViBu)]
 
     def walk(self, gaps) -> list:
         """The modal state z = Vi x after each segment, one row per gap: the
@@ -203,7 +218,7 @@ class _GapSolver:
         """fast_residual of the walk's end state, C V z_k - target, as two
         Python floats."""
         z = zs[-1]
-        (p, q), (t0, t1) = self.rows, self.target
+        (p, q), (t0, t1) = self.CV, self.target
         x0 = x1 = 0.0
         for a, b, y in zip(p, q, z):
             x0 += a * y
@@ -212,24 +227,29 @@ class _GapSolver:
 
     def jac(self, gaps, zs, kkt=False):
         """Exact switching-time derivatives of the residual (Kaya and Noakes
-        1996): column j is C v_j, the fast rows of the transport
-        v_j = e^(A tau_j) (A x_j + B u_j), x_j = V zs[j] the state after
-        segment j and tau_j the time left after it; at d_j = 0 it is the
-        right-derivative. The transports are taken on the eigenbasis,
-        v_j = V y_j with y_j = e^(lam tau_j) * (lam * zs[j] + Vi B u_j), so
-        J = (C V) Y costs one exp over the (k, n) array of tau x lam.
+        1996), as the two rows of J: column j is C v_j, the fast rows of the
+        transport v_j = e^(A tau_j) (A x_j + B u_j), x_j = V zs[j] the state
+        after segment j and tau_j the time left after it; at d_j = 0 it is
+        the right-derivative. The transports are taken on the eigenbasis,
+        v_j = V y_j with y_j = e^(lam tau_j) * (lam * zs[j] + Vi B u_j), on
+        Python floats with tau accumulated from the last segment back, so a
+        column costs n exps and no numpy call.
 
-        With kkt=True it returns (J, CAv), CAv = (C V Lambda) Y the fast
-        rows of A v_j, which the KKT block reads (see kkt_system).
+        With kkt=True it returns (J, CAv), CAv the two rows of C A v_j =
+        (C V Lambda) y_j, which the KKT block reads (see kkt_system).
         """
-        lam = self.prob.sys.eigenvalues
-        tau = [0.0] * len(gaps)
-        for j in range(len(gaps) - 1, 0, -1):
-            tau[j - 1] = tau[j] + gaps[j]
-        Yt = (np.exp(np.multiply.outer(tau, lam))
-              * (lam * np.array(zs) + self.ViBu)).T
-        J = self.CV @ Yt
-        return (J, self.CVL @ Yt) if kkt else J
+        exp, lam, k = math.exp, self.lam, len(gaps)
+        J = ([0.0] * k, [0.0] * k)
+        CAv = ([0.0] * k, [0.0] * k) if kkt else None
+        tau = 0.0
+        for j in range(k - 1, -1, -1):
+            y = [exp(l * tau) * (l * z + w)
+                 for l, z, w in zip(lam, zs[j], self.ViBu[j])]
+            J[0][j], J[1][j] = _dot2(self.CV, y)
+            if kkt:
+                CAv[0][j], CAv[1][j] = _dot2(self.CAV, y)
+            tau += gaps[j]
+        return (J, CAv) if kkt else J
 
     def _clip(self, gaps) -> list:
         g = [0.0 if d <= 0.0 else d for d in gaps]
@@ -254,14 +274,15 @@ class _GapSolver:
 
     def search(self, gaps0):
         """Projected Gauss-Newton toward a residual zero: (gaps, r, zs) at
-        the last point reached, with r as two floats and zs its walk's
-        modal rows.
+        the last point reached, with gaps as an array, r as two floats and
+        zs its walk's modal rows.
 
         The minimum-norm least-squares step (Ben-Israel 1966) serves square,
         over- and underdetermined patterns alike; it is halved until the
         clipped point lowers |r|. Step and rank come from _lstsq's closed
         form, so np.linalg.lstsq runs only near its own rank cut-off, and
-        every stop decision is the one lstsq would make.
+        every stop decision is the one lstsq would make. An iteration makes
+        no other numpy call.
         """
         g = [float(d) for d in gaps0]
         zs = self.walk(g)
@@ -275,9 +296,11 @@ class _GapSolver:
             if 0.0 in g:
                 # pin gaps held at zero by the projection, so the step runs
                 # along the face instead of being clipped back every time
-                pinned = (np.array(g) == 0) & (J.T @ np.array(r) > 0)
-                J[:, pinned] = 0.0
-                free -= int(np.count_nonzero(pinned))
+                pinned = [d == 0.0 and a * r[0] + b * r[1] > 0.0
+                          for d, a, b in zip(g, *J)]
+                J = tuple([0.0 if s else a for s, a in zip(pinned, row)]
+                          for row in J)
+                free -= sum(pinned)
             step, rank = _lstsq(J, (-r[0], -r[1]))
             if rank < min(2, free):
                 break  # a free gap the endpoint cannot see has no Newton step
@@ -306,49 +329,61 @@ class _GapSolver:
         rows zs = walk(gaps). Since dv_j/dd_i = A v_min(i,j),
         M_ji = w_min(i,j) with w = mu^T C A v (Maurer, Buskens, Kim and Kaya
         2005), read from the same modal transports as J. mu defaults to
-        lstsq(J^T, -1), the multipliers that best fit stationarity at d. K is
-        None when |F|_inf < FEAS_TOL: a KKT point takes no Newton step."""
-        J, CAv = self.jac(gaps, zs, kkt=True)
+        lstsq(J^T, -1), the multipliers that best fit stationarity at d.
+
+        F, its inf-norm test and mu are Python floats; K is assembled as an
+        array only when a Newton step is needed, and is None when every
+        |F_i| < FEAS_TOL: a KKT point takes no Newton step (a NaN in F
+        fails the test)."""
+        J, (c0, c1) = self.jac(gaps, zs, kkt=True)
         k = len(gaps)
         if mu is None:
-            mu = np.array(_lstsq(J.T, (-1.0,) * k)[0])
-        F = np.concatenate([self.residual(zs), 1.0 + J.T @ mu])
-        if np.linalg.norm(F, np.inf) < FEAS_TOL:
+            mu = _lstsq(J, [-1.0] * k, tall=True)[0]
+        m0, m1 = mu
+        F = [*self.residual(zs),
+             *[1.0 + (a * m0 + b * m1) for a, b in zip(*J)]]
+        if all(abs(f) < FEAS_TOL for f in F):
             return F, None, mu
+        w = [m0 * a + m1 * b for a, b in zip(c0, c1)]
         K = np.zeros((k + 2, k + 2))
         K[:2, :k] = J
-        K[2:, :k] = (mu @ CAv)[np.minimum.outer(range(k), range(k))]
-        K[2:, k:] = J.T
+        K[2:, :k] = [[w[min(i, j)] for j in range(k)] for i in range(k)]
+        K[2:, k:] = np.transpose(J)
         return F, K, mu
 
     def kkt(self, gaps, zs):
         """Newton on the KKT system from a root and its walk's modal rows zs,
-        with mu0 = lstsq(J^T, -1) in _lstsq's closed form: (gaps, mu, r) at a
-        KKT point with no vanishing segment, or None when a segment vanishes,
-        K is singular or Newton does not converge. A root that is already a
-        KKT point, as every root of a square pattern is, costs one jac."""
-        g, n, mu = gaps, len(gaps), None
+        with mu0 = lstsq(J^T, -1) in _lstsq's closed form: (gaps, mu, r), as
+        lists, at a KKT point with no vanishing segment, or None when a
+        segment vanishes, K is singular or Newton does not converge. A root
+        that is already a KKT point, as every root of a square pattern is,
+        costs one jac and no numpy call; a Newton step costs one
+        np.linalg.solve."""
+        g, n, mu = [float(d) for d in gaps], len(gaps), None
         for i in range(20):
-            if g.min() < COLLAPSE_TOL:
+            if min(g) < COLLAPSE_TOL:
                 return None
             if i:  # the root's walk came with it
-                zs = self.walk(g.tolist())
+                zs = self.walk(g)
             F, K, mu = self.kkt_system(g, zs, mu)
             if K is None:
                 return g, mu, F[:2]
             try:
-                step = np.linalg.solve(K, -F)
+                step = np.linalg.solve(K, [-f for f in F]).tolist()
             except np.linalg.LinAlgError:
                 return None
-            g, mu = g + step[:n], mu + step[n:]
+            g = [d + s for d, s in zip(g, step)]
+            mu = [m + s for m, s in zip(mu, step[n:])]
         return None
 
 
 def _to_schedule(levels, gaps) -> ControlSchedule:
-    cum = np.cumsum(gaps)
-    return ControlSchedule(levels=tuple(levels),
-                           breakpoints=tuple(cum[:-1]),
-                           t_f=float(cum[-1]))
+    knots, t = [], 0.0
+    for d in gaps:
+        t += d
+        knots.append(t)
+    return ControlSchedule(levels=tuple(levels), breakpoints=tuple(knots[:-1]),
+                           t_f=knots[-1])
 
 
 def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
@@ -366,20 +401,20 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
         note = f"dominated by strategy {2 * k - 1}" if k else "never leaves rest"
         return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
     sol = _GapSolver(prob, pattern)
-    best_nr, best_r, zero = np.inf, None, None
+    best_nr, best_r, zero = math.inf, None, None
     for g0 in sol.starts():
         g, r, zs = sol.search(g0)
         nr = max(abs(r[0]), abs(r[1]))
         if nr < best_nr:
             best_nr, best_r = nr, r
         if nr < FEAS_TOL:
-            zero = g
+            zero = g.tolist()
             break
     if zero is None:
         return StrategyResult(pattern.strategy, None, best_r, False,
                               f"no root: best residual {best_nr:.3e}")
     if k == 0:
-        if zero.min() < COLLAPSE_TOL:
+        if min(zero) < COLLAPSE_TOL:
             return StrategyResult(pattern.strategy, None, best_r, False,
                                   "root degenerate: a segment vanishes")
         return StrategyResult(pattern.strategy, _to_schedule(sol.levels, zero),
@@ -391,26 +426,43 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
                               "has a vanishing segment")
     g, mu, r = point
     schedule = _to_schedule(sol.levels, g)
-    psi_f = np.eye(prob.sys.n)[list(FAST_IDX)].T @ mu  # C^T mu
+    psi_f = [0.0] * prob.sys.n  # C^T mu
+    for i, m in zip(FAST_IDX, mu):
+        psi_f[i] = m
     return StrategyResult(pattern.strategy, schedule, r, True, "KKT point",
                           psi_f, _certify(prob, schedule, psi_f))
 
 
 def _admissible_equilibrium(prob: TimeOptimalProblem) -> bool:
     """Whether x0 is held by a constant control 0 <= u0 <= u_max: rest and
-    the re-dosing starts f x_e qualify. u0 is the least-squares input."""
-    A, B, x0 = prob.sys.A, prob.sys.B, prob.x0
-    drift = A @ x0
-    u0 = -(B @ drift) / (B @ B)
-    scale = np.max(np.abs(A) @ np.abs(x0))
-    return bool(np.max(np.abs(drift + B * u0)) <= _EQUILIBRIUM_RTOL * scale
-                and 0.0 <= u0 <= prob.u_max)
+    the re-dosing starts f x_e qualify. u0 is the least-squares input; a
+    zero B holds nothing."""
+    B, x0 = prob.sys.B.tolist(), prob.x0.tolist()
+    drift, scale = [], []  # A x0 and |A| |x0|, row by row
+    for row in prob.sys.A.tolist():
+        d = s = 0.0
+        for a, x in zip(row, x0):
+            d += a * x
+            s += abs(a) * abs(x)
+        drift.append(d)
+        scale.append(s)
+    BB = Bd = 0.0
+    for b, d in zip(B, drift):
+        BB += b * b
+        Bd += b * d
+    if BB == 0.0:
+        return False
+    u0 = -Bd / BB
+    tol = _EQUILIBRIUM_RTOL * max(scale)
+    return (all(abs(d + b * u0) <= tol for d, b in zip(drift, B))
+            and 0.0 <= u0 <= prob.u_max)
 
 
 def _certify(prob: TimeOptimalProblem, sched: ControlSchedule,
-             psi_f: np.ndarray) -> bool:
+             psi_f) -> bool:
     """Whether the schedule of a feasible KKT point is certified, read from
-    the problem statement alone: the modal data of A and psi(t_f) = C^T mu.
+    the problem statement alone: the modal data of A and psi(t_f) = C^T mu,
+    on Python floats.
 
     In s = t_f - t the switching function is psi1(s) = psi(s)^T B =
     sum c_i e^(lam_i s), c = (V^-1 B) * (V^T C^T mu). By Laguerre's rule
@@ -422,19 +474,29 @@ def _certify(prob: TimeOptimalProblem, sched: ControlSchedule,
     zeros. From an admissible equilibrium start the sign law then makes the
     control the unique minimum-time one (Lee and Markus 1967, ch. 2): a
     faster control, held first at the equilibrium input, would give
-    int psi1 (u - u*) = 0 with a nonnegative integrand.
+    int psi1 (u - u*) = 0 with a nonnegative integrand. A NaN in psi(t_f)
+    fails every test.
     """
-    sys = prob.sys
-    c = (sys.Vi @ sys.B) * (sys.V.T @ psi_f)
-    cs = c.tolist()
+    sys, exp = prob.sys, math.exp
+    psi = [float(x) for x in psi_f]
+    cs = []
+    for w, col in zip((sys.Vi @ sys.B).tolist(), sys.V.T.tolist()):
+        v = 0.0
+        for a, x in zip(col, psi):
+            v += a * x
+        cs.append(w * v)
     signs = [x < 0 for x in cs if x != 0]
     sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
     big = max(abs(x) for x in cs)
     knots = (0.0,) + sched.breakpoints + (sched.t_f,)
     mids = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
-    # psi1 at the segment midpoints, then at the switches: one exp
-    s = sched.t_f - np.array(mids + list(sched.breakpoints))
-    psi1 = (np.exp(np.multiply.outer(s, sys.eigenvalues)) @ c).tolist()
+    # psi1 at the segment midpoints, then at the switches
+    lam, psi1 = sys.eigenvalues.tolist(), []
+    for t in mids + list(sched.breakpoints):
+        s, v = sched.t_f - t, 0.0
+        for l, c in zip(lam, cs):
+            v += exp(s * l) * c
+        psi1.append(v)
     mid, at_switch = psi1[:len(mids)], psi1[len(mids):]
     return bool(
         all(abs(x) > _MODAL_RTOL * big for x in cs)

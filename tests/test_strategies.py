@@ -155,7 +155,8 @@ def _resid(sol, gaps):
 
 
 def _jac(sol, gaps):
-    return sol.jac(gaps, sol.walk(gaps))
+    """J as a 2 x k array from jac's two rows."""
+    return np.array(sol.jac(gaps, sol.walk(gaps)))
 
 
 def _central(sol, gaps, h=1e-5):
@@ -201,7 +202,7 @@ def test_modal_transports_match_scipy_expm(ref_problem, strategy, gaps):
     sol = _GapSolver(ref_problem, pat)
     g = np.array(gaps)
     zs = sol.walk(g)
-    J = sol.jac(g, zs)
+    J = np.array(sol.jac(g, zs))
     A, B = ref_problem.sys.A, ref_problem.sys.B
     for j, (u, x) in enumerate(zip(sol.levels, _states(sol, zs))):
         v = scipy.linalg.expm(A * g[j + 1:].sum()) @ (A @ x + B * u)
@@ -277,7 +278,7 @@ def test_kkt_jacobian_matches_central_differences(ref_problem, strategy):
             e[j] = h
             hi = kkt_system(z + e)[0]
             lo = kkt_system(z - e)[0]
-            central[:, j] = (hi - lo) / (2 * h)
+            central[:, j] = np.subtract(hi, lo) / (2 * h)
         np.testing.assert_allclose(K, central, rtol=1e-6)
 
 
@@ -333,6 +334,44 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     sol.kkt(g, zs)
     assert len(walked) > 0 and len(set(walked)) == len(walked)
     assert tuple(g) not in walked
+
+
+class _CountingModule:
+    """A module stand-in that counts the attribute lookups made on it."""
+
+    def __init__(self, module):
+        self.module, self.lookups = module, 0
+
+    def __getattr__(self, name):
+        self.lookups += 1
+        return getattr(self.module, name)
+
+
+def test_search_iterations_make_no_numpy_call(ref_problem, monkeypatch):
+    # the walk, the residual, the Jacobian, _lstsq's closed form and the
+    # pinned-face test run on Python floats: searches of different lengths
+    # look numpy up equally often, so no lookup happens per iteration
+    sol = _GapSolver(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
+    jacs = []
+    jac = _GapSolver.jac
+
+    def counting_jac(self, gaps, zs, kkt=False):
+        jacs.append(kkt)
+        return jac(self, gaps, zs, kkt)
+
+    monkeypatch.setattr(_GapSolver, "jac", counting_jac)
+    counted = _CountingModule(np)
+    monkeypatch.setattr(strategies, "np", counted)
+    iterations, lookups = set(), set()
+    # the last start holds a zero gap, so its search runs the pinned-face test
+    for g0 in ([1.0, 1.0], [0.1, 0.1], [0.234375, 0.0]):
+        jacs.clear()
+        counted.lookups = 0
+        g, r, _ = sol.search(g0)
+        assert np.linalg.norm(r, np.inf) < FEAS_TOL
+        iterations.add(len(jacs))
+        lookups.add(counted.lookups)
+    assert len(iterations) > 1 and len(lookups) == 1
 
 
 def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch):
@@ -420,10 +459,10 @@ def test_closed_form_step_matches_lstsq(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", spy)
     ranks = set()
     for J in _oracle_matrices():
-        for A in (J, J.T):
+        for A, tall in ((J, False), (J.T, True)):
             b = rng.normal(size=A.shape[0])
             fallbacks.clear()
-            x, rank = strategies._lstsq(A, tuple(b))
+            x, rank = strategies._lstsq(J.tolist(), tuple(b), tall)
             want, _, want_rank, _ = lstsq(A, b, rcond=None)
             assert rank == want_rank, A
             assert np.linalg.norm(np.subtract(x, want)) <= 1e-12 * np.linalg.norm(want)
@@ -446,8 +485,9 @@ def test_every_rank_decision_is_lstsqs(ref_problem, ref_params, case,
     ranks = []  # (closed-form rank, lstsq rank) of each step
     closed = strategies._lstsq
 
-    def audited(A, b):
-        x, rank = closed(A, b)
+    def audited(rows, b, tall=False):
+        x, rank = closed(rows, b, tall)
+        A = np.array(rows).T if tall else np.array(rows)
         ranks.append((rank, np.linalg.lstsq(A, np.asarray(b), rcond=None)[2]))
         return x, rank
 
@@ -625,6 +665,27 @@ def test_result_invariants():
                        feasible=True)
 
 
+def test_a_nan_residual_is_never_feasible():
+    # Python's max drops a NaN that is not its first argument; the bound
+    # check must not
+    s = ControlSchedule(levels=(1.0,), breakpoints=(), t_f=1.0)
+    for residual in ([np.nan, 0.0], [0.0, np.nan]):
+        with pytest.raises(DomainError):
+            StrategyResult(strategy=1, schedule=s, residual=residual,
+                           feasible=True)
+
+
+def test_kkt_system_at_a_nan_residual_is_no_kkt_point(ref_problem, optimal):
+    sol = _GapSolver(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
+    t_c, t_f = optimal.schedule.breakpoints[0], optimal.t_f
+    g = [t_c, t_f - t_c]
+    zs = sol.walk(g)
+    assert sol.kkt_system(g, zs)[1] is None  # the optimum is a KKT point
+    sol.target = [sol.target[0], np.nan]
+    F, K, _ = sol.kkt_system(g, zs)
+    assert np.isnan(F[1]) and K is not None
+
+
 def test_certified_result_needs_a_kkt_point():
     s = ControlSchedule(levels=(1.0, 0.0), breakpoints=(0.5,), t_f=1.0)
     with pytest.raises(DomainError):
@@ -679,6 +740,20 @@ def test_reference_optimum_is_certified(ref_problem, optimal):
     for name, bad in _mutations(optimal).items():
         assert _certify(ref_problem, bad.schedule,
                         bad.terminal_costate) is False, name
+
+
+def test_a_nan_terminal_costate_is_not_certified(ref_problem, optimal):
+    for i in range(ref_problem.sys.n):
+        psi_f = optimal.terminal_costate.copy()
+        psi_f[i] = np.nan
+        assert _certify(ref_problem, optimal.schedule, psi_f) is False, i
+
+
+def test_a_zero_input_column_holds_no_start(ref_problem):
+    sys = LTISystem.from_matrices(ref_problem.sys.A, np.zeros(4))
+    for x0 in (np.zeros(4), np.ones(4)):
+        prob = dataclasses.replace(ref_problem, sys=sys, x0=x0)
+        assert strategies._admissible_equilibrium(prob) is False
 
 
 def test_non_equilibrium_start_falls_back_to_the_enumeration(ref_problem,
