@@ -91,6 +91,8 @@ class TimeOptimalProblem:
         target = np.array(self.target_fast, dtype=float)
         if target.shape != (2,):
             raise DomainError("target_fast must have two components (x1, x4)")
+        if not np.all(np.isfinite(target)):
+            raise DomainError("target_fast must be finite")
         if np.allclose(target, x0[list(FAST_IDX)], rtol=0, atol=1e-12):
             raise DomainError("degenerate problem: target equals the initial fast state")
         x0.setflags(write=False)

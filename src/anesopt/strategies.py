@@ -9,7 +9,11 @@ reads the endpoint and the exact first and second switching-time
 derivatives, transports on the same eigenbasis, from the walked modal rows
 on the two fast rows only; so neither the projected Gauss-Newton root
 search nor the KKT Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE
-solver or leaves the eigenbasis. The Jacobian, the closed-form
+solver or leaves the eigenbasis. The search runs from the starts of one
+dyadic grid up to the first root; a bolus-first pattern from x4 below its
+target tries the grid start of the full-rate onset first, the first time
+u = u_max lifts x4 to its target, which bounds t_f from below because the
+system is positive. The Jacobian, the closed-form
 least-squares step, the KKT check and the certificate are Python floats
 too: past the set-up and the result's arrays, numpy runs only
 np.linalg.lstsq near its rank cut-off and np.linalg.solve for a KKT Newton
@@ -114,16 +118,6 @@ class StrategyResult:
 _PAIRS = [tuple(itertools.combinations(range(m), 2)) for m in range(5)]
 
 
-def _dot2(rows, y) -> tuple:
-    """(p . y, q . y) for the two rows (p, q), summed in index order."""
-    p, q = rows
-    x0 = x1 = 0.0
-    for a, b, v in zip(p, q, y):
-        x0 += a * v
-        x1 += b * v
-    return x0, x1
-
-
 def _lstsq(rows, b, tall=False):
     """np.linalg.lstsq(A, b, rcond=None)'s solution, as a list, and its rank
     for A = W, or A = W^T when tall, with W the 2 x m matrix of the two rows
@@ -169,7 +163,11 @@ def _lstsq(rows, b, tall=False):
         rank, P0, P1 = 1, [a / T for a in p], [a / T for a in q]
     # P = [P0 P1] is W^+, m x 2; A^+ is P for a wide A and P^T for a tall one
     if tall:
-        return list(_dot2((P0, P1), b)), rank
+        x0 = x1 = 0.0
+        for a, c, v in zip(P0, P1, b):
+            x0 += a * v
+            x1 += c * v
+        return [x0, x1], rank
     return [x * b[0] + y * b[1] for x, y in zip(P0, P1)], rank
 
 
@@ -232,24 +230,31 @@ class _GapSolver:
         after segment j and tau_j the time left after it; at d_j = 0 it is
         the right-derivative. The transports are taken on the eigenbasis,
         v_j = V y_j with y_j = e^(lam tau_j) * (lam * zs[j] + Vi B u_j), on
-        Python floats with tau accumulated from the last segment back, so a
-        column costs n exps and no numpy call.
+        Python floats with tau accumulated from the last segment back. Each
+        column, and the two rows of C A v_j = (C V Lambda) y_j beside it, is
+        summed in one pass over the modes in index order, so a column costs
+        n exps, no intermediate list and no numpy call.
 
-        With kkt=True it returns (J, CAv), CAv the two rows of C A v_j =
-        (C V Lambda) y_j, which the KKT block reads (see kkt_system).
+        With kkt=True it returns (J, CAv), CAv those two rows, which the KKT
+        block reads (see kkt_system).
         """
         exp, lam, k = math.exp, self.lam, len(gaps)
-        J = ([0.0] * k, [0.0] * k)
-        CAv = ([0.0] * k, [0.0] * k) if kkt else None
+        (p, q), (pa, qa) = self.CV, self.CAV
+        J0, J1 = [0.0] * k, [0.0] * k
+        C0, C1 = [0.0] * k, [0.0] * k
         tau = 0.0
         for j in range(k - 1, -1, -1):
-            y = [exp(l * tau) * (l * z + w)
-                 for l, z, w in zip(lam, zs[j], self.ViBu[j])]
-            J[0][j], J[1][j] = _dot2(self.CV, y)
-            if kkt:
-                CAv[0][j], CAv[1][j] = _dot2(self.CAV, y)
+            x0 = x1 = c0 = c1 = 0.0
+            for l, z, w, a, b, c, d in zip(lam, zs[j], self.ViBu[j],
+                                           p, q, pa, qa):
+                v = exp(l * tau) * (l * z + w)
+                x0 += a * v
+                x1 += b * v
+                c0 += c * v
+                c1 += d * v
+            J0[j], J1[j], C0[j], C1[j] = x0, x1, c0, c1
             tau += gaps[j]
-        return (J, CAv) if kkt else J
+        return ((J0, J1), (C0, C1)) if kkt else (J0, J1)
 
     def _clip(self, gaps) -> list:
         g = [0.0 if d <= 0.0 else d for d in gaps]
@@ -266,11 +271,30 @@ class _GapSolver:
         cut points on a dyadic refinement of the horizon, T_MAX/2 down to
         T_MAX/256, which reaches the sub-minute root scale that a uniform
         horizon grid never does. A root past T_MAX/2 is reached by the
-        search, not a start."""
+        search, not a start.
+
+        A bolus-first pattern from x4 below its target first tries the grid
+        start of the full-rate onset, the first time u = u_max lifts x4 to
+        its target: a lower bound on t_f, since the system is positive and
+        no admissible control raises x4 faster. That start is [p, 0, ..., 0]
+        for the first grid point p, in ascending order, where one u_max
+        segment has x4 >= its target; the rest of the grid follows in its
+        own order, so the set of starts is unchanged. The scan walks one
+        segment per point on Python floats. With no such p up to T_MAX/2,
+        from x4 at or above its target, or for a rest-first pattern, the
+        grid's order stands."""
         pts = sorted(T_MAX / 2 ** i for i in range(1, GRID_POINTS + 1))
         ndim = len(self.levels)
+        first = None
+        if self.levels[0] and self.prob.x0[FAST_IDX[1]] < self.target[1]:
+            for p in pts:
+                if self.residual(self.walk([p]))[1] >= 0.0:
+                    first = (p,) * ndim
+                    yield [p] + [0.0] * (ndim - 1)
+                    break
         for combo in itertools.combinations_with_replacement(pts, ndim):
-            yield [b - a for a, b in zip((0.0,) + combo, combo)]
+            if combo != first:
+                yield [b - a for a, b in zip((0.0,) + combo, combo)]
 
     def search(self, gaps0):
         """Projected Gauss-Newton toward a residual zero: (gaps, r, zs) at

@@ -168,6 +168,15 @@ def test_problem_rejects_nonfinite_start(ref_sys, bad):
                            x0=[bad, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("target", [(np.nan, 3.4), (np.inf, 3.4),
+                                    (14.518, np.nan)])
+def test_problem_rejects_nonfinite_target(ref_sys, target):
+    # the strategy route once met these with an AttributeError or an
+    # InfeasibleError instead of a clear domain error
+    with pytest.raises(DomainError, match="target_fast must be finite"):
+        TimeOptimalProblem(sys=ref_sys, target_fast=target, u_max=106.0907)
+
+
 def test_problem_rejects_bad_target_shape(ref_sys):
     with pytest.raises(DomainError):
         TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 2.0, 3.0), u_max=1.0)

@@ -321,15 +321,16 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     point = sol.kkt(g, zs)
     assert point is not None and np.array_equal(point[0], g)
     assert walked == [] and jacs == [True]
-    # female 30 y at 5 u_e: strategy 5's first root is no KKT point, so the
-    # Newton steps, walking each new point once and never the root again
+    # female 30 y at 5 u_e: strategy 5's root from the grid start
+    # (T/256, T/256, T/64) is no KKT point, so the Newton steps, walking
+    # each new point once and never the root again
     params = schnider_parameters(PatientDemographics("female", 30.0, 55.0, 160.0))
     prob = build_problem(params, 5.0 * equilibrium(params, bis_inverse(50.0)).u_e)
     sol = _GapSolver(prob, Pattern(strategy=5, starts_high=True, switches=2))
-    for g0 in sol.starts():
-        g, r, zs = sol.search(g0)
-        if np.linalg.norm(r, np.inf) < FEAS_TOL:
-            break
+    g0 = [T_MAX / 256, 0.0, 3 * T_MAX / 256]
+    assert g0 in list(sol.starts())
+    g, r, zs = sol.search(g0)
+    assert np.linalg.norm(r, np.inf) < FEAS_TOL
     walked.clear()
     sol.kkt(g, zs)
     assert len(walked) > 0 and len(set(walked)) == len(walked)
@@ -374,7 +375,34 @@ def test_search_iterations_make_no_numpy_call(ref_problem, monkeypatch):
     assert len(iterations) > 1 and len(lookups) == 1
 
 
-def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch):
+def test_onset_scan_makes_no_numpy_call(ref_problem, ref_params, monkeypatch):
+    # the scan for the first start walks one segment per grid point on
+    # Python floats: scans of different lengths look numpy up equally often
+    walks = []
+    walk = _GapSolver.walk
+
+    def counting_walk(self, gaps):
+        walks.append(gaps)
+        return walk(self, gaps)
+
+    monkeypatch.setattr(_GapSolver, "walk", counting_walk)
+    u_e = equilibrium(ref_params, bis_inverse(50.0)).u_e
+    sols = [_GapSolver(build_problem(ref_params, u_max), Pattern(3, True, 1))
+            for u_max in (U_MAX_REF, 2.0 * u_e, 1.05 * u_e)]
+    counted = _CountingModule(np)
+    monkeypatch.setattr(strategies, "np", counted)
+    scans, lookups = set(), set()
+    for sol in sols:
+        walks.clear()
+        counted.lookups = 0
+        next(sol.starts())
+        scans.add(len(walks))
+        lookups.add(counted.lookups)
+    assert len(scans) == 3 and len(lookups) == 1
+
+
+def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, ref_eq,
+                                                       monkeypatch):
     drawn, searched = [], []
     combos = itertools.combinations_with_replacement
 
@@ -392,10 +420,63 @@ def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, monkeypatch)
 
     monkeypatch.setattr(itertools, "combinations_with_replacement", counting_combos)
     monkeypatch.setattr(_GapSolver, "search", counting_search)
+    # the reference: the full-rate onset start is a root, so no grid point
+    # is drawn at all
     r = solve_pattern(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
     assert r.feasible
-    assert len(drawn) == len(searched) < len(list(combos(range(strategies.GRID_POINTS), 2)))
+    assert drawn == [] and len(searched) == 1 and searched[0] < FEAS_TOL
+    # from x_e (3, 0.3, 0.3, 0.2), strategy 7's onset start finds no root:
+    # the grid is drawn up to its first root, and the onset start is the one
+    # search more than the grid points drawn
+    drawn.clear()
+    searched.clear()
+    prob = dataclasses.replace(ref_problem,
+                               x0=ref_eq.x_e * np.array([3.0, 0.3, 0.3, 0.2]))
+    solve_pattern(prob, Pattern(strategy=7, starts_high=True, switches=3))
+    assert 0 < len(drawn) == len(searched) - 1 < len(list(
+        combos(range(strategies.GRID_POINTS), 4)))
     assert searched[-1] < FEAS_TOL and all(nr >= FEAS_TOL for nr in searched[:-1])
+
+
+def _grid_order(ndim):
+    """The dyadic grid's starts in their own order, as lists."""
+    pts = sorted(T_MAX / 2 ** i for i in range(1, strategies.GRID_POINTS + 1))
+    return [[b - a for a, b in zip((0.0,) + c, c)]
+            for c in itertools.combinations_with_replacement(pts, ndim)]
+
+
+@pytest.mark.parametrize("switches", [0, 1, 2, 3])
+def test_bolus_first_search_starts_at_the_full_rate_onset(ref_problem,
+                                                          switches):
+    # the first start is [p, 0, ...] for the first grid point p where one
+    # u_max segment lifts x4 to its target; the rest is the grid in its own
+    # order, so that start does not come again
+    sol = _GapSolver(ref_problem, Pattern(2 * switches + 1, True, switches))
+    starts = list(sol.starts())
+    p = starts[0][0]
+    assert starts[0] == [p] + [0.0] * switches
+    assert sol.residual(sol.walk([p]))[1] >= 0.0
+    assert p > T_MAX / 256 and sol.residual(sol.walk([p / 2]))[1] < 0.0
+    grid = _grid_order(switches + 1)
+    grid.remove(starts[0])
+    assert starts[1:] == grid
+
+
+@pytest.mark.parametrize("case", ["rest-first", "x4hi", "onset-past-T/2"])
+def test_other_searches_keep_the_grid_order(ref_problem, ref_params, case):
+    pattern = Pattern(strategy=3, starts_high=True, switches=1)
+    if case == "rest-first":
+        prob, pattern = ref_problem, Pattern(strategy=4, starts_high=False,
+                                             switches=1)
+    elif case == "x4hi":  # the CI start with x4 above its target
+        prob = dataclasses.replace(ref_problem,
+                                   x0=np.array([2.0, 19.2711, 243.9024, 4.0]))
+    else:  # at 1.05 u_e, full rate lifts x4 to its target after T_MAX/2
+        u_e = equilibrium(ref_params, bis_inverse(50.0)).u_e
+        prob = build_problem(ref_params, 1.05 * u_e)
+        sol = _GapSolver(prob, pattern)
+        assert sol.residual(sol.walk([T_MAX / 2]))[1] < 0.0
+    assert list(_GapSolver(prob, pattern).starts()) == _grid_order(2)
 
 
 def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
@@ -787,6 +868,22 @@ def _population():
 
 
 POPULATION = _population()
+
+
+def test_population_solves_take_fewer_jacobians(monkeypatch):
+    # the full-rate onset start skips the search's climb from the grid's
+    # first point: the 26 solves took 208 Jacobians from that point
+    jacs = []
+    jac = _GapSolver.jac
+
+    def counting_jac(self, gaps, zs, kkt=False):
+        jacs.append(kkt)
+        return jac(self, gaps, zs, kkt)
+
+    monkeypatch.setattr(_GapSolver, "jac", counting_jac)
+    for params, u_max, x0 in POPULATION.values():
+        solve_time_optimal(build_problem(params, u_max, 50.0, x0=x0))
+    assert len(jacs) < 208
 
 
 def _same(a, b):
