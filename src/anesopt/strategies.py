@@ -1,34 +1,35 @@
 """Bang-bang strategy enumeration for the minimum-time induction problem.
 
 Candidate controls alternate between 0 and u_max with at most n - 1 = 3
-switches: eight patterns. The unknowns of a pattern are its segment
-durations, solved by a gap solver built for that pattern's levels. It walks
-the segments in the modal coordinates z = V^-1 x of A's eigenbasis, with the
-closed-form flow of lti.constant_input_propagator on Python floats, and
-reads the endpoint and the exact first and second switching-time
-derivatives, transports on the same eigenbasis, from the walked modal rows
-on the two fast rows only; so neither the projected Gauss-Newton root
-search nor the KKT Newton solve of min sum(d) s.t. r(d) = 0 touches an ODE
-solver or leaves the eigenbasis. The search runs from the starts of one
-dyadic grid up to the first root; a bolus-first pattern from x4 below its
-target tries the grid start of the full-rate onset first, the first time
-u = u_max lifts x4 to its target, which bounds t_f from below because the
-system is positive. The Jacobian, the closed-form
-least-squares step, the KKT check and the certificate are Python floats
-too: past the set-up and the result's arrays, numpy runs only
+switches: eight patterns. A pattern solve reads its problem once, into one
+modal record (A's eigenvalues, V^-1 x0, the fast rows C V and C A V, V^-1 B
+and the start facts); building it rejects an uncontrollable system. The
+unknowns of a pattern are its segment durations, solved by a gap solver
+built on that record for the pattern's levels. It walks the segments in the
+modal coordinates z = V^-1 x of A's eigenbasis, with the closed-form flow of
+lti.constant_input_propagator on Python floats, and reads the endpoint and
+the exact first and second switching-time derivatives, transports on the
+same eigenbasis, from the walked modal rows on the two fast rows only; so
+neither the projected Gauss-Newton root search nor the KKT Newton solve of
+min sum(d) s.t. r(d) = 0 touches an ODE solver or leaves the eigenbasis.
+The search runs from the starts of one dyadic grid up to the first root; a
+bolus-first pattern from x4 below its target tries the grid start of the
+full-rate onset first, the first time u = u_max lifts x4 to its target,
+which bounds t_f from below because the system is positive. The Jacobian,
+the closed-form least-squares step, the KKT check and the certificate are
+Python floats too: past the set-up and the result's arrays, numpy runs only
 np.linalg.lstsq near its rank cut-off and np.linalg.solve for a KKT Newton
-step. The KKT multipliers give the terminal costate psi(t_f) = C^T mu,
-and a pattern whose minimum-time representative has a vanishing segment
-is dominated.
+step. The KKT multipliers mu give the terminal costate psi(t_f) = C^T mu,
+and a pattern whose minimum-time representative has a vanishing segment is
+dominated.
 
 From an equilibrium of an admissible constant control, a KKT point whose
 switching function psi^T B has exactly as many zeros as switches, with the
 sign law between them, is the unique minimum-time control (Lee and Markus
-1967, ch. 2). The test reads the real eigendecomposition that every
-LTISystem carries, so it applies to every problem. solve_time_optimal
-walks one table of all eight patterns, the one-switch pattern first, and
-stops at the first certified one; otherwise it keeps the fastest feasible
-pattern.
+1967, ch. 2). The test reads mu and the record alone, so it applies to every
+problem. solve_time_optimal walks one table of all eight patterns, the
+one-switch pattern first, and stops at the first certified one; otherwise
+it keeps the fastest feasible pattern.
 """
 from __future__ import annotations
 
@@ -171,26 +172,57 @@ def _lstsq(rows, b, tall=False):
     return [x * b[0] + y * b[1] for x, y in zip(P0, P1)], rank
 
 
-class _GapSolver:
-    """Root finding over the nonnegative segment durations of one pattern's
-    levels on one problem."""
+class _ModalRecord:
+    """What a pattern solve reads of its problem, as Python floats: lam,
+    z0 = Vi x0, C V, C V Lambda = C A V, Vi B, the target, u_max, and the
+    start facts rest (A x0 = 0), held (x0 is held by a constant control
+    0 <= u0 <= u_max, u0 the least-squares input of A x0 + B u0 = 0, to
+    _EQUILIBRIUM_RTOL |A| |x0| per row) and x4_low (x4 below its target).
+    An uncontrollable system raises DomainError."""
 
-    def __init__(self, prob: TimeOptimalProblem, pattern: Pattern):
-        self.prob = prob
-        self.levels = pattern.levels(prob.u_max)
-        self.target = prob.target_fast.tolist()
+    def __init__(self, prob: TimeOptimalProblem):
         sys = prob.sys
-        # the modal data, as Python floats: z0 = Vi x0, lam, the fast rows
-        # C V and C V Lambda = C A V, row j of ViBu is Vi B u_j, and per
-        # segment the walk's input Vi B u_j / lam (Vi B u_j itself at
-        # lam = 0, where phi1 = d), or None at u_j = 0
-        self.lam = sys.eigenvalues.tolist()
+        if sys.controllability_rank != sys.n:
+            raise DomainError("system is not controllable from the infusion input")
+        B, x0 = sys.B.tolist(), prob.x0.tolist()
+        drift, scale = [], []  # A x0 and |A| |x0|, row by row
+        for row in sys.A.tolist():
+            d = s = 0.0
+            for a, x in zip(row, x0):
+                d += a * x
+                s += abs(a) * abs(x)
+            drift.append(d)
+            scale.append(s)
+        BB = Bd = 0.0
+        for b, d in zip(B, drift):
+            BB += b * b
+            Bd += b * d
+        u0 = -Bd / BB if BB else math.nan  # an underflowed B B^T holds nothing
+        tol = _EQUILIBRIUM_RTOL * max(scale)
+        self.rest = not any(drift)
+        self.held = (all(abs(d + b * u0) <= tol for d, b in zip(drift, B))
+                     and 0.0 <= u0 <= prob.u_max)
+        self.lam = lam = sys.eigenvalues.tolist()
         self.z0 = (sys.Vi @ prob.x0).tolist()
         self.CV = sys.V[list(FAST_IDX)].tolist()
-        self.CAV = [[a * l for a, l in zip(row, self.lam)] for row in self.CV]
-        ViB = (sys.Vi @ sys.B).tolist()
-        self.ViBu = [[u * w for w in ViB] for u in self.levels]
-        self.inputs = [[w / l if l else w for l, w in zip(self.lam, row)]
+        self.CAV = [[a * l for a, l in zip(row, lam)] for row in self.CV]
+        self.ViB = (sys.Vi @ sys.B).tolist()
+        self.target = prob.target_fast.tolist()
+        self.x4_low = x0[FAST_IDX[1]] < self.target[1]
+        self.u_max = prob.u_max
+
+
+class _GapSolver:
+    """Root finding over the nonnegative segment durations of one pattern's
+    levels on one problem's modal record."""
+
+    def __init__(self, record: _ModalRecord, pattern: Pattern):
+        self.record = record
+        self.levels = pattern.levels(record.u_max)
+        # row j of ViBu is Vi B u_j; the walk's input is Vi B u_j / lam
+        # (Vi B u_j at lam = 0, where phi1 = d), or None at u_j = 0
+        self.ViBu = [[u * w for w in record.ViB] for u in self.levels]
+        self.inputs = [[w / l if l else w for l, w in zip(record.lam, row)]
                        if u else None
                        for u, row in zip(self.levels, self.ViBu)]
 
@@ -199,9 +231,9 @@ class _GapSolver:
         closed form of constant_input_propagator on the eigenbasis,
         z_j = e^(lam d_j) * z_(j-1) + expm1(lam d_j) * w_j / lam, on Python
         floats, so a segment costs no numpy call and no change of basis."""
-        exp, expm1, lam = math.exp, math.expm1, self.lam
+        exp, expm1, lam = math.exp, math.expm1, self.record.lam
         zs = []
-        z = self.z0
+        z = self.record.z0
         for d, wl in zip(gaps, self.inputs):
             if d > 0:
                 if wl is None:
@@ -215,8 +247,8 @@ class _GapSolver:
     def residual(self, zs) -> tuple:
         """fast_residual of the walk's end state, C V z_k - target, as two
         Python floats."""
-        z = zs[-1]
-        (p, q), (t0, t1) = self.CV, self.target
+        z, rec = zs[-1], self.record
+        (p, q), (t0, t1) = rec.CV, rec.target
         x0 = x1 = 0.0
         for a, b, y in zip(p, q, z):
             x0 += a * y
@@ -238,8 +270,8 @@ class _GapSolver:
         With kkt=True it returns (J, CAv), CAv those two rows, which the KKT
         block reads (see kkt_system).
         """
-        exp, lam, k = math.exp, self.lam, len(gaps)
-        (p, q), (pa, qa) = self.CV, self.CAV
+        exp, rec, k = math.exp, self.record, len(gaps)
+        lam, (p, q), (pa, qa) = rec.lam, rec.CV, rec.CAV
         J0, J1 = [0.0] * k, [0.0] * k
         C0, C1 = [0.0] * k, [0.0] * k
         tau = 0.0
@@ -286,7 +318,7 @@ class _GapSolver:
         pts = sorted(T_MAX / 2 ** i for i in range(1, GRID_POINTS + 1))
         ndim = len(self.levels)
         first = None
-        if self.levels[0] and self.prob.x0[FAST_IDX[1]] < self.target[1]:
+        if self.levels[0] and self.record.x4_low:
             for p in pts:
                 if self.residual(self.walk([p]))[1] >= 0.0:
                     first = (p,) * ndim
@@ -413,18 +445,21 @@ def _to_schedule(levels, gaps) -> ControlSchedule:
 def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     """Solve one pattern for its minimum-time representative.
 
-    From an equilibrium of u = 0 a leading rest segment leaves the state
-    where it is, so a rest-first pattern is dominated without a search.
-    Otherwise the search runs from each start of the ordered duration
-    simplex up to the first root; past zero switches, the KKT Newton solve
-    takes that root to a KKT point or reports the pattern dominated. A KKT
-    point records whether it is certified (see _certify).
+    The problem is read once, into the modal record (DomainError for an
+    uncontrollable system). From rest a leading rest segment leaves the
+    state where it is, so a rest-first pattern is dominated without a
+    search. Otherwise the search runs from each start of the ordered
+    duration simplex up to the first root; past zero switches, the KKT
+    Newton solve takes that root to a KKT point (d, mu) or reports the
+    pattern dominated. A KKT point records whether it is certified (see
+    _certify, which reads mu and the record).
     """
+    record = _ModalRecord(prob)
     k = pattern.switches
-    if not pattern.starts_high and not (prob.sys.A @ prob.x0).any():
+    if not pattern.starts_high and record.rest:
         note = f"dominated by strategy {2 * k - 1}" if k else "never leaves rest"
         return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
-    sol = _GapSolver(prob, pattern)
+    sol = _GapSolver(record, pattern)
     best_nr, best_r, zero = math.inf, None, None
     for g0 in sol.starts():
         g, r, zs = sol.search(g0)
@@ -454,91 +489,56 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     for i, m in zip(FAST_IDX, mu):
         psi_f[i] = m
     return StrategyResult(pattern.strategy, schedule, r, True, "KKT point",
-                          psi_f, _certify(prob, schedule, psi_f))
+                          psi_f, _certify(record, schedule, mu))
 
 
-def _admissible_equilibrium(prob: TimeOptimalProblem) -> bool:
-    """Whether x0 is held by a constant control 0 <= u0 <= u_max: rest and
-    the re-dosing starts f x_e qualify. u0 is the least-squares input; a
-    zero B holds nothing."""
-    B, x0 = prob.sys.B.tolist(), prob.x0.tolist()
-    drift, scale = [], []  # A x0 and |A| |x0|, row by row
-    for row in prob.sys.A.tolist():
-        d = s = 0.0
-        for a, x in zip(row, x0):
-            d += a * x
-            s += abs(a) * abs(x)
-        drift.append(d)
-        scale.append(s)
-    BB = Bd = 0.0
-    for b, d in zip(B, drift):
-        BB += b * b
-        Bd += b * d
-    if BB == 0.0:
-        return False
-    u0 = -Bd / BB
-    tol = _EQUILIBRIUM_RTOL * max(scale)
-    return (all(abs(d + b * u0) <= tol for d, b in zip(drift, B))
-            and 0.0 <= u0 <= prob.u_max)
-
-
-def _certify(prob: TimeOptimalProblem, sched: ControlSchedule,
-             psi_f) -> bool:
-    """Whether the schedule of a feasible KKT point is certified, read from
-    the problem statement alone: the modal data of A and psi(t_f) = C^T mu,
-    on Python floats.
+def _certify(record: _ModalRecord, sched: ControlSchedule, mu) -> bool:
+    """Whether the schedule of a feasible KKT point with multipliers mu is
+    certified, read from the modal record alone, on Python floats.
 
     In s = t_f - t the switching function is psi1(s) = psi(s)^T B =
-    sum c_i e^(lam_i s), c = (V^-1 B) * (V^T C^T mu). By Laguerre's rule
+    sum c_i e^(lam_i s), c = (V^-1 B) * ((C V)^T mu). By Laguerre's rule
     (Polya and Szego, Part V) it has at most as many real zeros as c has
     sign changes in ascending lam order. A k-switch point is certified when
-    that count is exactly k, psi1 vanishes at each switch (|psi1| u_max <=
-    FEAS_TOL) and psi1 < 0 at each segment's midpoint exactly where
-    u = u_max: the midpoint signs alternate, so the switches hold the only
-    zeros. From an admissible equilibrium start the sign law then makes the
-    control the unique minimum-time one (Lee and Markus 1967, ch. 2): a
-    faster control, held first at the equilibrium input, would give
-    int psi1 (u - u*) = 0 with a nonnegative integrand. A NaN in psi(t_f)
-    fails every test.
+    x0 is held (the record's held), that count is exactly k, psi1 vanishes
+    at each switch (|psi1| u_max <= FEAS_TOL) and psi1 < 0 at each
+    segment's midpoint exactly where u = u_max: the midpoint signs
+    alternate, so the switches hold the only zeros. From that equilibrium
+    start the sign law makes the control the unique minimum-time one (Lee
+    and Markus 1967, ch. 2): a faster control, held first at the
+    equilibrium input, would give int psi1 (u - u*) = 0 with a nonnegative
+    integrand. A NaN in mu fails every test.
     """
-    sys, exp = prob.sys, math.exp
-    psi = [float(x) for x in psi_f]
-    cs = []
-    for w, col in zip((sys.Vi @ sys.B).tolist(), sys.V.T.tolist()):
-        v = 0.0
-        for a, x in zip(col, psi):
-            v += a * x
-        cs.append(w * v)
+    if not record.held:
+        return False
+    m0, m1 = mu
+    cs = [w * (a * m0 + b * m1) for w, a, b in zip(record.ViB, *record.CV)]
     signs = [x < 0 for x in cs if x != 0]
     sign_changes = sum(a != b for a, b in zip(signs, signs[1:]))
     big = max(abs(x) for x in cs)
     knots = (0.0,) + sched.breakpoints + (sched.t_f,)
     mids = [(a + b) / 2 for a, b in zip(knots, knots[1:])]
     # psi1 at the segment midpoints, then at the switches
-    lam, psi1 = sys.eigenvalues.tolist(), []
+    exp, psi1 = math.exp, []
     for t in mids + list(sched.breakpoints):
         s, v = sched.t_f - t, 0.0
-        for l, c in zip(lam, cs):
+        for l, c in zip(record.lam, cs):
             v += exp(s * l) * c
         psi1.append(v)
     mid, at_switch = psi1[:len(mids)], psi1[len(mids):]
     return bool(
         all(abs(x) > _MODAL_RTOL * big for x in cs)
         and sign_changes == len(sched.breakpoints)
-        and all(abs(x) * prob.u_max <= FEAS_TOL for x in at_switch)
+        and all(abs(x) * record.u_max <= FEAS_TOL for x in at_switch)
         and 0.0 not in mid
-        and sched.levels == tuple(prob.u_max if x < 0 else 0.0 for x in mid)
-        and _admissible_equilibrium(prob))
-
-
-def _validate(prob: TimeOptimalProblem) -> None:
-    if prob.sys.controllability_rank != prob.sys.n:
-        raise DomainError("system is not controllable from the infusion input")
+        and sched.levels == tuple(record.u_max if x < 0 else 0.0 for x in mid))
 
 
 def solve_all_patterns(prob: TimeOptimalProblem) -> list:
-    """StrategyResult for every candidate pattern, in strategy order."""
-    _validate(prob)
+    """StrategyResult for every candidate pattern, in strategy order: the
+    per-pattern table of scripts/run_reference.py, and the reference answer
+    _select(solve_all_patterns(prob)) that solve_time_optimal's early stop
+    is tested against."""
     return [solve_pattern(prob, p) for p in enumerate_patterns()]
 
 
@@ -570,7 +570,6 @@ def solve_time_optimal(prob: TimeOptimalProblem) -> StrategyResult:
     certified control is the unique optimum among all admissible controls,
     so the patterns after it need no solve.
     """
-    _validate(prob)
     results = []
     for pattern in _SOLVE_ORDER:
         res = solve_pattern(prob, pattern)

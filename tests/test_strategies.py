@@ -29,6 +29,7 @@ from anesopt.strategies import (
     Pattern,
     StrategyResult,
     _GapSolver,
+    _ModalRecord,
     _certify,
     _select,
     enumerate_patterns,
@@ -145,13 +146,13 @@ def test_redundant_families_collapse_to_the_one_switch_root(all_results):
 
 # ------------------------------------------------- switching-time Jacobian
 
-def _states(sol, zs):
+def _states(prob, zs):
     """The walk's modal rows z_j mapped to states x_j = V z_j."""
-    return np.array(zs) @ sol.prob.sys.V.T
+    return np.array(zs) @ prob.sys.V.T
 
 
-def _resid(sol, gaps):
-    return sol.prob.fast_residual(_states(sol, sol.walk(gaps))[-1])
+def _resid(prob, sol, gaps):
+    return prob.fast_residual(_states(prob, sol.walk(gaps))[-1])
 
 
 def _jac(sol, gaps):
@@ -159,33 +160,37 @@ def _jac(sol, gaps):
     return np.array(sol.jac(gaps, sol.walk(gaps)))
 
 
-def _central(sol, gaps, h=1e-5):
+def _central(prob, sol, gaps, h=1e-5):
     J = np.empty((2, len(gaps)))
     for j in range(len(gaps)):
         e = np.zeros(len(gaps))
         e[j] = h
-        J[:, j] = (_resid(sol, gaps + e) - _resid(sol, gaps - e)) / (2 * h)
+        J[:, j] = (_resid(prob, sol, gaps + e)
+                   - _resid(prob, sol, gaps - e)) / (2 * h)
     return J
 
 
 @pytest.mark.parametrize("strategy", [3, 5, 7])
 def test_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
-    sol = _GapSolver(ref_problem, pat)
+    sol = _GapSolver(_ModalRecord(ref_problem), pat)
     rng = np.random.default_rng(strategy)
     for _ in range(4):
         g = rng.uniform(0.2, 3.0, pat.switches + 1)
-        np.testing.assert_allclose(_jac(sol, g), _central(sol, g), rtol=1e-6)
+        np.testing.assert_allclose(_jac(sol, g), _central(ref_problem, sol, g),
+                                   rtol=1e-6)
 
 
 def test_jacobian_at_a_zero_gap_is_the_right_derivative(ref_problem):
-    sol = _GapSolver(ref_problem, Pattern(strategy=7, starts_high=True, switches=3))
+    sol = _GapSolver(_ModalRecord(ref_problem),
+                     Pattern(strategy=7, starts_high=True, switches=3))
     g = np.array([0.8, 0.0, 0.6, 0.5])
     h = 1e-5
     e = np.array([0.0, h, 0.0, 0.0])
     # second-order forward difference: no point with a negative duration
-    fwd = (-3 * _resid(sol, g) + 4 * _resid(sol, g + e)
-           - _resid(sol, g + 2 * e)) / (2 * h)
+    fwd = (-3 * _resid(ref_problem, sol, g)
+           + 4 * _resid(ref_problem, sol, g + e)
+           - _resid(ref_problem, sol, g + 2 * e)) / (2 * h)
     np.testing.assert_allclose(_jac(sol, g)[:, 1], fwd, rtol=1e-6)
 
 
@@ -199,12 +204,12 @@ def test_modal_transports_match_scipy_expm(ref_problem, strategy, gaps):
     # exponential in state coordinates instead of the eigenbasis
     pat = Pattern(strategy=strategy, starts_high=strategy % 2 == 1,
                   switches=(strategy - 1) // 2)
-    sol = _GapSolver(ref_problem, pat)
+    sol = _GapSolver(_ModalRecord(ref_problem), pat)
     g = np.array(gaps)
     zs = sol.walk(g)
     J = np.array(sol.jac(g, zs))
     A, B = ref_problem.sys.A, ref_problem.sys.B
-    for j, (u, x) in enumerate(zip(sol.levels, _states(sol, zs))):
+    for j, (u, x) in enumerate(zip(sol.levels, _states(ref_problem, zs))):
         v = scipy.linalg.expm(A * g[j + 1:].sum()) @ (A @ x + B * u)
         oracle = v[list(FAST_IDX)]
         assert np.max(np.abs(J[:, j] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -251,9 +256,9 @@ def test_walk_matches_chained_propagators(ref_problem, ref_eq, start, strategy,
         prob = ref_problem
     pat = Pattern(strategy=strategy, starts_high=strategy % 2 == 1,
                   switches=(strategy - 1) // 2)
-    sol = _GapSolver(prob, pat)
+    sol = _GapSolver(_ModalRecord(prob), pat)
     x = prob.x0
-    for u, d, got in zip(sol.levels, gaps, _states(sol, sol.walk(gaps))):
+    for u, d, got in zip(sol.levels, gaps, _states(prob, sol.walk(gaps))):
         x = constant_input_propagator(prob.sys, u)(x, d)
         assert np.max(np.abs(got - x)) <= 1e-13 * np.max(np.abs(x))
 
@@ -261,7 +266,7 @@ def test_walk_matches_chained_propagators(ref_problem, ref_eq, start, strategy,
 @pytest.mark.parametrize("strategy", [5, 7])
 def test_kkt_jacobian_matches_central_differences(ref_problem, strategy):
     pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
-    sol = _GapSolver(ref_problem, pat)
+    sol = _GapSolver(_ModalRecord(ref_problem), pat)
     n = pat.switches + 1
     rng = np.random.default_rng(strategy)
     h = 1e-5
@@ -286,7 +291,8 @@ def test_search_slides_along_a_pinned_gap(ref_problem):
     # strategy 7 from (3.75, 0, 0, 0): the descent direction pushes the zero
     # gaps negative, so an unpinned projected step is clipped back and
     # stalls near FEAS_TOL
-    sol = _GapSolver(ref_problem, Pattern(strategy=7, starts_high=True, switches=3))
+    sol = _GapSolver(_ModalRecord(ref_problem),
+                     Pattern(strategy=7, starts_high=True, switches=3))
     g, r, _ = sol.search(np.array([3.75, 0.0, 0.0, 0.0]))
     assert np.linalg.norm(r, np.inf) < 1e-12
     assert np.all(g >= 0.0)
@@ -302,7 +308,8 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
         return walk(self, gaps)
 
     monkeypatch.setattr(_GapSolver, "walk", counting_walk)
-    sol = _GapSolver(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
+    sol = _GapSolver(_ModalRecord(ref_problem),
+                     Pattern(strategy=3, starts_high=True, switches=1))
     g, r, zs = sol.search(np.array([1.0, 1.0]))
     assert np.linalg.norm(r, np.inf) < FEAS_TOL
     assert len(walked) > 2 and len(set(walked)) == len(walked)
@@ -326,7 +333,8 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     # each new point once and never the root again
     params = schnider_parameters(PatientDemographics("female", 30.0, 55.0, 160.0))
     prob = build_problem(params, 5.0 * equilibrium(params, bis_inverse(50.0)).u_e)
-    sol = _GapSolver(prob, Pattern(strategy=5, starts_high=True, switches=2))
+    sol = _GapSolver(_ModalRecord(prob),
+                     Pattern(strategy=5, starts_high=True, switches=2))
     g0 = [T_MAX / 256, 0.0, 3 * T_MAX / 256]
     assert g0 in list(sol.starts())
     g, r, zs = sol.search(g0)
@@ -352,7 +360,8 @@ def test_search_iterations_make_no_numpy_call(ref_problem, monkeypatch):
     # the walk, the residual, the Jacobian, _lstsq's closed form and the
     # pinned-face test run on Python floats: searches of different lengths
     # look numpy up equally often, so no lookup happens per iteration
-    sol = _GapSolver(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
+    sol = _GapSolver(_ModalRecord(ref_problem),
+                     Pattern(strategy=3, starts_high=True, switches=1))
     jacs = []
     jac = _GapSolver.jac
 
@@ -387,7 +396,8 @@ def test_onset_scan_makes_no_numpy_call(ref_problem, ref_params, monkeypatch):
 
     monkeypatch.setattr(_GapSolver, "walk", counting_walk)
     u_e = equilibrium(ref_params, bis_inverse(50.0)).u_e
-    sols = [_GapSolver(build_problem(ref_params, u_max), Pattern(3, True, 1))
+    sols = [_GapSolver(_ModalRecord(build_problem(ref_params, u_max)),
+                       Pattern(3, True, 1))
             for u_max in (U_MAX_REF, 2.0 * u_e, 1.05 * u_e)]
     counted = _CountingModule(np)
     monkeypatch.setattr(strategies, "np", counted)
@@ -451,7 +461,8 @@ def test_bolus_first_search_starts_at_the_full_rate_onset(ref_problem,
     # the first start is [p, 0, ...] for the first grid point p where one
     # u_max segment lifts x4 to its target; the rest is the grid in its own
     # order, so that start does not come again
-    sol = _GapSolver(ref_problem, Pattern(2 * switches + 1, True, switches))
+    sol = _GapSolver(_ModalRecord(ref_problem),
+                     Pattern(2 * switches + 1, True, switches))
     starts = list(sol.starts())
     p = starts[0][0]
     assert starts[0] == [p] + [0.0] * switches
@@ -474,9 +485,10 @@ def test_other_searches_keep_the_grid_order(ref_problem, ref_params, case):
     else:  # at 1.05 u_e, full rate lifts x4 to its target after T_MAX/2
         u_e = equilibrium(ref_params, bis_inverse(50.0)).u_e
         prob = build_problem(ref_params, 1.05 * u_e)
-        sol = _GapSolver(prob, pattern)
+        sol = _GapSolver(_ModalRecord(prob), pattern)
         assert sol.residual(sol.walk([T_MAX / 2]))[1] < 0.0
-    assert list(_GapSolver(prob, pattern).starts()) == _grid_order(2)
+    sol = _GapSolver(_ModalRecord(prob), pattern)
+    assert list(sol.starts()) == _grid_order(2)
 
 
 def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
@@ -491,7 +503,8 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
         return jac(self, gaps, zs)
 
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
-    sol = _GapSolver(ref_problem, Pattern(strategy=4, starts_high=False, switches=1))
+    sol = _GapSolver(_ModalRecord(ref_problem),
+                     Pattern(strategy=4, starts_high=False, switches=1))
     starts = list(sol.starts())
     assert len(starts) == len(list(itertools.combinations_with_replacement(
         range(strategies.GRID_POINTS), 2)))
@@ -697,12 +710,19 @@ def test_one_switch_infeasible_when_horizon_too_short(ref_problem,
 
 # ------------------------------------------------------------- validation
 
-def test_uncontrollable_system_rejected(ref_eq):
-    sys = LTISystem.from_matrices(np.diag([-1.0, -2.0, -3.0, -4.0]),
-                                  [1, 0, 0, 0])
-    prob = TimeOptimalProblem(sys=sys, target_fast=(1.0, 1.0), u_max=10.0)
-    with pytest.raises(DomainError, match="controllable"):
-        solve_all_patterns(prob)
+def test_uncontrollable_system_rejected():
+    # every entry point refuses the system, a single pattern too, and before
+    # a rest-first pattern's no-search verdict
+    solves = [solve_all_patterns, solve_time_optimal,
+              lambda prob: solve_pattern(prob, Pattern(3, True, 1)),
+              lambda prob: solve_pattern(prob, Pattern(2, False, 0))]
+    for B in ([1, 0, 0, 0], [1, 0, 0, 1]):
+        sys = LTISystem.from_matrices(np.diag([-1.0, -2.0, -3.0, -4.0]), B)
+        prob = TimeOptimalProblem(sys=sys, target_fast=(1.0, 1.0), u_max=10.0)
+        for solve in solves:
+            with pytest.raises(DomainError, match="^system is not "
+                               "controllable from the infusion input$"):
+                solve(prob)
 
 
 def test_controllability_is_computed_once_per_system(ref_params,
@@ -757,12 +777,13 @@ def test_a_nan_residual_is_never_feasible():
 
 
 def test_kkt_system_at_a_nan_residual_is_no_kkt_point(ref_problem, optimal):
-    sol = _GapSolver(ref_problem, Pattern(strategy=3, starts_high=True, switches=1))
+    sol = _GapSolver(_ModalRecord(ref_problem),
+                     Pattern(strategy=3, starts_high=True, switches=1))
     t_c, t_f = optimal.schedule.breakpoints[0], optimal.t_f
     g = [t_c, t_f - t_c]
     zs = sol.walk(g)
     assert sol.kkt_system(g, zs)[1] is None  # the optimum is a KKT point
-    sol.target = [sol.target[0], np.nan]
+    sol.record.target = [sol.record.target[0], np.nan]
     F, K, _ = sol.kkt_system(g, zs)
     assert np.isnan(F[1]) and K is not None
 
@@ -796,6 +817,12 @@ def _psi1_at_switches(prob, res):
     return np.abs(np.exp(lam_s) @ c) * prob.u_max
 
 
+def _certifies(prob, res):
+    """_certify on a result, with mu = psi(t_f)[FAST_IDX]."""
+    mu = res.terminal_costate[list(FAST_IDX)].tolist()
+    return _certify(_ModalRecord(prob), res.schedule, mu)
+
+
 def _mutations(res):
     """Near misses of a KKT point. A uniform positive scaling of mu is the
     same certificate; scaling one multiplier turns psi(t_f), which moves the
@@ -815,37 +842,60 @@ def _mutations(res):
 
 def test_reference_optimum_is_certified(ref_problem, optimal):
     assert optimal.certified and _sign_changes(ref_problem, optimal) == 1
-    assert _certify(ref_problem, optimal.schedule,
-                    optimal.terminal_costate) is True
+    assert _certifies(ref_problem, optimal) is True
     assert np.max(_psi1_at_switches(ref_problem, optimal)) <= 1e-13
     for name, bad in _mutations(optimal).items():
-        assert _certify(ref_problem, bad.schedule,
-                        bad.terminal_costate) is False, name
+        assert _certifies(ref_problem, bad) is False, name
 
 
 def test_a_nan_terminal_costate_is_not_certified(ref_problem, optimal):
-    for i in range(ref_problem.sys.n):
-        psi_f = optimal.terminal_costate.copy()
-        psi_f[i] = np.nan
-        assert _certify(ref_problem, optimal.schedule, psi_f) is False, i
+    # the certificate reads psi(t_f) = C^T mu through mu alone
+    record = _ModalRecord(ref_problem)
+    for i in range(len(FAST_IDX)):
+        mu = optimal.terminal_costate[list(FAST_IDX)].tolist()
+        mu[i] = np.nan
+        assert _certify(record, optimal.schedule, mu) is False, i
 
 
 def test_a_zero_input_column_holds_no_start(ref_problem):
+    # a zero B is uncontrollable: the record refuses it before any start test
     sys = LTISystem.from_matrices(ref_problem.sys.A, np.zeros(4))
     for x0 in (np.zeros(4), np.ones(4)):
         prob = dataclasses.replace(ref_problem, sys=sys, x0=x0)
-        assert strategies._admissible_equilibrium(prob) is False
+        with pytest.raises(DomainError, match="controllable"):
+            _ModalRecord(prob)
 
 
 def test_non_equilibrium_start_falls_back_to_the_enumeration(ref_problem,
                                                              monkeypatch):
     # a bolus already in the blood and nowhere else is held by no input
     prob = dataclasses.replace(ref_problem, x0=np.array([5.0, 0.0, 0.0, 0.0]))
-    assert not strategies._admissible_equilibrium(prob)
+    assert not _ModalRecord(prob).held
     calls = _recording(monkeypatch)
     best = solve_time_optimal(prob)
     assert calls == [3, 1, 2, 4, 5, 6, 7, 8]
     assert best.feasible and not best.certified
+
+
+@pytest.mark.parametrize("f, x1_scale, u_max, held, strategy, t_f", [
+    (1.6, 1.0, 1.5, False, 4, 4.989322838),       # u0 = 1.6 u_e > u_max
+    (-0.5, 1.0, 2.0, False, 3, 24.837076972),     # u0 = -0.5 u_e < 0
+    (0.3, 1 + 1e-9, None, False, 3, 1.6581915357421635),  # off x_e by 1e-9
+    (0.3, 1 + 1e-13, None, True, 3, 1.6581915357839314),  # rounding only
+], ids=["u0-above-u_max", "u0-negative", "x1-off-by-1e-9", "x1-off-by-1e-13"])
+def test_only_an_admissible_equilibrium_start_is_certified(
+        ref_params, ref_eq, f, x1_scale, u_max, held, strategy, t_f):
+    # x0 = f x_e with x1 scaled, at u_max = (ratio) u_e or the clinical
+    # bound: each near miss of the start test has a reachable target, and
+    # a certificate that let it through would certify a KKT point there
+    x0 = f * ref_eq.x_e * np.array([x1_scale, 1.0, 1.0, 1.0])
+    u = U_MAX_REF if u_max is None else u_max * ref_eq.u_e
+    prob = build_problem(ref_params, u, 50.0, x0=x0)
+    assert _ModalRecord(prob).held is held
+    best = solve_time_optimal(prob)
+    assert best.certified is held
+    assert best.strategy == strategy
+    assert best.t_f == pytest.approx(t_f, rel=1e-9)
 
 
 def _population():
@@ -905,8 +955,7 @@ def test_certified_solve_equals_the_full_enumeration(case):
     _same(best, _select(solve_all_patterns(prob)))
     assert np.max(_psi1_at_switches(prob, best)) <= 1e-13
     for name, bad in _mutations(best).items():
-        assert _certify(prob, bad.schedule,
-                        bad.terminal_costate) is False, name
+        assert _certifies(prob, bad) is False, name
         if name != "flipped-levels":  # the flip keeps the zero, not the law
             assert np.max(_psi1_at_switches(prob, bad)) >= 1e-7, name
 
