@@ -50,7 +50,6 @@ MAX_RESIDUAL_EVALS = 200
 _RTOL = 1e-12
 _ATOL = 1e-14
 
-_T_F_FLOOR = 1e-3
 _T_F_CEIL = 10.0  # times t_on
 _ONSET_HORIZON = 1e4
 _GAP_TOL = 1e-10
@@ -298,13 +297,13 @@ class _Shooter:
                         float(np.linalg.norm([p.gap[0], p.gap[1], h])))
         return p
 
-    def newton(self, theta, t_f, t_hi) -> _Point:
+    def newton(self, theta, t_f, t_on) -> _Point:
         """Damped Newton on the gap; returns the last point reached.
 
-        Steps are cut to |dtheta| <= pi/8 and |dt_f| <= t_f / 2, t_f stays in
-        [_T_F_FLOOR, t_hi], and a step is halved until the gap shrinks. A
-        singular Jacobian or a step that cannot shrink the gap ends the search.
-        """
+        Steps are cut to |dtheta| <= pi/8 and |dt_f| <= t_f / 2, t_f stays
+        in [t_on, _T_F_CEIL t_on], t_on the full-rate onset, a lower bound
+        on t_f, and a step is halved until the gap shrinks. A singular
+        Jacobian or a step that cannot shrink the gap ends the search."""
         p = self(theta, t_f)
         for _ in range(_MAX_NEWTON_STEPS):
             ng = np.linalg.norm(p.gap)
@@ -320,7 +319,7 @@ class _Shooter:
             if over > 1.0:
                 step /= over
             for _ in range(_MAX_HALVINGS):
-                t_n = float(np.clip(p.t_f + step[1], _T_F_FLOOR, t_hi))
+                t_n = float(np.clip(p.t_f + step[1], t_on, _T_F_CEIL * t_on))
                 q = self(p.theta + step[0], t_n)
                 if np.linalg.norm(q.gap) < ng:
                     p = q
@@ -343,13 +342,11 @@ def solve_shooting(prob: TimeOptimalProblem) -> ExtremalCertificate:
     """
     t_on = full_rate_onset(prob)
     shooter = _Shooter(prob)
-    t_hi = _T_F_CEIL * t_on
     tried = 0
     try:
         for theta0, t_f0 in default_seed_grid(t_on):
             tried += 1
-            t_f0 = float(np.clip(t_f0, _T_F_FLOOR, t_hi))
-            p = shooter.newton(float(theta0), t_f0, t_hi)
+            p = shooter.newton(theta0, t_f0, t_on)
             if np.linalg.norm(p.gap) < RESIDUAL_ACCEPT and p.d < 0.0:
                 try:
                     return _certify(prob, p)

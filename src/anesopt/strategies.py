@@ -14,14 +14,13 @@ neither the projected Gauss-Newton root search nor the KKT Newton solve of
 min sum(d) s.t. r(d) = 0 touches an ODE solver or leaves the eigenbasis.
 The search runs from the starts of one dyadic grid up to the first root; a
 bolus-first pattern from x4 below its target tries the grid start of the
-full-rate onset first, the first time u = u_max lifts x4 to its target,
-which bounds t_f from below because the system is positive. The Jacobian,
-the closed-form least-squares step, the KKT check and the certificate are
-Python floats too: past the set-up and the result's arrays, numpy runs only
-np.linalg.lstsq near its rank cut-off and np.linalg.solve for a KKT Newton
-step. The KKT multipliers mu give the terminal costate psi(t_f) = C^T mu,
-and a pattern whose minimum-time representative has a vanishing segment is
-dominated.
+full-rate onset first, a lower bound on t_f since the system is positive.
+The Jacobian, the closed-form least-squares step, the KKT check and the
+certificate are Python floats too: past the set-up and the result's arrays,
+numpy runs only np.linalg.lstsq near its rank cut-off and np.linalg.solve
+for a KKT Newton step. The KKT multipliers mu give the terminal costate
+psi(t_f) = C^T mu. A segment vanishes, and its point is dominated, when
+dropping it moves the endpoint by less than FEAS_TOL (see _vanishing).
 
 From an equilibrium of an admissible constant control, a KKT point whose
 switching function psi^T B has exactly as many zeros as switches, with the
@@ -47,7 +46,6 @@ from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
 T_MAX = 60.0         # search horizon, min
 FEAS_TOL = 1e-9      # inf-norm residual bound for a feasible root
-COLLAPSE_TOL = 1e-3  # segments shorter than this are vanishing
 GRID_POINTS = 8      # multistart points per time dimension
 STALL_TOL = 1e-6     # relative residual drop below which a search has stalled
 _EQUILIBRIUM_RTOL = 1e-12  # |A x0 + B u0| against |A| |x0|: rounding only
@@ -255,7 +253,7 @@ class _GapSolver:
             x1 += b * y
         return (x0 - t0, x1 - t1)
 
-    def jac(self, gaps, zs, kkt=False):
+    def jac(self, gaps, zs):
         """Exact switching-time derivatives of the residual (Kaya and Noakes
         1996), as the two rows of J: column j is C v_j, the fast rows of the
         transport v_j = e^(A tau_j) (A x_j + B u_j), x_j = V zs[j] the state
@@ -265,10 +263,8 @@ class _GapSolver:
         Python floats with tau accumulated from the last segment back. Each
         column, and the two rows of C A v_j = (C V Lambda) y_j beside it, is
         summed in one pass over the modes in index order, so a column costs
-        n exps, no intermediate list and no numpy call.
-
-        With kkt=True it returns (J, CAv), CAv those two rows, which the KKT
-        block reads (see kkt_system).
+        n exps, no intermediate list and no numpy call. Returns (J, CAv),
+        CAv those two rows, which the KKT block reads (see kkt_system).
         """
         exp, rec, k = math.exp, self.record, len(gaps)
         lam, (p, q), (pa, qa) = rec.lam, rec.CV, rec.CAV
@@ -286,7 +282,7 @@ class _GapSolver:
                 c1 += d * v
             J0[j], J1[j], C0[j], C1[j] = x0, x1, c0, c1
             tau += gaps[j]
-        return ((J0, J1), (C0, C1)) if kkt else (J0, J1)
+        return (J0, J1), (C0, C1)
 
     def _clip(self, gaps) -> list:
         g = [0.0 if d <= 0.0 else d for d in gaps]
@@ -300,21 +296,18 @@ class _GapSolver:
 
     def starts(self):
         """Multistart gap vectors, one gap per level, yielded lazily: ordered
-        cut points on a dyadic refinement of the horizon, T_MAX/2 down to
-        T_MAX/256, which reaches the sub-minute root scale that a uniform
-        horizon grid never does. A root past T_MAX/2 is reached by the
-        search, not a start.
+        cut points on the dyadic points T_MAX/2 down to T_MAX/256, which
+        reach the sub-minute root scale that a uniform grid never does; a
+        root past T_MAX/2 is reached by the search, not a start.
 
-        A bolus-first pattern from x4 below its target first tries the grid
-        start of the full-rate onset, the first time u = u_max lifts x4 to
-        its target: a lower bound on t_f, since the system is positive and
-        no admissible control raises x4 faster. That start is [p, 0, ..., 0]
-        for the first grid point p, in ascending order, where one u_max
-        segment has x4 >= its target; the rest of the grid follows in its
-        own order, so the set of starts is unchanged. The scan walks one
-        segment per point on Python floats. With no such p up to T_MAX/2,
-        from x4 at or above its target, or for a rest-first pattern, the
-        grid's order stands."""
+        A bolus-first pattern from x4 below its target first tries [p, 0,
+        ..., 0], p the first grid point, in ascending order, at which one
+        u_max segment lifts x4 to its target: the grid start of the
+        full-rate onset, a lower bound on t_f since the system is positive.
+        The rest of the grid follows in its own order, so the set of starts
+        is unchanged. The scan walks one segment per point on Python floats.
+        With no such p, or for a rest-first pattern, the grid's order
+        stands."""
         pts = sorted(T_MAX / 2 ** i for i in range(1, GRID_POINTS + 1))
         ndim = len(self.levels)
         first = None
@@ -347,7 +340,7 @@ class _GapSolver:
         for _ in range(100):
             if nr < 1e-12:
                 break
-            J = self.jac(g, zs)
+            J = self.jac(g, zs)[0]
             free = len(g)
             if 0.0 in g:
                 # pin gaps held at zero by the projection, so the step runs
@@ -380,7 +373,7 @@ class _GapSolver:
         return np.array(g), r, zs
 
     def kkt_system(self, gaps, zs, mu=None):
-        """(F, K, mu): F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1
+        """(F, K, mu, J): F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1
         switches, and its Jacobian K = [[J, 0], [M, J^T]], from the modal
         rows zs = walk(gaps). Since dv_j/dd_i = A v_min(i,j),
         M_ji = w_min(i,j) with w = mu^T C A v (Maurer, Buskens, Kim and Kaya
@@ -390,8 +383,8 @@ class _GapSolver:
         F, its inf-norm test and mu are Python floats; K is assembled as an
         array only when a Newton step is needed, and is None when every
         |F_i| < FEAS_TOL: a KKT point takes no Newton step (a NaN in F
-        fails the test)."""
-        J, (c0, c1) = self.jac(gaps, zs, kkt=True)
+        fails the test). J is the two rows that the one jac call gave."""
+        J, (c0, c1) = self.jac(gaps, zs)
         k = len(gaps)
         if mu is None:
             mu = _lstsq(J, [-1.0] * k, tall=True)[0]
@@ -399,29 +392,31 @@ class _GapSolver:
         F = [*self.residual(zs),
              *[1.0 + (a * m0 + b * m1) for a, b in zip(*J)]]
         if all(abs(f) < FEAS_TOL for f in F):
-            return F, None, mu
+            return F, None, mu, J
         w = [m0 * a + m1 * b for a, b in zip(c0, c1)]
         K = np.zeros((k + 2, k + 2))
         K[:2, :k] = J
         K[2:, :k] = [[w[min(i, j)] for j in range(k)] for i in range(k)]
         K[2:, k:] = np.transpose(J)
-        return F, K, mu
+        return F, K, mu, J
 
     def kkt(self, gaps, zs):
         """Newton on the KKT system from a root and its walk's modal rows zs,
         with mu0 = lstsq(J^T, -1) in _lstsq's closed form: (gaps, mu, r), as
-        lists, at a KKT point with no vanishing segment, or None when a
-        segment vanishes, K is singular or Newton does not converge. A root
-        that is already a KKT point, as every root of a square pattern is,
-        costs one jac and no numpy call; a Newton step costs one
-        np.linalg.solve."""
+        lists, at a KKT point with no vanishing segment, or None when an
+        iterate has one (_vanishing on kkt_system's J), K is singular or
+        Newton does not converge. A root that is already a KKT point, as every
+        root of a square pattern is, costs one jac and no numpy call; a Newton
+        step costs one np.linalg.solve."""
         g, n, mu = [float(d) for d in gaps], len(gaps), None
         for i in range(20):
-            if min(g) < COLLAPSE_TOL:
+            if min(g) <= 0.0:  # no walk or jac past a negative gap
                 return None
             if i:  # the root's walk came with it
                 zs = self.walk(g)
-            F, K, mu = self.kkt_system(g, zs, mu)
+            F, K, mu, J = self.kkt_system(g, zs, mu)
+            if _vanishing(g, J):
+                return None
             if K is None:
                 return g, mu, F[:2]
             try:
@@ -431,6 +426,14 @@ class _GapSolver:
             g = [d + s for d, s in zip(g, step)]
             mu = [m + s for m, s in zip(mu, step[n:])]
         return None
+
+
+def _vanishing(gaps, J) -> bool:
+    """Whether |J_j|_inf d_j < FEAS_TOL for a segment j, d_j <= 0 included:
+    dropping it moves the endpoint by -J_j d_j to first order, so fewer
+    switches reach the target sooner, within FEAS_TOL; J is r's Jacobian."""
+    return any(abs(a) * d < FEAS_TOL and abs(b) * d < FEAS_TOL
+               for d, a, b in zip(gaps, *J))
 
 
 def _to_schedule(levels, gaps) -> ControlSchedule:
@@ -473,7 +476,7 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
         return StrategyResult(pattern.strategy, None, best_r, False,
                               f"no root: best residual {best_nr:.3e}")
     if k == 0:
-        if min(zero) < COLLAPSE_TOL:
+        if _vanishing(zero, sol.jac(zero, zs)[0]):
             return StrategyResult(pattern.strategy, None, best_r, False,
                                   "root degenerate: a segment vanishes")
         return StrategyResult(pattern.strategy, _to_schedule(sol.levels, zero),

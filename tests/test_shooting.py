@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from anesopt import shooting, strategies
-from anesopt.errors import DomainError, IntegrationError, NoConvergenceError
+from anesopt.errors import (DomainError, InfeasibleError, IntegrationError,
+                            NoConvergenceError)
 from anesopt.lti import constant_input_propagator, integrate_with_sign_event
 from anesopt.patient import (SCHNIDER_RANGE, PatientDemographics, bis_inverse,
                              equilibrium, schnider_parameters)
@@ -170,6 +171,25 @@ def test_full_rate_onset_bounds_t_f_from_below(ref_problem):
     x = full(ref_problem.x0, t_on)
     assert x[3] == pytest.approx(ref_problem.target_fast[1], abs=1e-9)
     assert 0.0 < t_on < FROZEN["t_f"]
+
+
+def test_full_rate_onset_below_the_equilibrium_rate_is_infeasible(ref_params):
+    # at u_max < u_e x4 settles below its target: no onset, so no t_f
+    u_e = equilibrium(ref_params, bis_inverse(50.0)).u_e
+    with pytest.raises(InfeasibleError, match="does not reach its target"):
+        full_rate_onset(build_problem(ref_params, u_max=0.9 * u_e))
+
+
+@pytest.mark.parametrize("T", [0.01, 0.1, 0.3, 0.5])
+def test_short_full_rate_target_is_shot_at_the_onset(ref_problem, T):
+    # the fast rows of the full-rate state at T: t_f = T = t_on, the lower
+    # end of Newton's t_f range, which a t_f below the onset once missed
+    full = constant_input_propagator(ref_problem.sys, ref_problem.u_max)
+    x_T = full(ref_problem.x0, T)
+    prob = dataclasses.replace(ref_problem, target_fast=x_T[list(FAST_IDX)])
+    cert = solve_shooting(prob)
+    assert cert.t_f == pytest.approx(T, rel=1e-9)
+    assert cert.switch_times == () and cert.schedule.levels == (U_MAX_REF,)
 
 
 def test_default_seed_grid_order_and_size():
