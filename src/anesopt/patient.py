@@ -6,9 +6,7 @@ Units: mass mg, time min, volume L, height cm, weight kg, age years.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -120,16 +118,20 @@ def bis(x4):
     """Decreasing sigmoid from effect-site level to the BIS score.
 
     x4 is a scalar, which gives a float, or an array, which gives an array
-    of its shape. Per element x4**γ is libm pow (math.pow, as Python's float
-    ** takes it; numpy's SIMD array power can differ in the last bit) and
-    the rest is float64 arithmetic, so an array gives the scalar values bit
-    for bit.
+    of its shape. Per element x4**γ is libm pow (np.float_power calls it, as
+    Python's float ** does; numpy's SIMD np.power can differ in the last
+    bit) and the rest is float64 arithmetic, so an array gives the scalar
+    values bit for bit. A negative or NaN x4, or one whose x4**γ is not
+    finite, raises DomainError.
     """
     x = np.asarray(x4, dtype=float)
     if not np.all(x >= 0):  # NaN fails this too
         raise DomainError("effect-site level must be nonnegative")
-    xg = np.fromiter(map(math.pow, x.ravel().tolist(), repeat(BIS_GAMMA)),
-                     float, x.size).reshape(x.shape)
+    with np.errstate(over="ignore"):
+        xg = np.float_power(x, BIS_GAMMA)
+    if not np.all(np.isfinite(xg)):
+        raise DomainError(f"effect-site level too large: x4**{BIS_GAMMA:g} "
+                          "overflows")
     b = BIS0 * (1.0 - xg / (xg + EC50 ** BIS_GAMMA))
     return float(b) if b.ndim == 0 else b
 

@@ -12,9 +12,11 @@ the exact first and second switching-time derivatives, transports on the
 same eigenbasis, from the walked modal rows on the two fast rows only; so
 neither the projected Gauss-Newton root search nor the KKT Newton solve of
 min sum(d) s.t. r(d) = 0 touches an ODE solver or leaves the eigenbasis.
-The search runs from the starts of one dyadic grid up to the first root; a
-bolus-first pattern from x4 below its target tries the grid start of the
-full-rate onset first, a lower bound on t_f since the system is positive.
+Both read the second derivatives: a one-switch search takes Chebyshev's
+third-order step. The search runs from the starts of one dyadic grid up to
+the first root; a bolus-first pattern from x4 below its target tries the
+grid start of the full-rate onset first, a lower bound on t_f since the
+system is positive, from the walk of its onset scan.
 The Jacobian, the closed-form least-squares step, the KKT check and the
 certificate are Python floats too: past the set-up and the result's arrays,
 numpy runs only np.linalg.lstsq near its rank cut-off and np.linalg.solve
@@ -295,52 +297,61 @@ class _GapSolver:
         return g
 
     def starts(self):
-        """Multistart gap vectors, one gap per level, yielded lazily: ordered
-        cut points on the dyadic points T_MAX/2 down to T_MAX/256, which
-        reach the sub-minute root scale that a uniform grid never does; a
-        root past T_MAX/2 is reached by the search, not a start.
+        """Multistart gap vectors, one gap per level, yielded lazily as
+        (gaps, zs), zs the start's walked modal rows or None: ordered cut
+        points on the dyadic points T_MAX/2 down to T_MAX/256, which reach
+        the sub-minute root scale that a uniform grid never does; a root
+        past T_MAX/2 is reached by the search, not a start.
 
         A bolus-first pattern from x4 below its target first tries [p, 0,
         ..., 0], p the first grid point, in ascending order, at which one
         u_max segment lifts x4 to its target: the grid start of the
         full-rate onset, a lower bound on t_f since the system is positive.
         The rest of the grid follows in its own order, so the set of starts
-        is unchanged. The scan walks one segment per point on Python floats.
-        With no such p, or for a rest-first pattern, the grid's order
-        stands."""
+        is unchanged. The scan walks one segment per point on Python floats,
+        and the onset start carries the scan's walk of [p]: a zero gap
+        leaves z where it is. With no such p, or for a rest-first pattern,
+        the grid's order stands."""
         pts = sorted(T_MAX / 2 ** i for i in range(1, GRID_POINTS + 1))
         ndim = len(self.levels)
         first = None
         if self.levels[0] and self.record.x4_low:
             for p in pts:
-                if self.residual(self.walk([p]))[1] >= 0.0:
+                zs = self.walk([p])
+                if self.residual(zs)[1] >= 0.0:
                     first = (p,) * ndim
-                    yield [p] + [0.0] * (ndim - 1)
+                    yield [p] + [0.0] * (ndim - 1), zs * ndim
                     break
         for combo in itertools.combinations_with_replacement(pts, ndim):
             if combo != first:
-                yield [b - a for a, b in zip((0.0,) + combo, combo)]
+                yield [b - a for a, b in zip((0.0,) + combo, combo)], None
 
-    def search(self, gaps0):
-        """Projected Gauss-Newton toward a residual zero: (gaps, r, zs) at
-        the last point reached, with gaps as an array, r as two floats and
-        zs its walk's modal rows.
+    def search(self, gaps0, zs=None):
+        """Projected Gauss-Newton toward a residual zero from gaps0 and its
+        walk's modal rows zs (walked here when None): (gaps, r, zs) at the
+        last point reached, with gaps as an array, r as two floats and zs
+        its walk's modal rows.
 
         The minimum-norm least-squares step (Ben-Israel 1966) serves square,
         over- and underdetermined patterns alike; it is halved until the
         clipped point lowers |r|. Step and rank come from _lstsq's closed
         form, so np.linalg.lstsq runs only near its own rank cut-off, and
-        every stop decision is the one lstsq would make. An iteration makes
-        no other numpy call.
+        every stop decision is the one lstsq would make. A square step of
+        rank 2 with no pinned gap, every one-switch step, is Chebyshev's
+        (Traub 1964): the Newton step s plus J^-1 (-H(s, s) / 2), H the
+        second switching-time derivatives C A v_min(i,j) that the same jac
+        call sums (see kkt_system), so it converges at third order for a
+        few multiplies. An iteration makes no other numpy call.
         """
         g = [float(d) for d in gaps0]
-        zs = self.walk(g)
+        if zs is None:
+            zs = self.walk(g)
         r = self.residual(zs)
         nr = math.sqrt(r[0] * r[0] + r[1] * r[1])
         for _ in range(100):
             if nr < 1e-12:
                 break
-            J = self.jac(g, zs)[0]
+            J, (c0, c1) = self.jac(g, zs)
             free = len(g)
             if 0.0 in g:
                 # pin gaps held at zero by the projection, so the step runs
@@ -353,6 +364,17 @@ class _GapSolver:
             step, rank = _lstsq(J, (-r[0], -r[1]))
             if rank < min(2, free):
                 break  # a free gap the endpoint cannot see has no Newton step
+            if free == rank == len(g) == 2:
+                # H(s, s) = sum_k C A v_k s_k (s_k + 2 sum_(j>k) s_j), and
+                # J^-1 (-H / 2) from the inverse of J, the one minor
+                (p0, p1), (q0, q1) = J
+                s0, s1 = step
+                w0, w1 = s0 * (s0 + 2.0 * s1), s1 * s1
+                h0 = 0.5 * (c0[0] * w0 + c0[1] * w1)
+                h1 = 0.5 * (c1[0] * w0 + c1[1] * w1)
+                det = p0 * q1 - p1 * q0
+                step = [s0 - (q1 * h0 - p1 * h1) / det,
+                        s1 - (p0 * h1 - q0 * h0) / det]
             scale = 1.0
             while scale >= 1e-12:
                 gn = self._clip([d + scale * s for d, s in zip(g, step)])
@@ -464,8 +486,8 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
         return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
     sol = _GapSolver(record, pattern)
     best_nr, best_r, zero = math.inf, None, None
-    for g0 in sol.starts():
-        g, r, zs = sol.search(g0)
+    for g0, zs0 in sol.starts():
+        g, r, zs = sol.search(g0, zs0)
         nr = max(abs(r[0]), abs(r[1]))
         if nr < best_nr:
             best_nr, best_r = nr, r

@@ -568,6 +568,19 @@ def test_simulate_zero_horizon_schedule_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "simulated.csv").exists()
 
 
+def test_simulate_from_an_overflowing_effect_site_exits_2(tmp_path, capsys):
+    # x4 = 1e120 has no BIS score: x4**3 overflows the float range
+    cfg = write_config(tmp_path, x0=[0.0, 0.0, 0.0, 1e120])
+    sched = tmp_path / "hold.json"
+    sched.write_text(json.dumps(
+        {"u_levels": [50.0], "breakpoints": [], "t_f": 2.0}))
+    rc = main(["simulate", "--config", cfg, str(sched),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "simulated.csv").exists()
+
+
 def test_simulate_step_past_the_sample_cap_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     sched = tmp_path / "hold.json"

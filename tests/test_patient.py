@@ -114,8 +114,11 @@ def _bis_on_floats(v: float) -> float:
 
 
 def test_array_bis_is_the_scalar_bis_bit_for_bit():
-    x4 = np.concatenate([BIS_SPECIALS,
-                         np.random.default_rng(3).uniform(0.0, 10.0, 500)])
+    # uniform over the clinical range, then log-uniform from 1e-300 to 1e100,
+    # where x4**3 runs from underflow to just short of overflow
+    rng = np.random.default_rng(3)
+    x4 = np.concatenate([BIS_SPECIALS, rng.uniform(0.0, 10.0, 500),
+                         10.0 ** rng.uniform(-300.0, 100.0, 20_000)])
     want = np.array([_bis_on_floats(v) for v in x4.tolist()])
     got = bis(x4)
     assert got.shape == x4.shape
@@ -131,6 +134,15 @@ def test_array_bis_is_the_scalar_bis_bit_for_bit():
 def test_array_bis_rejects_a_negative_or_nan_entry(bad):
     with pytest.raises(DomainError):
         bis(np.array([*BIS_SPECIALS, bad, 2.0]))
+
+
+@pytest.mark.parametrize("big", [5.7e102, 1e120, float("inf")])
+def test_bis_rejects_a_level_whose_power_overflows(big):
+    # x4**3 is not finite past about 5.64e102; 1e100 still has a score
+    assert bis(1e100) == 0.0
+    for x4 in (big, np.array([*BIS_SPECIALS, big, 2.0])):
+        with pytest.raises(DomainError, match="overflows"):
+            bis(x4)
 
 
 @pytest.mark.parametrize("target", [0.0, 100.0, -5.0, 120.0])

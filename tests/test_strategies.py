@@ -287,6 +287,54 @@ def test_kkt_jacobian_matches_central_differences(ref_problem, strategy):
         np.testing.assert_allclose(K, central, rtol=1e-6)
 
 
+@pytest.mark.parametrize("strategy", [3, 7])
+def test_second_derivatives_match_central_differences(ref_problem, strategy):
+    # d J_j / d d_i = C A v_min(i,j): jac's C A v rows against central
+    # differences of J's columns, the second derivatives that the KKT block
+    # and the search's Chebyshev step read
+    pat = Pattern(strategy=strategy, starts_high=True, switches=(strategy - 1) // 2)
+    sol = _GapSolver(_ModalRecord(ref_problem), pat)
+    k, h = pat.switches + 1, 1e-5
+    g = np.random.default_rng(strategy).uniform(0.2, 3.0, k)
+    CAv = np.array(sol.jac(g, sol.walk(g))[1])
+    for i in range(k):
+        e = np.zeros(k)
+        e[i] = h
+        dJ = (_jac(sol, g + e) - _jac(sol, g - e)) / (2 * h)
+        want = CAv[:, [min(i, j) for j in range(k)]]
+        np.testing.assert_allclose(dJ, want, rtol=1e-6,
+                                   atol=1e-9 * np.abs(CAv).max())
+
+
+@pytest.mark.parametrize("f", [0.99, 1.01])
+def test_one_switch_step_is_chebyshevs(ref_problem, optimal, monkeypatch, f):
+    # from 1% off the reference root, the search's first step, Newton's step
+    # plus J^-1 (-H(s, s) / 2), lowers |r| at third order: at least 100 times
+    # further than the Newton step from the same point
+    sol = _GapSolver(_ModalRecord(ref_problem),
+                     Pattern(strategy=3, starts_high=True, switches=1))
+    t_c, t_f = optimal.schedule.breakpoints[0], optimal.schedule.t_f
+    g0 = [f * t_c, f * (t_f - t_c)]
+    zs = sol.walk(g0)
+    r = np.array(sol.residual(zs))
+    newton = np.add(g0, np.linalg.solve(_jac(sol, np.array(g0)), -r))
+    r_newton = np.linalg.norm(_resid(ref_problem, sol, newton), np.inf)
+    walked = []
+    walk = _GapSolver.walk
+
+    def recording_walk(self, gaps):
+        zs = walk(self, gaps)
+        walked.append(self.residual(zs))
+        return zs
+
+    monkeypatch.setattr(_GapSolver, "walk", recording_walk)
+    sol.search(g0, zs)
+    # the first trial point is the full step: it lowered |r|, so no halving
+    r_step = np.linalg.norm(walked[0], np.inf)
+    assert np.linalg.norm(r, np.inf) > 1e-2 > r_newton > 1e-5
+    assert r_step * 100 <= r_newton
+
+
 def test_search_slides_along_a_pinned_gap(ref_problem):
     # strategy 7 from (3.75, 0, 0, 0): the descent direction pushes the zero
     # gaps negative, so an unpinned projected step is clipped back and
@@ -336,7 +384,7 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     sol = _GapSolver(_ModalRecord(prob),
                      Pattern(strategy=5, starts_high=True, switches=2))
     g0 = [T_MAX / 256, 0.0, 3 * T_MAX / 256]
-    assert g0 in list(sol.starts())
+    assert g0 in _start_gaps(sol)
     g, r, zs = sol.search(g0)
     assert np.linalg.norm(r, np.inf) < FEAS_TOL
     walked.clear()
@@ -423,8 +471,8 @@ def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, ref_eq,
 
     search = _GapSolver.search
 
-    def counting_search(self, gaps0):
-        g, r, zs = search(self, gaps0)
+    def counting_search(self, gaps0, zs=None):
+        g, r, zs = search(self, gaps0, zs)
         searched.append(np.linalg.norm(r, np.inf))
         return g, r, zs
 
@@ -448,6 +496,11 @@ def test_start_grid_is_drawn_only_up_to_the_first_root(ref_problem, ref_eq,
     assert searched[-1] < FEAS_TOL and all(nr >= FEAS_TOL for nr in searched[:-1])
 
 
+def _start_gaps(sol):
+    """The gap vectors of sol.starts(), without the walks they carry."""
+    return [g for g, _ in sol.starts()]
+
+
 def _grid_order(ndim):
     """The dyadic grid's starts in their own order, as lists."""
     pts = sorted(T_MAX / 2 ** i for i in range(1, strategies.GRID_POINTS + 1))
@@ -463,14 +516,16 @@ def test_bolus_first_search_starts_at_the_full_rate_onset(ref_problem,
     # order, so that start does not come again
     sol = _GapSolver(_ModalRecord(ref_problem),
                      Pattern(2 * switches + 1, True, switches))
-    starts = list(sol.starts())
+    starts, walks = zip(*sol.starts())
     p = starts[0][0]
     assert starts[0] == [p] + [0.0] * switches
+    # the onset start carries the scan's walk of [p], which is its own walk
+    assert walks[0] == sol.walk(starts[0]) and set(walks[1:]) == {None}
     assert sol.residual(sol.walk([p]))[1] >= 0.0
     assert p > T_MAX / 256 and sol.residual(sol.walk([p / 2]))[1] < 0.0
     grid = _grid_order(switches + 1)
     grid.remove(starts[0])
-    assert starts[1:] == grid
+    assert list(starts[1:]) == grid
 
 
 @pytest.mark.parametrize("case", ["rest-first", "x4hi", "onset-past-T/2"])
@@ -488,7 +543,7 @@ def test_other_searches_keep_the_grid_order(ref_problem, ref_params, case):
         sol = _GapSolver(_ModalRecord(prob), pattern)
         assert sol.residual(sol.walk([T_MAX / 2]))[1] < 0.0
     sol = _GapSolver(_ModalRecord(prob), pattern)
-    assert list(sol.starts()) == _grid_order(2)
+    assert list(sol.starts()) == [(g, None) for g in _grid_order(2)]
 
 
 def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
@@ -505,7 +560,7 @@ def test_search_stops_when_a_free_gap_is_invisible(ref_problem, monkeypatch):
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
     sol = _GapSolver(_ModalRecord(ref_problem),
                      Pattern(strategy=4, starts_high=False, switches=1))
-    starts = list(sol.starts())
+    starts = _start_gaps(sol)
     assert len(starts) == len(list(itertools.combinations_with_replacement(
         range(strategies.GRID_POINTS), 2)))
     for g0 in starts:
@@ -922,18 +977,25 @@ POPULATION = _population()
 
 def test_population_solves_take_fewer_jacobians(monkeypatch):
     # the full-rate onset start skips the search's climb from the grid's
-    # first point: the 26 solves took 208 Jacobians from that point
-    jacs = []
-    jac = _GapSolver.jac
+    # first point (208 Jacobians); the one-switch Chebyshev step and the
+    # onset start's reuse of its scan's walk cut the first-order search's
+    # 171 Jacobians and 289 walks to 130 and 221
+    jacs, walks = [], []
+    jac, walk = _GapSolver.jac, _GapSolver.walk
 
     def counting_jac(self, gaps, zs):
         jacs.append(gaps)
         return jac(self, gaps, zs)
 
+    def counting_walk(self, gaps):
+        walks.append(gaps)
+        return walk(self, gaps)
+
     monkeypatch.setattr(_GapSolver, "jac", counting_jac)
+    monkeypatch.setattr(_GapSolver, "walk", counting_walk)
     for params, u_max, x0 in POPULATION.values():
         solve_time_optimal(build_problem(params, u_max, 50.0, x0=x0))
-    assert len(jacs) < 208
+    assert len(jacs) < 171 and len(walks) < 289
 
 
 def _same(a, b):
