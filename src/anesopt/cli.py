@@ -126,10 +126,24 @@ def _fmt(obj):
     return obj
 
 
+def _create(path: str, mode: str):
+    """Open path as a new file (mode "x" or "xb"): any file there is removed
+    first, a symlink itself and not its target. Truncating a file and
+    writing it again can start its writeback at close (ext4 does so), while
+    the dirty pages of a removed file never reach the disk."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode)
+
+
 def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_fmt(doc), fh, indent=2)
-        fh.write("\n")
+    """The rounded document as indented JSON; its text is built before any
+    old file is removed."""
+    text = json.dumps(_fmt(doc), indent=2) + "\n"
+    with _create(path, "x") as fh:
+        fh.write(text)
 
 
 def _resolve(cfg: RunConfig):
@@ -309,15 +323,16 @@ def _write_trajectory_csv(path: str, traj) -> None:
 
     A single %.10g prints the same text as _g10 then .10g, since rounding
     to 10 significant digits twice changes nothing. BIS comes from one
-    array call of `bis`, bitwise its scalar values. `_csv_cells` prints
-    the seven columns of 2,048 rows at a time, from tables, and leaves
-    each value the tables cannot decide to Python's formatter. Each block
-    is written before the next is formatted, so the text of the whole
-    file is never held.
+    array call of `bis`, bitwise its scalar values, before the file is
+    created: a level with no score leaves an old file as it was.
+    `_csv_cells` prints the seven columns of 2,048 rows at a time, from
+    tables, and leaves each value the tables cannot decide to Python's
+    formatter. Each block is written before the next is formatted, so the
+    text of the whole file is never held.
     """
     cols = (traj.times, traj.states, np.asarray(traj.control, dtype=float),
             bis(np.maximum(traj.states[:, 3], 0.0)))
-    with open(path, "wb") as fh:
+    with _create(path, "xb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
         for i in range(0, len(traj.times), _CSV_BLOCK_ROWS):
             block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in cols])

@@ -92,8 +92,13 @@ def constant_input_propagator(sys: LTISystem, u: float):
     w_zero = np.where(zero, w, 0.0) if zero.any() else None
 
     def flow(x0, dt):
+        # in place, in two arrays: a long dt array maps fewer fresh pages
         ldt = lam * dt
-        y = np.exp(ldt) * (Vi @ x0) + np.expm1(ldt) * w_lam
+        y = np.exp(ldt)
+        y *= Vi @ x0
+        np.expm1(ldt, out=ldt)
+        ldt *= w_lam
+        y += ldt
         if w_zero is not None:
             y += dt * w_zero
         return y @ V.T

@@ -16,6 +16,9 @@ FAST_IDX = (0, 3)
 # sample_trajectory's bound on the row count: far above the 30k rows of a
 # 30-minute horizon at step 1e-3, far below an allocation that fails
 MAX_SAMPLES = 10 ** 7
+# inf-norm bound on the fast residual of a feasible root; a target that x0
+# already meets within it is degenerate
+FEAS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,8 +96,9 @@ class TimeOptimalProblem:
             raise DomainError("target_fast must have two components (x1, x4)")
         if not np.all(np.isfinite(target)):
             raise DomainError("target_fast must be finite")
-        if np.allclose(target, x0[list(FAST_IDX)], rtol=0, atol=1e-12):
-            raise DomainError("degenerate problem: target equals the initial fast state")
+        if np.max(np.abs(target - x0[list(FAST_IDX)])) < FEAS_TOL:
+            raise DomainError("degenerate problem: the initial fast state "
+                              "already meets the target within FEAS_TOL")
         x0.setflags(write=False)
         target.setflags(write=False)
         object.__setattr__(self, "x0", x0)

@@ -44,10 +44,9 @@ from .errors import DomainError, InfeasibleError
 # unused here: the benchmark tracer (perfbench/tracing.py) wraps this module
 # attribute and fails without it, until that tracer spans the modal walk
 from .lti import constant_input_propagator  # noqa: F401
-from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
+from .problem import FAST_IDX, FEAS_TOL, ControlSchedule, TimeOptimalProblem
 
 T_MAX = 60.0         # search horizon, min
-FEAS_TOL = 1e-9      # inf-norm residual bound for a feasible root
 GRID_POINTS = 8      # multistart points per time dimension
 STALL_TOL = 1e-6     # relative residual drop below which a search has stalled
 _EQUILIBRIUM_RTOL = 1e-12  # |A x0 + B u0| against |A| |x0|: rounding only

@@ -335,6 +335,17 @@ def test_csv_writer_rejects_a_nan_effect_site_level(tmp_path):
     assert not path.exists()
 
 
+def test_csv_writer_rejection_leaves_an_old_file_intact(tmp_path):
+    states = np.zeros((5, 4))
+    states[3, 3] = np.nan
+    traj = Trajectory(np.arange(5.0), states, np.ones(5))
+    path = tmp_path / "simulated.csv"
+    path.write_bytes(b"t,x1,x2,x3,x4,u,bis\n0,1,2,3,4,5,6\n")
+    with pytest.raises(DomainError):
+        cli._write_trajectory_csv(str(path), traj)
+    assert path.read_bytes() == b"t,x1,x2,x3,x4,u,bis\n0,1,2,3,4,5,6\n"
+
+
 # the CSV cell formatter against Python's own %.10g
 
 def _cell_texts(values):
@@ -528,6 +539,40 @@ def test_main_calls_in_one_process_write_identical_files(tmp_path, capsys):
     a = (tmp_path / "a" / "simulated.csv").read_bytes()
     assert a == (tmp_path / "b" / "simulated.csv").read_bytes()
     assert cli._parser() is cli._parser()
+
+
+def test_a_longer_old_output_is_replaced_by_exactly_the_new_bytes(
+        tmp_path, capsys):
+    # outputs are written as new files: nothing of an old file's tail stays
+    expected = (Path(__file__).resolve().parent / "data"
+                / "reference_simulated_step0.05.csv").read_bytes()
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "simulated.csv").write_bytes(expected + b"9,9,9,9,9,9,9\n" * 100)
+    assert _simulate_reference(out) == 0
+    assert (out / "simulated.csv").read_bytes() == expected
+    cfg = write_config(tmp_path, method="strategy", step=0.5)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    fresh = (tmp_path / "a" / "schedule_strategy.json").read_bytes()
+    (out / "schedule_strategy.json").write_bytes(b" " * 4096 + fresh)
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "schedule_strategy.json").read_bytes() == fresh
+
+
+def test_a_symlink_at_an_output_path_is_replaced_not_followed(tmp_path,
+                                                              capsys):
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"kept\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "simulated.csv").symlink_to(target)
+    assert _simulate_reference(out) == 0
+    written = out / "simulated.csv"
+    assert written.is_file() and not written.is_symlink()
+    assert written.read_bytes() == (Path(__file__).resolve().parent / "data"
+                                    / "reference_simulated_step0.05.csv"
+                                    ).read_bytes()
+    assert target.read_bytes() == b"kept\n"
 
 
 def test_schedule_quantization_preserves_the_endpoint(ref_sys, optimal):

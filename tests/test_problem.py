@@ -7,6 +7,7 @@ from anesopt.errors import DomainError
 from anesopt.lti import constant_input_propagator
 from anesopt.problem import (
     FAST_IDX,
+    FEAS_TOL,
     MAX_SAMPLES,
     ControlSchedule,
     TimeOptimalProblem,
@@ -185,6 +186,20 @@ def test_problem_rejects_bad_target_shape(ref_sys):
 def test_problem_rejects_degenerate_target(ref_sys):
     with pytest.raises(DomainError):
         TimeOptimalProblem(sys=ref_sys, target_fast=(0.0, 0.0), u_max=1.0)
+
+
+@pytest.mark.parametrize("gap, degenerate", [(0.99 * FEAS_TOL, True),
+                                             (1.01 * FEAS_TOL, False)])
+def test_problem_rejects_a_target_within_feas_tol_of_x0(ref_sys, gap,
+                                                       degenerate):
+    # x0 meets a target within FEAS_TOL as a feasible root would: degenerate
+    kwargs = dict(sys=ref_sys, target_fast=(1.0, 4.0 - gap), u_max=1.0,
+                  x0=np.array([1.0, 2.0, 3.0, 4.0]))
+    if degenerate:
+        with pytest.raises(DomainError, match="degenerate problem"):
+            TimeOptimalProblem(**kwargs)
+    else:
+        TimeOptimalProblem(**kwargs)
 
 
 def test_build_problem_reference_values(ref_params, ref_problem):

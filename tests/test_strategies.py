@@ -1124,14 +1124,37 @@ def test_zero_switch_root_vanishes_by_its_endpoint_move(ref_problem, T,
                                                         vanishes):
     # from rest the full-rate segment moves x1 at u_max per minute: below
     # T = FEAS_TOL / u_max, about 9.4e-12 min, dropping it moves the
-    # endpoint by less than FEAS_TOL, so the root is degenerate
+    # endpoint by less than FEAS_TOL, so the root is degenerate. Its target
+    # then lies within FEAS_TOL of x0 too, which TimeOptimalProblem refuses,
+    # so the rule is read on the Jacobian of the segment of length T
+    sol = _GapSolver(_ModalRecord(ref_problem), Pattern(1, True, 0))
+    J = sol.jac([T], sol.walk([T]))[0]
+    assert strategies._vanishing([T], J) is vanishes
+    if not vanishes:
+        full = constant_input_propagator(ref_problem.sys, ref_problem.u_max)
+        x_T = full(ref_problem.x0, T)
+        prob = dataclasses.replace(ref_problem,
+                                   target_fast=x_T[list(FAST_IDX)])
+        r = solve_pattern(prob, Pattern(1, True, 0))
+        assert r.feasible and r.note == "isolated root"
+
+
+@pytest.mark.parametrize("T, gap", [(1e-12, 1.0609e-10), (1e-11, 1.0609e-9)])
+def test_a_target_that_x0_already_meets_is_degenerate(ref_problem, T, gap):
+    # the full-rate state at T = 1e-12 min lies within FEAS_TOL of x0, so no
+    # solve is asked for; ten times further out, strategy 1 reaches it at T
     full = constant_input_propagator(ref_problem.sys, ref_problem.u_max)
-    x_T = full(ref_problem.x0, T)
-    prob = dataclasses.replace(ref_problem, target_fast=x_T[list(FAST_IDX)])
-    r = solve_pattern(prob, Pattern(1, True, 0))
-    assert r.feasible is not vanishes
-    assert r.note == ("root degenerate: a segment vanishes" if vanishes
-                      else "isolated root")
+    target = full(ref_problem.x0, T)[list(FAST_IDX)]
+    moved = np.max(np.abs(target - ref_problem.x0[list(FAST_IDX)]))
+    assert moved == pytest.approx(gap, rel=1e-4)
+    if moved < FEAS_TOL:
+        with pytest.raises(DomainError, match="degenerate problem"):
+            dataclasses.replace(ref_problem, target_fast=target)
+        return
+    best = solve_time_optimal(dataclasses.replace(ref_problem,
+                                                  target_fast=target))
+    assert best.strategy == 1 and best.schedule.levels == (ref_problem.u_max,)
+    assert best.t_f == pytest.approx(T, rel=1e-9)
 
 
 # support-function minimum times t* on the ray x0 = s (43.554, 19.2711,
