@@ -1,17 +1,16 @@
 """Linear-systems kernel: exact constant-input propagation in modal form,
-adaptive DOP853 integration (8th order; the event integration reads a
-7th-order dense output and returns only the first sign change),
-controllability rank.
+and adaptive DOP853 integration (8th order; the event integration reads a
+7th-order dense output and returns only the first sign change).
 
-Every LTISystem has a real, well-separated spectrum; the constructor rejects
-any other, so the propagator has one path, through the eigendecomposition,
-which the strategy route also reads directly. Time is in minutes and states
-in mg throughout the package, but nothing in this module depends on that
+Every LTISystem has a real spectrum, its eigenvalues separated from each
+other and from 0; the constructor rejects any other, so A is invertible and
+the propagator has one path, through the eigendecomposition, which the
+strategy route also reads directly. Time is in minutes and states in mg
+throughout the package, but nothing in this module depends on that
 convention.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +30,9 @@ class LTISystem:
 
     The eigenvalues are real and sorted ascending, A = V diag(lam) Vi.
     from_matrices raises DomainError unless every imaginary part is below
-    1e-10, the pairwise separation is above 1e-6 and the reconstruction
-    residual ||V diag(lam) Vi - A||_inf is below 1e-10.
+    1e-10, the pairwise separation and every |lam| are above 1e-6 (so A is
+    invertible) and the reconstruction residual ||V diag(lam) Vi - A||_inf
+    is below 1e-10.
     """
 
     A: np.ndarray
@@ -57,6 +57,8 @@ class LTISystem:
         lam, V = lam.real, V.real
         if lam.size > 1 and np.min(np.diff(lam)) <= _SEPARATION_TOL:
             raise DomainError(f"spectrum {lam} is not separated")
+        if lam.size and np.min(np.abs(lam)) <= _SEPARATION_TOL:
+            raise DomainError(f"spectrum {lam} is not separated from 0")
         try:
             Vi = np.linalg.inv(V)
         except np.linalg.LinAlgError:
@@ -71,25 +73,15 @@ class LTISystem:
     def n(self) -> int:
         return self.A.shape[0]
 
-    @functools.cached_property
-    def controllability_rank(self) -> int:
-        """kalman_rank of the system, computed at first use and kept."""
-        return kalman_rank(self)
-
 
 def constant_input_propagator(sys: LTISystem, u: float):
     """Exact flow map (x0, dt) -> x(dt) for constant input u, in modal form:
-    x(dt) = V (e^(lam dt) * Vi x0 + phi1(lam, dt) * Vi B u), where
-    phi1 = expm1(lam dt) / lam and phi1 = dt at lam = 0, so a singular A
-    needs no inverse; the dt term is added only when the spectrum has a
-    zero eigenvalue. dt is a scalar or a 1-D array; an array gives one
-    state per entry, as rows.
+    x(dt) = V (e^(lam dt) * Vi x0 + expm1(lam dt) * Vi B u / lam), where no
+    lam is near 0 (LTISystem admits no other spectrum). dt is a scalar or a
+    1-D array; an array gives one state per entry, as rows.
     """
     lam, V, Vi = sys.eigenvalues, sys.V, sys.Vi
-    zero = lam == 0
-    w = Vi @ (sys.B * u)
-    w_lam = np.divide(w, lam, out=np.zeros(sys.n), where=~zero)
-    w_zero = np.where(zero, w, 0.0) if zero.any() else None
+    w_lam = Vi @ (sys.B * u) / lam
 
     def flow(x0, dt):
         # in place, in two arrays: a long dt array maps fewer fresh pages
@@ -99,8 +91,6 @@ def constant_input_propagator(sys: LTISystem, u: float):
         np.expm1(ldt, out=ldt)
         ldt *= w_lam
         y += ldt
-        if w_zero is not None:
-            y += dt * w_zero
         return y @ V.T
 
     def step(x0, dt):
@@ -354,13 +344,3 @@ def integrate_with_sign_event(f, x0, t0, t1, watch: int, tol, atol):
         x = y1
     return t1, x, False
 
-
-def kalman_rank(sys: LTISystem) -> int:
-    """Numerical rank of the controllability matrix [B, AB, ..., A^(n-1)B]."""
-    cols = [sys.B]
-    for _ in range(sys.n - 1):
-        cols.append(sys.A @ cols[-1])
-    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-10 * s[0]))

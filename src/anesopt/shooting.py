@@ -50,7 +50,6 @@ MAX_RESIDUAL_EVALS = 200
 _RTOL = 1e-12
 _ATOL = 1e-14
 
-_T_F_CEIL = 10.0  # times t_on
 _ONSET_HORIZON = 1e4
 _GAP_TOL = 1e-10
 _TIE_COS = 1e-12  # |cos theta| = |psi1(t_f)| read as a tie
@@ -301,9 +300,9 @@ class _Shooter:
         """Damped Newton on the gap; returns the last point reached.
 
         Steps are cut to |dtheta| <= pi/8 and |dt_f| <= t_f / 2, t_f stays
-        in [t_on, _T_F_CEIL t_on], t_on the full-rate onset, a lower bound
-        on t_f, and a step is halved until the gap shrinks. A singular
-        Jacobian or a step that cannot shrink the gap ends the search."""
+        at or above t_on, the full-rate onset, a lower bound on t_f, and a
+        step is halved until the gap shrinks. A singular Jacobian or a step
+        that cannot shrink the gap ends the search."""
         p = self(theta, t_f)
         for _ in range(_MAX_NEWTON_STEPS):
             ng = np.linalg.norm(p.gap)
@@ -319,7 +318,7 @@ class _Shooter:
             if over > 1.0:
                 step /= over
             for _ in range(_MAX_HALVINGS):
-                t_n = float(np.clip(p.t_f + step[1], t_on, _T_F_CEIL * t_on))
+                t_n = float(max(t_on, p.t_f + step[1]))
                 q = self(p.theta + step[0], t_n)
                 if np.linalg.norm(q.gap) < ng:
                     p = q

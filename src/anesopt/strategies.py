@@ -3,9 +3,11 @@
 Candidate controls alternate between 0 and u_max with at most n - 1 = 3
 switches: eight patterns. A pattern solve reads its problem once, into one
 modal record (A's eigenvalues, V^-1 x0, the fast rows C V and C A V, V^-1 B
-and the start facts); building it rejects an uncontrollable system. The
-unknowns of a pattern are its segment durations, solved by a gap solver
-built on that record for the pattern's levels. It walks the segments in the
+and the start facts); building it rejects an uncontrollable system, one
+with an entry of V^-1 B at rounding level (the Hautus test, since the
+eigenvalues are distinct; none is near 0, see lti.LTISystem). The unknowns
+of a pattern are its segment durations, solved by a gap solver built on
+that record for the pattern's levels. It walks the segments in the
 modal coordinates z = V^-1 x of A's eigenbasis, with the closed-form flow of
 lti.constant_input_propagator on Python floats, and reads the endpoint and
 the exact first and second switching-time derivatives, transports on the
@@ -177,11 +179,16 @@ class _ModalRecord:
     start facts rest (A x0 = 0), held (x0 is held by a constant control
     0 <= u0 <= u_max, u0 the least-squares input of A x0 + B u0 = 0, to
     _EQUILIBRIUM_RTOL |A| |x0| per row) and x4_low (x4 below its target).
-    An uncontrollable system raises DomainError."""
+
+    With distinct eigenvalues, (A, B) is controllable iff no entry of Vi B
+    is zero (the Hautus test; Kailath 1980, 2.4); an entry at most
+    _MODAL_RTOL times the largest, a zero B included, raises DomainError."""
 
     def __init__(self, prob: TimeOptimalProblem):
         sys = prob.sys
-        if sys.controllability_rank != sys.n:
+        self.ViB = ViB = (sys.Vi @ sys.B).tolist()
+        mags = [abs(w) for w in ViB]
+        if min(mags) <= _MODAL_RTOL * max(mags):
             raise DomainError("system is not controllable from the infusion input")
         B, x0 = sys.B.tolist(), prob.x0.tolist()
         drift, scale = [], []  # A x0 and |A| |x0|, row by row
@@ -205,7 +212,6 @@ class _ModalRecord:
         self.z0 = (sys.Vi @ prob.x0).tolist()
         self.CV = sys.V[list(FAST_IDX)].tolist()
         self.CAV = [[a * l for a, l in zip(row, lam)] for row in self.CV]
-        self.ViB = (sys.Vi @ sys.B).tolist()
         self.target = prob.target_fast.tolist()
         self.x4_low = x0[FAST_IDX[1]] < self.target[1]
         self.u_max = prob.u_max
@@ -218,11 +224,10 @@ class _GapSolver:
     def __init__(self, record: _ModalRecord, pattern: Pattern):
         self.record = record
         self.levels = pattern.levels(record.u_max)
-        # row j of ViBu is Vi B u_j; the walk's input is Vi B u_j / lam
-        # (Vi B u_j at lam = 0, where phi1 = d), or None at u_j = 0
+        # row j of ViBu is Vi B u_j; the walk's input is Vi B u_j / lam,
+        # or None at u_j = 0
         self.ViBu = [[u * w for w in record.ViB] for u in self.levels]
-        self.inputs = [[w / l if l else w for l, w in zip(record.lam, row)]
-                       if u else None
+        self.inputs = [[w / l for l, w in zip(record.lam, row)] if u else None
                        for u, row in zip(self.levels, self.ViBu)]
 
     def walk(self, gaps) -> list:
@@ -238,7 +243,7 @@ class _GapSolver:
                 if wl is None:
                     z = [exp(l * d) * y for l, y in zip(lam, z)]
                 else:
-                    z = [exp(x := l * d) * y + (expm1(x) * w if l else d * w)
+                    z = [exp(x := l * d) * y + expm1(x) * w
                          for l, y, w in zip(lam, z, wl)]
             zs.append(z)
         return zs

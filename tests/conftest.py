@@ -59,6 +59,19 @@ def expm(A, t):
     return (sys.V * np.exp(sys.eigenvalues * t)) @ sys.Vi
 
 
+def kalman_rank(sys):
+    """Numerical rank of the controllability matrix [B, AB, ..., A^(n-1)B]:
+    the count of its singular values above 1e-10 times the largest. The
+    Krylov oracle for the modal record's controllability test."""
+    cols = [sys.B]
+    for _ in range(sys.n - 1):
+        cols.append(sys.A @ cols[-1])
+    s = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > 1e-10 * s[0]))
+
+
 def extremal(prob, cert, step=1e-2):
     """The certificate's extremal from closed forms, sharing no integrator
     with the solver: the state sampled from its schedule, and the costate

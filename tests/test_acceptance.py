@@ -5,8 +5,7 @@ with the measured value, so `pytest -v -rA` reads as a checklist.
 """
 import numpy as np
 
-from anesopt.lti import (LTISystem, constant_input_propagator, integrate,
-                         kalman_rank)
+from anesopt.lti import LTISystem, constant_input_propagator, integrate
 from anesopt.patient import (PatientDemographics, bis, bis_inverse,
                              equilibrium, schnider_parameters)
 from anesopt.problem import ControlSchedule
@@ -14,7 +13,7 @@ from anesopt.shooting import hamiltonian
 
 from conftest import (EXPECTED_A, EXPECTED_EIGS, EXPECTED_T_C, EXPECTED_T_F,
                       EXPECTED_U_E, EXPECTED_X_E, U_MAX_REF, endpoint, expm,
-                      extremal)
+                      extremal, kalman_rank)
 
 
 def test_criterion_01_system_matrix_reproduction(ref_sys):

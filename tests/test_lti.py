@@ -22,10 +22,9 @@ from anesopt.lti import (
     constant_input_propagator,
     integrate,
     integrate_with_sign_event,
-    kalman_rank,
 )
 
-from conftest import EXPECTED_EIGS, FROZEN, U_MAX_REF, expm
+from conftest import EXPECTED_EIGS, FROZEN, U_MAX_REF, expm, kalman_rank
 
 # the relative and absolute step tolerances of the integrator tests
 TOL = {"tol": 1e-10, "atol": 1e-12}
@@ -112,10 +111,39 @@ def test_expm_spectral_path_on_separated_spectrum():
     np.array([[-1.0, 1.0], [0.0, -1.0 + 1e-9]]),   # clustered, gap 1e-9
     np.zeros((2, 2)),                              # zero matrix
     np.array([[-1.0, 1.0], [0.0, -1.0]]),          # Jordan block
-], ids=["complex", "clustered", "zero", "jordan"])
+    # an eigenvalue at or within 1e-6 of 0: a pure integrator mode, a
+    # 4-compartment chain whose last compartment only accumulates, and
+    # denormal eigenvalues, where Vi B u / lam overflows to NaN or inf states
+    np.array([[-2.0, 0.0], [1.0, 0.0]]),
+    np.array([[-2.0, 0.0, 0.0, 0.0],
+              [1.0, -1.0, 0.0, 0.0],
+              [0.0, 0.5, -0.5, 0.0],
+              [0.0, 0.0, 0.25, 0.0]]),
+    np.array([[-2.0, 0.0], [1.0, 5e-324]]),
+    np.array([[-2.0, 0.0], [1.0, 1e-310]]),
+    np.array([[-2.0, 0.0], [1.0, -5e-7]]),         # inside the 1e-6 bound
+], ids=["complex", "clustered", "zero", "jordan", "singular",
+        "integrator-chain", "denormal-5e-324", "denormal-1e-310",
+        "near-zero"])
 def test_from_matrices_rejects_a_spectrum_that_is_not_real_and_separated(A):
     with pytest.raises(DomainError, match="spectrum"):
-        LTISystem.from_matrices(A, [1.0, 0.5])
+        LTISystem.from_matrices(A, np.ones(len(A)))
+
+
+def test_propagator_near_the_zero_bound_matches_the_augmented_flow():
+    # the smallest admitted |lam| is just past the 1e-6 bound, where
+    # expm1(lam dt) / lam is still exact: a slow mode grows almost linearly
+    A = np.array([[-2.0, 0.0], [1.0, -2e-6]])
+    sys = LTISystem.from_matrices(A, [1.0, 1.0])
+    assert np.min(np.abs(sys.eigenvalues)) < 3e-6
+    step = constant_input_propagator(sys, 1.5)
+    x0 = np.array([0.4, -1.0])
+    dts = (1e-6, 0.5, 3.0)
+    for dt in dts:
+        x = step(x0, dt)
+        assert np.max(np.abs(x - augmented_flow(sys, x0, 1.5, dt))) < 1e-12
+    rows = step(x0, np.array(dts))
+    assert np.max(np.abs(rows - [step(x0, dt) for dt in dts])) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,23 +267,6 @@ def test_propagator_array_dt_matches_scalar_calls(ref_sys):
         assert np.max(np.abs(row - step(x0, dt))) < 1e-12
     with pytest.raises(DomainError):
         step(x0, np.array([0.1, -0.1]))
-
-
-def test_propagator_singular_system_takes_the_phi1_limit():
-    # a pure integrator mode (eigenvalue 0): x2' = u grows linearly in dt
-    A = np.array([[-2.0, 0.0], [1.0, 0.0]])
-    sys = LTISystem.from_matrices(A, [1.0, 1.0])
-    assert np.isrealobj(sys.eigenvalues) and 0.0 in sys.eigenvalues
-    step = constant_input_propagator(sys, 1.5)
-    x0 = np.array([0.4, -1.0])
-    dts = (1e-6, 0.5, 3.0)
-    for dt in dts:
-        x = step(x0, dt)
-        assert np.all(np.isfinite(x))
-        assert np.max(np.abs(x - augmented_flow(sys, x0, 1.5, dt))) < 1e-12
-    # the array path adds the same dt term, one row per entry
-    rows = step(x0, np.array(dts))
-    assert np.max(np.abs(rows - [step(x0, dt) for dt in dts])) < 1e-12
 
 
 # ------------------------------------------------------------- integrate
@@ -479,6 +490,9 @@ def test_event_without_a_crossing_ends_at_the_integrate_state():
 
 
 # ----------------------------------------------------------- kalman rank
+
+# the tests' Krylov oracle (conftest.kalman_rank), which the modal record's
+# controllability test is checked against in test_strategies
 
 def test_kalman_rank_reference_system(ref_sys):
     assert kalman_rank(ref_sys) == 4

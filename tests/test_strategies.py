@@ -16,10 +16,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from anesopt import lti, strategies
+from anesopt import strategies
 from anesopt.errors import DomainError, InfeasibleError
 from anesopt.lti import LTISystem, constant_input_propagator, integrate
-from anesopt.patient import (PatientDemographics, bis_inverse, equilibrium,
+from anesopt.patient import (SCHNIDER_RANGE, PatientDemographics,
+                             assemble_system, bis_inverse, equilibrium,
                              schnider_parameters)
 from anesopt.problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                              build_problem, sample_trajectory)
@@ -38,7 +39,7 @@ from anesopt.strategies import (
     solve_time_optimal,
 )
 
-from conftest import FROZEN, U_MAX_REF, endpoint, expm
+from conftest import FROZEN, U_MAX_REF, endpoint, expm, kalman_rank
 
 
 # ------------------------------------------------------------- enumeration
@@ -221,14 +222,16 @@ def test_modal_transports_match_scipy_expm(ref_problem, strategy, gaps):
 
 def _integrator_chain():
     """A controllable 4-compartment chain fed at its head whose last
-    compartment only accumulates: the spectrum holds an exact 0, where the
-    walk takes phi1 = d."""
+    compartment leaks at 1e-3/min, so it almost only accumulates: the
+    spectrum holds an eigenvalue close to 0 (though above the 1e-6 bound
+    LTISystem enforces), where expm1(lam d) / lam is nearly d."""
     A = np.array([[-2.0, 0.0, 0.0, 0.0],
                   [1.0, -1.0, 0.0, 0.0],
                   [0.0, 0.5, -0.5, 0.0],
-                  [0.0, 0.0, 0.25, 0.0]])
+                  [0.0, 0.0, 0.25, -1e-3]])
     sys = LTISystem.from_matrices(A, [1.0, 0.0, 0.0, 0.0])
-    assert 0.0 in sys.eigenvalues and sys.controllability_rank == 4
+    assert np.min(np.abs(sys.eigenvalues)) == pytest.approx(1e-3)
+    assert kalman_rank(sys) == 4
     return TimeOptimalProblem(sys=sys, target_fast=np.array([1.0, 2.0]),
                               u_max=3.0, x0=np.array([0.2, 0.1, 0.4, 0.3]))
 
@@ -780,18 +783,40 @@ def test_uncontrollable_system_rejected():
                 solve(prob)
 
 
-def test_controllability_is_computed_once_per_system(ref_params,
-                                                     monkeypatch):
-    calls = []
-    rank = lti.kalman_rank
-    monkeypatch.setattr(lti, "kalman_rank",
-                        lambda sys: calls.append(sys) or rank(sys))
-    prob = build_problem(ref_params, U_MAX_REF, 50.0)
-    assert calls == []  # building the problem does not pay for it
-    first = solve_time_optimal(prob)
-    _same(first, solve_time_optimal(prob))
-    solve_all_patterns(prob)
-    assert calls == [prob.sys]
+def _schnider_sweep():
+    """The corners and the centre of the Schnider range, both sexes."""
+    lo, hi = [np.array([r[k] for r in SCHNIDER_RANGE.values()])
+              for k in (0, 1)]
+    names = list(SCHNIDER_RANGE)
+    points = [np.where(corner, hi, lo)
+              for corner in itertools.product((0, 1), repeat=len(names))]
+    points.append((lo + hi) / 2)
+    return [assemble_system(schnider_parameters(PatientDemographics(
+        sex=sex, **dict(zip(names, p.tolist())))))
+        for sex in ("male", "female") for p in points]
+
+
+def test_record_controllability_equals_the_krylov_rank(ref_sys):
+    # the record reads controllability from Vi B (the Hautus test); the
+    # Krylov oracle decides it by full rank at its 1e-10 rule
+    diag = np.diag([-1.0, -2.0, -3.0, -4.0])
+    severed = np.array(ref_sys.A)  # no slow-compartment exchange: x3 unreachable
+    severed[2, 0] = severed[0, 2] = 0.0
+    cases = [ref_sys, LTISystem.from_matrices(diag, [1, 0, 0, 0]),
+             LTISystem.from_matrices(diag, [1, 0, 0, 1]),
+             LTISystem.from_matrices(severed, ref_sys.B)]
+    sweep = _schnider_sweep()
+    decisions = []
+    for sys in cases + sweep:
+        prob = TimeOptimalProblem(sys=sys, target_fast=(1.0, 1.0), u_max=10.0)
+        try:
+            _ModalRecord(prob)
+            admitted = True
+        except DomainError:
+            admitted = False
+        decisions.append(admitted)
+        assert admitted == (kalman_rank(sys) == sys.n)
+    assert decisions == [True, False, False, False] + [True] * len(sweep)
 
 
 def test_complex_spectrum_rejected():
