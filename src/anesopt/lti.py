@@ -2,6 +2,11 @@
 and adaptive DOP853 integration (8th order; the event integration reads a
 7th-order dense output and returns only the first sign change).
 
+Neither integrator has a runtime caller: both solvers propagate exactly,
+and the integrators serve the tests' oracles and the benchmark's RK replay.
+The shooting module still imports integrate_with_sign_event, unused,
+because the benchmark tracer wraps that name.
+
 Every LTISystem has a real spectrum, its eigenvalues separated from each
 other and from 0; the constructor rejects any other, so A is invertible and
 the propagator has one path, through the eigendecomposition, which the

@@ -11,16 +11,24 @@ conditions, a square 2x2 system, by damped Newton inside a trust region,
 and r is fixed afterwards by H(t_f) = 0.
 
 One evaluation, shooting_residual(prob, theta, t_f), is one backward pass:
-the costate is integrated in s = t_f - t, where it decays, and this sweep
-(_sweep) yields the switch times and the unit-scale psi0. The rows it
-carries are the adjoints of x1 and x4, so one appended quadrature column
-gives the endpoint x(t_f) by the adjoint identity, and no state is
-integrated. The exact Jacobian comes from the same sweep: the adjoints at
-each switch, and the rate at which each switch moves with theta. So Newton
-pays one evaluation per step, and the solver makes no other. The
-certificate is built from the last evaluation, scaled by H(t_f) = 0 at that
-endpoint; H(0) = 0 at x0 joins the target gap in its residual, so both ends
-of the extremal hold the same Hamiltonian.
+the costate runs in s = t_f - t, where it decays, and this sweep (_sweep)
+yields the switch times and the unit-scale psi0. The costate does not
+depend on the control, so the sweep is exact: uniform cells, one cell map
+e^(K h) of the augmented generator K = [[A, B], [0, 0]] summed from its
+Taylor series, and each switch located on its cell's Taylor polynomial,
+with a curvature bound that rules out a pair of zeros inside a cell. The
+rows it carries are the adjoints of x1 and x4, so the appended quadrature
+column gives the endpoint x(t_f) by the adjoint identity, and no state is
+propagated. The onset t_on below scans the same kind of cell map for the
+full-rate state. Nothing here reads the eigenbasis, so the route shares
+no propagation code with the strategy route.
+
+The exact Jacobian comes from the same sweep: the adjoints at each switch,
+and the rate at which each switch moves with theta. So Newton pays one
+evaluation per step, and the solver makes no other. The certificate is
+built from the last evaluation, scaled by H(t_f) = 0 at that endpoint;
+H(0) = 0 at x0 joins the target gap in its residual, so both ends of the
+extremal hold the same Hamiltonian.
 
 Seeds are a short theta grid crossed with multiples of t_on, the first time
 x4 reaches its target at full rate, which bounds t_f from below. Every
@@ -29,13 +37,15 @@ prompt NoConvergenceError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DomainError, InfeasibleError, IntegrationError,
                      NoConvergenceError)
-from .lti import integrate_with_sign_event
+# not called: kept so that a tracer which wraps this name still finds it
+from .lti import integrate_with_sign_event  # noqa: F401
 from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
 
 THETA_SEEDS = tuple(-np.pi / 2 + k * np.pi / 8 for k in range(16))
@@ -45,11 +55,21 @@ RESIDUAL_ACCEPT = 1e-8
 TRANSVERSALITY_ACCEPT = 1e-8
 MAX_RESIDUAL_EVALS = 200
 
-# switch-time error feeds the endpoint at a rate of order u_max, so the
-# sweep runs tighter than the module-default integrator tolerance
-_RTOL = 1e-12
-_ATOL = 1e-14
+# the flow-map cells: with ||A||_1 h <= 0.5, the Taylor series of a cell
+# map cut after its x^15 / 15! term leaves a tail below 1e-18 of its sum
+_CELL_NORM = 0.5
+_MIN_CELLS = 16
+_TERMS = 16
+_FACTORIALS = np.array([math.factorial(j) for j in range(_TERMS)], float)
+_POWERS = np.arange(_TERMS)
+_CURVE = _POWERS[2:] * (_POWERS[2:] - 1.0)  # p'' = sum_j j (j-1) c_j x^(j-2)
+_GUARD = 1e-10  # a zero of psi1 this close to s = 0 is not an event
+_MIN_SHARE = 2.0 ** -40  # of a cell's width: a part this narrow is not split
+_MAX_PARTS = 256  # parts examined in one cell before psi1 reads as vanishing
+_MAX_ROOT_STEPS = 100
+_ROOT_STEP = 4e-15  # a Newton step this small, in cell widths, ends the search
 
+_WINDOW = 1024  # the most cells one walk stacks, which bounds its memory
 _ONSET_HORIZON = 1e4
 _GAP_TOL = 1e-10
 _TIE_COS = 1e-12  # |cos theta| = |psi1(t_f)| read as a tie
@@ -72,38 +92,181 @@ def hamiltonian(prob: TimeOptimalProblem, x, u: float, psi) -> float:
     return 1.0 + float(np.dot(np.asarray(psi, dtype=float), drift))
 
 
+def _taylor(K, h):
+    """(K h)^j / j! for j < _TERMS, stacked. Their sum is the cell map
+    e^(K h), and a row r's flow over the cell is the polynomial
+    sum_j x^j r (K h)^j / j! in x = (s - s_k) / h."""
+    m = K.shape[0]
+    P = np.empty((_TERMS, m, m))
+    P[0] = np.eye(m)
+    P[1] = K * h
+    k = 2
+    while k < _TERMS:
+        c = min(k, _TERMS - k)
+        np.matmul(P[:c], P[k - 1] @ P[1], out=P[k:k + c])
+        k += c
+    P /= _FACTORIALS[:, None, None]
+    return P
+
+
+def _cells(A, t):
+    """Cells on [0, t]: uniform, ||A||_1 h <= _CELL_NORM, at least
+    _MIN_CELLS."""
+    norm = float(np.abs(A).sum(axis=0).max())
+    return max(_MIN_CELLS, math.ceil(t * norm / _CELL_NORM))
+
+
+def _walk(rows, E, cells):
+    """rows E^k at each cell boundary k = 0..cells, stacked; the powers
+    E^(2^j) fill the stack in doublings."""
+    Y = np.empty((cells + 1,) + rows.shape)
+    Y[0] = rows
+    k = 1
+    while True:
+        c = min(k, cells + 1 - k)
+        np.matmul(Y[:c], E, out=Y[k:k + c])
+        k += c
+        if k > cells:
+            return Y
+        E = E @ E
+
+
+def _tail(F, d, h):
+    """(a, b): the cut Taylor series of v' = F v + d leaves an error of at
+    most a ||v(s_k)||_inf + b in the second derivative, in x = (s - s_k) / h,
+    of any entry over a cell [s_k, s_k + h].
+
+    With rho = ||F||_inf h, the j-th coefficient is at most
+    rho^(j-1) (rho ||v|| + h ||d||) / j!, and the terms from j = _TERMS on
+    sum to at most rho^(_TERMS-1) e^rho / (_TERMS-2)! times that bracket."""
+    rho = h * float(np.abs(F).sum(axis=1).max())
+    cut = rho ** (_TERMS - 1) * math.exp(rho) / _FACTORIALS[_TERMS - 2]
+    return rho * cut, h * float(np.abs(d).max(initial=0.0)) * cut
+
+
+def _poly(c, x):
+    """p(x) and p'(x) of p = sum_j c[j] x^j, by Horner on Python floats."""
+    p = dp = 0.0
+    for cj in reversed(c):
+        dp = dp * x + p
+        p = p * x + cj
+    return p, dp
+
+
+def _root(c, a, b, pa, pb):
+    """The zero of p = sum_j c[j] x^j in [a, b], where the class p > 0 flips
+    from pa = p(a) to pb = p(b): Newton from the chord's zero, kept inside
+    the bracket by bisection."""
+    up = pa > 0.0
+    x = a + (b - a) * pa / (pa - pb)
+    if not a < x < b:
+        x = 0.5 * (a + b)
+    for _ in range(_MAX_ROOT_STEPS):
+        p, dp = _poly(c, x)
+        if (p > 0.0) == up:
+            a = x
+        else:
+            b = x
+        nxt = x - p / dp if dp else x
+        if not a < nxt < b:
+            nxt = 0.5 * (a + b)
+        if abs(nxt - x) <= _ROOT_STEP:
+            return nxt
+        x = nxt
+    return x
+
+
+def _crossings(coef, tail):
+    """(k, x), in order: the zeros of a watched entry g where its class
+    g > 0 (the sign law's) changes, at x in [0, 1] of cell k.
+
+    Row k of coef holds the Taylor coefficients of g on cell k, in x, and
+    tail[k] bounds what the cut series leaves out of g''. So
+    sum_j j (j-1) |c_j| + tail[k] bounds |g''| on the cell, from its own
+    rows. A cell, or part of one, is clear when g' keeps its sign on it
+    (|g'| at its start above its width times that bound), so that g is
+    monotone there, or when g keeps its sign and |g| at both ends stays
+    above the most g can sag below its chord (width^2 / 8 times the bound).
+    Any other part is halved, and a part narrower than _MIN_SHARE is read
+    by its end classes alone. So a pair of zeros inside one cell is found,
+    not stepped over.
+    """
+    g = coef[:, 0]
+    up = g > 0.0
+    flips = up[:-1] != up[1:]
+    ends = np.minimum(np.abs(g[:-1]), np.abs(g[1:]))
+    bend = np.abs(coef[:-1, 2:]) @ _CURVE + tail
+    mono = np.abs(coef[:-1, 1]) > bend
+    quiet = ~flips & (ends > 0.125 * bend)
+    for k in np.flatnonzero(flips | ~(mono | quiet)).tolist():
+        c = coef[k].tolist()
+        b2 = float(bend[k])
+        parts = [(0.0, 1.0, c[0], float(g[k + 1]), c[1])]
+        for _ in range(_MAX_PARTS):
+            if not parts:
+                break
+            a, b, ga, gb, da = parts.pop()
+            w = b - a
+            flip = (ga > 0.0) != (gb > 0.0)
+            sag = 0.125 * w * w * b2
+            if (w < _MIN_SHARE or abs(da) > w * b2
+                    or not flip and min(abs(ga), abs(gb)) > sag):
+                if flip:
+                    yield k, _root(c, a, b, ga, gb)
+                continue
+            m = 0.5 * (a + b)
+            gm, dm = _poly(c, m)
+            parts += [(m, b, gm, gb, dm), (a, m, ga, gm, da)]
+        else:
+            raise IntegrationError(
+                "sign undecided: the watched entry stays at 0 across a cell")
+
+
 def _sweep(M, y0, t1):
-    """Integrate rows y with dy/ds = y[..., :n] M over [0, t1], M of n rows,
-    restarting at each sign change of entry 0.
+    """Rows y with dy/ds = y[..., :n] M over [0, t1], M of n rows, and the
+    sign changes of entry 0 on the way.
 
     Columns of M past n append quadratures of the first n entries; the
-    solver's M = [A | B] carries one. Returns ([(s_i, y(s_i))], y(t1)), the
-    events in increasing s, with y in the shape of y0. Restarting at each
-    event keeps every crossing exact; an event on each of 2n + 4 restarts is
-    read as a chattering extremal.
+    solver's M = [A | B] carries one. With K = [M; 0] the rows obey
+    y(s) = y(0) e^(K s) (Van Loan 1978), so [0, t1] is split into _cells
+    uniform cells of width h, and one cell map e^(K h), summed from its
+    Taylor series, steps the rows from cell to cell, at most _WINDOW cells
+    a walk: no integrator and no step-size control. Each sign change of
+    entry 0 is located on its cell's Taylor polynomial, and _crossings
+    rules out a pair of zeros in a cell from a bound on the entry's
+    curvature, read from the cell's rows and the norm of A = M[:, :n] (no
+    modal data).
+
+    Returns ([(s_i, y(s_i))], y(t1)), the events in increasing s, with y in
+    the shape of y0. A zero within _GUARD of s = 0 is the terminal tie, not
+    an event; the 2n + 4-th event is read as a chattering extremal.
     """
     y = np.asarray(y0, dtype=float)
-    shape = y.shape
     n, m = M.shape
-    # the same product on the flat rows: y K, with K = I (x) [M; 0]
+    A = M[:, :n]
     K = np.zeros((m, m))
     K[:n] = M
-    K = np.kron(np.eye(y.size // m), K)
-
-    def rhs(_, y):
-        return y @ K
-
+    cells = _cells(A, t1)
+    h = t1 / cells
+    P = _taylor(K, h)
+    E, W = P.sum(axis=0), P[:, :, 0].T  # W: entry 0's Taylor coefficients
+    a, _ = _tail(A.T, np.zeros(0), h)
+    rows = y.reshape(-1, m)
     events = []
-    s_at = 0.0
-    for _ in range(2 * n + 4):
-        s_at, y, crossed = integrate_with_sign_event(
-            rhs, y.reshape(-1), s_at, t1, watch=0, tol=_RTOL, atol=_ATOL)
-        y = y.reshape(shape)
-        if not crossed:
-            return events, y
-        s_at = float(s_at)
-        events.append((s_at, y))
-    raise IntegrationError("control keeps switching; chattering extremal")
+    for k0 in range(0, cells, _WINDOW):
+        Y = _walk(rows, E, min(_WINDOW, cells - k0))
+        tail = a * np.abs(Y[:-1, 0, :n]).max(axis=1)
+        for k, x in _crossings(Y[:, 0] @ W, tail):
+            s = (k0 + k + x) * h
+            if s <= _GUARD:
+                continue
+            if len(events) == 2 * n + 3:
+                raise IntegrationError(
+                    "control keeps switching; chattering extremal")
+            E_x = np.tensordot(x ** _POWERS, P, 1)
+            events.append((s, (Y[k] @ E_x).reshape(y.shape)))
+        rows = Y[-1]
+    return events, rows.reshape(y.shape)
 
 
 def _levels(psi1_0, u_max, switches):
@@ -130,21 +293,35 @@ def full_rate_onset(prob: TimeOptimalProblem) -> float:
         raise NoConvergenceError(
             "no shooting seed: x4 starts at or above its target, so there "
             "is no full-rate onset to seed t_f from", seeds_tried=0)
-    # shift x4 by its target so the event is a sign change of the state
-    shift = np.zeros(prob.sys.n)
+    # v = [x - shift; 1], x4 shifted by its target, obeys v' = L v with
+    # L = [[A, drive], [0, 0]]: the onset is the first sign change of v4
+    A, n = prob.sys.A, prob.sys.n
+    shift = np.zeros(n)
     shift[i] = target
-    drive = prob.sys.A @ shift + prob.sys.B * prob.u_max
-    A = prob.sys.A
-
-    def rhs(t, y):
-        return A @ y + drive
-
-    t_on, _, crossed = integrate_with_sign_event(
-        rhs, prob.x0 - shift, 0.0, _ONSET_HORIZON, watch=i, tol=_RTOL,
-        atol=_ATOL)
-    if not crossed:
-        raise InfeasibleError("x4 does not reach its target at full rate")
-    return t_on
+    drive = A @ shift + prob.sys.B * prob.u_max
+    L = np.zeros((n + 1, n + 1))
+    L[:n, :n] = A
+    L[:n, n] = drive
+    h = _CELL_NORM / float(np.abs(A).sum(axis=0).max())
+    P = _taylor(L, h)
+    E, W = P.sum(axis=0).T, P[:, i, :].T  # on v as a row, and v4's terms
+    a, b = _tail(A, drive, h)
+    v = np.append(prob.x0 - shift, 1.0)[None]
+    # windows of doubling length, so the scan to _ONSET_HORIZON takes a few
+    # dozen walks
+    t0, cells = 0.0, _MIN_CELLS
+    while t0 < _ONSET_HORIZON:
+        V = _walk(v, E, cells)[:, 0]
+        tail = a * np.abs(V[:-1, :n]).max(axis=1) + b
+        for k, x in _crossings(V @ W, tail):
+            t_on = t0 + (k + x) * h
+            if t_on <= _ONSET_HORIZON:
+                return t_on
+            break
+        t0 += cells * h
+        v = V[-1:]
+        cells = min(2 * cells, _WINDOW)
+    raise InfeasibleError("x4 does not reach its target at full rate")
 
 
 def default_seed_grid(t_on: float) -> list:
@@ -218,9 +395,9 @@ def shooting_residual(prob: TimeOptimalProblem, theta, t_f) -> _Point:
     """One backward sweep: switches, psi0, endpoint and exact Jacobian.
 
     In s = t_f - t the costate obeys dpsi/ds = A^T psi and decays, so the
-    rows y = [psi_theta; psi_perp] are integrated in s from psi_theta =
-    (cos theta, 0, 0, sin theta) and its theta-derivative psi_perp,
-    restarting at each zero s_i of psi_theta,1: a switch at t_i = t_f - s_i.
+    rows y = [psi_theta; psi_perp] are swept in s from psi_theta =
+    (cos theta, 0, 0, sin theta) and its theta-derivative psi_perp, and
+    each zero s_i of psi_theta,1 is a switch at t_i = t_f - s_i.
     The control starts at the sign of psi0 and flips at each switch.
 
     One more column carries w(s) = int_0^s y B, and the endpoint comes from
@@ -228,7 +405,7 @@ def shooting_residual(prob: TimeOptimalProblem, theta, t_f) -> _Point:
     Ho 1975, ch. 2): with R = R(theta) and the levels u_k in s order,
     E x(t_f) = R (y(t_f) x0 + sum_k u_k dw_k) and E x'(t_f) =
     R (y(t_f) A x0 + sum_k u_k dy_k B + y(0) B u(t_f)), E the rows x1 and
-    x4. No state is integrated.
+    x4. No state is propagated.
 
     With Psi = [psi_theta, psi_perp] R^T, the adjoints of x1 and x4, a
     switch at t_i moves the target by Psi(s_i)^T B (u_i- - u_i+) per unit

@@ -10,12 +10,13 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from anesopt import shooting, strategies
 from anesopt.errors import (DomainError, InfeasibleError, IntegrationError,
                             NoConvergenceError)
-from anesopt.lti import constant_input_propagator, integrate_with_sign_event
+from anesopt.lti import constant_input_propagator
 from anesopt.patient import (SCHNIDER_RANGE, PatientDemographics, bis_inverse,
                              equilibrium, schnider_parameters)
 from anesopt.shooting import (
@@ -73,6 +74,25 @@ def test_shooting_route_takes_only_the_integrator_from_lti():
                 assert "lti" not in names
     assert from_lti == {"integrate_with_sign_event"}
     assert not hasattr(shooting, "integrate")
+
+
+def test_shooting_route_calls_nothing_from_lti():
+    # the integrator name stays importable for a tracer that wraps it, but
+    # the route propagates on its own cell maps: no lti name is read, no
+    # eigenbasis is touched, and neither scipy nor numpy.polynomial is used
+    tree = ast.parse(pathlib.Path(shooting.__file__).read_text())
+    banned = {"integrate_with_sign_event", "constant_input_propagator",
+              "integrate", "polynomial"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            assert node.id not in banned | {"lti"}, node.id
+        elif isinstance(node, ast.Attribute):
+            assert node.attr not in banned | {"V", "Vi", "eigenvalues"}, \
+                node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            mods = [node.module or ""] if isinstance(node, ast.ImportFrom) \
+                else [a.name for a in node.names]
+            assert not any("scipy" in m or "polynomial" in m for m in mods)
 
 
 def test_strategy_route_takes_no_integrator():
@@ -173,6 +193,21 @@ def test_full_rate_onset_bounds_t_f_from_below(ref_problem):
     assert 0.0 < t_on < FROZEN["t_f"]
 
 
+def test_full_rate_onset_scan_to_its_horizon_is_bounded(ref_params,
+                                                       monkeypatch):
+    # below u_e the scan runs to the horizon: uniform cells of
+    # ||A||_1 h = 0.5 in windows of at most _WINDOW cells, so it walks
+    # at most one window past horizon / h cells (about 30,700 here)
+    cells = _count_cells(monkeypatch)
+    u_e = equilibrium(ref_params, bis_inverse(50.0)).u_e
+    prob = build_problem(ref_params, u_max=0.9 * u_e)
+    with pytest.raises(InfeasibleError):
+        full_rate_onset(prob)
+    norm = np.abs(prob.sys.A).sum(axis=0).max()
+    assert cells[0] <= (shooting._ONSET_HORIZON * norm / shooting._CELL_NORM
+                        + shooting._WINDOW)
+
+
 def test_full_rate_onset_below_the_equilibrium_rate_is_infeasible(ref_params):
     # at u_max < u_e x4 settles below its target: no onset, so no t_f
     u_e = equilibrium(ref_params, bis_inverse(50.0)).u_e
@@ -242,25 +277,28 @@ def test_solver_stops_at_the_residual_evaluation_cap(ref_problem, monkeypatch):
     assert np.isfinite(exc.value.best_residual)
 
 
-def test_reference_solve_stays_inside_its_rhs_budget(ref_problem, monkeypatch):
-    # one backward sweep per evaluation, with the endpoint read from its
-    # adjoint columns, takes about 1,740 right-hand-side evaluations here;
-    # the bound leaves about 1.4x of headroom
-    calls = [0]
+def _count_cells(monkeypatch):
+    """A list whose entry 0 sums the cells of every flow-map walk."""
+    cells = [0]
+    walk = shooting._walk
 
-    def counted(integrator):
-        def run(f, *args, **kwargs):
-            def g(t, y):
-                calls[0] += 1
-                return f(t, y)
-            return integrator(g, *args, **kwargs)
-        return run
+    def counted(rows, E, n):
+        cells[0] += n
+        return walk(rows, E, n)
 
-    monkeypatch.setattr(shooting, "integrate_with_sign_event",
-                        counted(shooting.integrate_with_sign_event))
+    monkeypatch.setattr(shooting, "_walk", counted)
+    return cells
+
+
+def test_reference_solve_stays_inside_its_cell_budget(ref_problem,
+                                                     monkeypatch):
+    # the onset walks 16 cells, and each of the 8 residual evaluations one
+    # sweep of 16 cells, with the endpoint read from its adjoint columns:
+    # 144 cells in all; the bound leaves about 1.4x of headroom
+    cells = _count_cells(monkeypatch)
     cert = solve_shooting(ref_problem)
     assert cert.residual_norm < RESIDUAL_ACCEPT
-    assert 0 < calls[0] <= 2400
+    assert 0 < cells[0] <= 200
 
 
 def test_solver_integrates_no_state(ref_problem):
@@ -333,35 +371,88 @@ def test_adjoint_endpoint_matches_the_forward_walk(case):
     assert switchless == len(_ENDPOINT_POINTS[case]) - 1
 
 
-def _rotating_sweep(t1, monkeypatch):
+def _rotating_sweep(t1):
     # rows y = [cos s, sin s, 0, 0 | w] with w' = y_0: a costate that
     # switches at s = pi/2 + k pi, carrying one quadrature column
     M = np.zeros((4, 5))
     M[0, 1], M[1, 0], M[0, 4] = 1.0, -1.0, 1.0
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return integrate_with_sign_event(*args, **kwargs)
-
-    monkeypatch.setattr(shooting, "integrate_with_sign_event", counted)
     y0 = np.zeros((2, 5))
     y0[0, 0] = y0[1, 1] = 1.0
     try:
-        return shooting._sweep(M, y0, t1), calls[0]
+        return shooting._sweep(M, y0, t1)
     except IntegrationError:
-        return None, calls[0]
+        return None
 
 
-def test_sweep_reads_chattering_after_2n_plus_4_restarts(monkeypatch):
-    # n = 4 rows of M give 12 restarts; the quadrature column adds none.
-    # Eleven switches fit in s < 34.5, twelve in s < 38.
-    (events, y_f), calls = _rotating_sweep(34.5, monkeypatch)
-    assert len(events) == 11 and calls == 12
+def test_sweep_reads_chattering_after_2n_plus_4_restarts():
+    # n = 4 rows of M allow 2n + 3 = 11 events, and the 12th is read as
+    # chattering; the quadrature column adds none. Eleven switches fit in
+    # s < 34.5, twelve in s < 38.
+    events, y_f = _rotating_sweep(34.5)
+    assert len(events) == 11
+    for k, (s, y) in enumerate(events):
+        assert s == pytest.approx(np.pi / 2 + k * np.pi, abs=1e-12)
+        assert abs(y[0, 0]) < 1e-12
     assert y_f[0, 0] == pytest.approx(np.cos(34.5), abs=1e-9)
     assert y_f[0, 4] == pytest.approx(np.sin(34.5), abs=1e-9)
-    swept, calls = _rotating_sweep(38.0, monkeypatch)
-    assert swept is None and calls == 2 * 4 + 4
+    assert _rotating_sweep(38.0) is None
+
+
+def test_sweep_walks_its_windows_without_seams(monkeypatch):
+    # 69 cells, walked whole and then in windows of 5 cells: the same events
+    # and endpoint
+    events, y_f = _rotating_sweep(34.5)
+    monkeypatch.setattr(shooting, "_WINDOW", 5)
+    windowed, y_w = _rotating_sweep(34.5)
+    assert [s for s, _ in windowed] == pytest.approx([s for s, _ in events],
+                                                     abs=1e-12)
+    for (_, a), (_, b) in zip(events, windowed):
+        assert np.max(np.abs(a - b)) < 1e-12
+    assert np.max(np.abs(y_f - y_w)) < 1e-12
+
+
+# rows [psi1, psi1', psi1''] of a nilpotent M: psi1 is a quadratic
+_NILPOTENT = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+def _quadratic(r1, r2):
+    """Row y(0) whose psi1(s) = (s - r1) (s - r2)."""
+    return np.array([r1 * r2, -(r1 + r2), 2.0])
+
+
+def test_sweep_finds_a_close_pair_of_zeros_inside_one_cell():
+    # 16 cells of 0.125 on [0, 2]: both zeros lie in [0.625, 0.75], whose
+    # ends have the same sign, so only the curvature bound can find them
+    r1, r2 = 0.7, 0.7 + 1e-4
+    events, y_f = shooting._sweep(_NILPOTENT, _quadratic(r1, r2), 2.0)
+    assert [s for s, _ in events] == pytest.approx([r1, r2], abs=1e-12)
+    for s, y in events:
+        assert abs(y[0]) < 1e-12
+        assert y[1] == pytest.approx(2.0 * s - (r1 + r2), abs=1e-12)
+    assert y_f == pytest.approx([(2.0 - r1) * (2.0 - r2), 4.0 - r1 - r2, 2.0],
+                                abs=1e-12)
+
+
+def test_sweep_reads_a_zero_at_s_0_as_no_event():
+    # psi1 = s (s - 0.5): the zero at s = 0 is the terminal tie, not a switch
+    events, _ = shooting._sweep(_NILPOTENT, _quadratic(0.0, 0.5), 2.0)
+    assert [s for s, _ in events] == pytest.approx([0.5], abs=1e-12)
+    events, _ = shooting._sweep(_NILPOTENT, _quadratic(1e-11, 1.5), 2.0)
+    assert [s for s, _ in events] == pytest.approx([1.5], abs=1e-12)
+
+
+@pytest.mark.parametrize("share", [1.0, 0.37, 1e-3], ids=["cell", "short",
+                                                          "sliver"])
+def test_cell_map_matches_scipy_expm(ref_problem, share):
+    # the reference sweep's K = [[A, B], [0, 0]] at its cell width, and at
+    # shorter widths, against scipy's Pade exponential
+    A, B = ref_problem.sys.A, ref_problem.sys.B
+    K = np.zeros((5, 5))
+    K[:4] = np.column_stack((A, B))
+    h = share * FROZEN["t_f"] / shooting._cells(A, FROZEN["t_f"])
+    E = shooting._taylor(K, h).sum(axis=0)
+    want = scipy.linalg.expm(K * h)
+    assert np.linalg.norm(E - want) <= 1e-14 * np.linalg.norm(want)
 
 
 # --------------------------------------------------------------- certificate
