@@ -19,7 +19,9 @@ class ConfigError(ValueError):
 
 
 class IntegrationError(RuntimeError):
-    """The adaptive integrator failed (step underflow / stiffness)."""
+    """A propagation failed: the adaptive integrator (step underflow or
+    stiffness), or the shooting route's flow-map scan (a sign left
+    undecided, or a chattering extremal)."""
 
 
 class NoConvergenceError(RuntimeError):
@@ -34,4 +36,6 @@ class NoConvergenceError(RuntimeError):
 
 
 class InfeasibleError(RuntimeError):
-    """No control pattern reaches the target within the search horizon."""
+    """The target is out of reach within a horizon: no control pattern
+    reaches it within the strategy search horizon, or x4 does not reach its
+    target at full rate within the shooting onset horizon."""

@@ -89,6 +89,8 @@ class TimeOptimalProblem:
         if not 0 < self.u_max < np.inf:
             raise DomainError("u_max must be positive and finite")
         x0 = np.zeros(self.sys.n) if self.x0 is None else np.array(self.x0, float)
+        if x0.shape != (self.sys.n,):
+            raise DomainError(f"x0 must have shape ({self.sys.n},)")
         if not np.all(np.isfinite(x0)):
             raise DomainError("x0 must be finite")
         target = np.array(self.target_fast, dtype=float)
@@ -137,6 +139,8 @@ def sample_trajectory(sys: LTISystem, schedule: ControlSchedule, step: float,
             f"{n_whole:.3g} samples, over the cap of {MAX_SAMPLES}")
     n_whole = int(n_whole)
     x = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x.shape != (sys.n,):
+        raise DomainError(f"x0 must have shape ({sys.n},)")
     times = np.arange(n_whole + 1) * step
     if schedule.t_f - times[-1] > 1e-12:
         times = np.append(times, schedule.t_f)

@@ -12,16 +12,16 @@ and r is fixed afterwards by H(t_f) = 0.
 
 One evaluation, shooting_residual(prob, theta, t_f), is one backward pass:
 the costate runs in s = t_f - t, where it decays, and this sweep (_sweep)
-yields the switch times and the unit-scale psi0. The costate does not
-depend on the control, so the sweep is exact: uniform cells, one cell map
-e^(K h) of the augmented generator K = [[A, B], [0, 0]] summed from its
-Taylor series, and each switch located on its cell's Taylor polynomial,
-with a curvature bound that rules out a pair of zeros inside a cell. The
-rows it carries are the adjoints of x1 and x4, so the appended quadrature
-column gives the endpoint x(t_f) by the adjoint identity, and no state is
-propagated. The onset t_on below scans the same kind of cell map for the
-full-rate state. Nothing here reads the eigenbasis, so the route shares
-no propagation code with the strategy route.
+yields the switch times and the unit-scale psi0. Its rows are the adjoints
+of x1 and x4 with one quadrature column, so they obey dy/ds = y[:, :n] M for
+the route's one generator M = [A | B], and the endpoint x(t_f) follows by
+the adjoint identity: no state is propagated. The onset t_on below is the
+same adjoint read for the row of x4. Each is one scan (_scan) of M: uniform
+cells, one exact cell map e^(K h) of K = [M; 0] summed from its Taylor
+series, and each zero of a watched g = y . c - tau located on its cell's
+Taylor polynomial, with a curvature bound that rules out a pair of zeros
+inside a cell. Nothing here reads the eigenbasis, so the route shares no
+propagation code with the strategy route.
 
 The exact Jacobian comes from the same sweep: the adjoints at each switch,
 and the rate at which each switch moves with theta. So Newton pays one
@@ -61,11 +61,11 @@ _CELL_NORM = 0.5
 _MIN_CELLS = 16
 _TERMS = 16
 _FACTORIALS = np.array([math.factorial(j) for j in range(_TERMS)], float)
-_POWERS = np.arange(_TERMS)
+_POWERS = np.arange(_TERMS, dtype=float)
 _CURVE = _POWERS[2:] * (_POWERS[2:] - 1.0)  # p'' = sum_j j (j-1) c_j x^(j-2)
 _GUARD = 1e-10  # a zero of psi1 this close to s = 0 is not an event
 _MIN_SHARE = 2.0 ** -40  # of a cell's width: a part this narrow is not split
-_MAX_PARTS = 256  # parts examined in one cell before psi1 reads as vanishing
+_MAX_PARTS = 256  # parts examined in one cell before g reads as vanishing
 _MAX_ROOT_STEPS = 100
 _ROOT_STEP = 4e-15  # a Newton step this small, in cell widths, ends the search
 
@@ -109,13 +109,6 @@ def _taylor(K, h):
     return P
 
 
-def _cells(A, t):
-    """Cells on [0, t]: uniform, ||A||_1 h <= _CELL_NORM, at least
-    _MIN_CELLS."""
-    norm = float(np.abs(A).sum(axis=0).max())
-    return max(_MIN_CELLS, math.ceil(t * norm / _CELL_NORM))
-
-
 def _walk(rows, E, cells):
     """rows E^k at each cell boundary k = 0..cells, stacked; the powers
     E^(2^j) fill the stack in doublings."""
@@ -131,17 +124,16 @@ def _walk(rows, E, cells):
         E = E @ E
 
 
-def _tail(F, d, h):
-    """(a, b): the cut Taylor series of v' = F v + d leaves an error of at
-    most a ||v(s_k)||_inf + b in the second derivative, in x = (s - s_k) / h,
-    of any entry over a cell [s_k, s_k + h].
+def _tail(rho):
+    """What the cut Taylor series of a cell map leaves out of g'', in
+    x = (s - s_k) / h, over a cell [s_k, s_k + h], per unit of
+    h ||M c||_1 ||z(s_k)||_inf, for g = y . c - tau, z = y[:n] and
+    rho = ||A||_1 h.
 
-    With rho = ||F||_inf h, the j-th coefficient is at most
-    rho^(j-1) (rho ||v|| + h ||d||) / j!, and the terms from j = _TERMS on
-    sum to at most rho^(_TERMS-1) e^rho / (_TERMS-2)! times that bracket."""
-    rho = h * float(np.abs(F).sum(axis=1).max())
-    cut = rho ** (_TERMS - 1) * math.exp(rho) / _FACTORIALS[_TERMS - 2]
-    return rho * cut, h * float(np.abs(d).max(initial=0.0)) * cut
+    g^(j) = z A^(j-1) M c, so the j-th coefficient is at most
+    rho^(j-1) h ||M c||_1 ||z||_inf / j!, and the terms from j = _TERMS on
+    sum to at most rho^(_TERMS-1) e^rho / (_TERMS-2)! times that."""
+    return rho ** (_TERMS - 1) * math.exp(rho) / _FACTORIALS[_TERMS - 2]
 
 
 def _poly(c, x):
@@ -217,55 +209,75 @@ def _crossings(coef, tail):
             m = 0.5 * (a + b)
             gm, dm = _poly(c, m)
             parts += [(m, b, gm, gb, dm), (a, m, ga, gm, da)]
-        else:
+        if parts:
             raise IntegrationError(
                 "sign undecided: the watched entry stays at 0 across a cell")
 
 
-def _sweep(M, y0, t1):
-    """Rows y with dy/ds = y[..., :n] M over [0, t1], M of n rows, and the
-    sign changes of entry 0 on the way.
+def _scan(M, y0, t1, c, tau, window):
+    """Rows y with dy/ds = y[:, :n] M over [0, t1], M of n rows, and the
+    zeros of g = y[0] . c - tau where its class g > 0 changes.
 
-    Columns of M past n append quadratures of the first n entries; the
-    solver's M = [A | B] carries one. With K = [M; 0] the rows obey
-    y(s) = y(0) e^(K s) (Van Loan 1978), so [0, t1] is split into _cells
-    uniform cells of width h, and one cell map e^(K h), summed from its
-    Taylor series, steps the rows from cell to cell, at most _WINDOW cells
-    a walk: no integrator and no step-size control. Each sign change of
-    entry 0 is located on its cell's Taylor polynomial, and _crossings
-    rules out a pair of zeros in a cell from a bound on the entry's
-    curvature, read from the cell's rows and the norm of A = M[:, :n] (no
-    modal data).
+    Columns of M past n append quadratures of the first n entries. With
+    K = [M; 0] the rows obey y(s) = y(0) e^(K s) (Van Loan 1978), so one
+    cell map e^(K h), summed from its Taylor series, steps them over the
+    uniform cells of [0, t1], ||A||_1 h <= _CELL_NORM and at least
+    _MIN_CELLS: no integrator, no step-size control and no modal data.
+    Each class change is located on its cell's Taylor polynomial of g, and
+    _crossings rules out a pair of zeros in a cell from a bound on g''.
 
-    Returns ([(s_i, y(s_i))], y(t1)), the events in increasing s, with y in
-    the shape of y0. A zero within _GUARD of s = 0 is the terminal tie, not
-    an event; the 2n + 4-th event is read as a chattering extremal.
+    Yields, window by window, an iterator over its class changes
+    (s_i, y(s_i)) in increasing s, located as they are read (so read them
+    before the next window), and the rows at its end. The first window has
+    `window` cells, each next one twice as many up to _WINDOW, so memory
+    does not grow with t1.
     """
-    y = np.asarray(y0, dtype=float)
     n, m = M.shape
     A = M[:, :n]
     K = np.zeros((m, m))
     K[:n] = M
-    cells = _cells(A, t1)
+    norm = float(np.abs(A).sum(axis=0).max())  # ||A||_1
+    cells = max(_MIN_CELLS, math.ceil(t1 * norm / _CELL_NORM))
     h = t1 / cells
     P = _taylor(K, h)
-    E, W = P.sum(axis=0), P[:, :, 0].T  # W: entry 0's Taylor coefficients
-    a, _ = _tail(A.T, np.zeros(0), h)
-    rows = y.reshape(-1, m)
+    E, F = P.sum(axis=0), P.reshape(_TERMS, -1)  # e^(K h x) = x^j F[j]
+    G = (P.reshape(-1, m) @ c).reshape(_TERMS, m)  # g_j = y . G[j] (- tau)
+    bound = _tail(norm * h) * sum(map(abs, G[1].tolist()))  # G[1] = h M c
+    rows = np.asarray(y0, dtype=float).reshape(-1, m)
+    k0 = 0
+    while k0 < cells:
+        Y = _walk(rows, E, min(window, cells - k0))
+        coef = Y[:, 0] @ G.T
+        coef[:, 0] -= tau
+        tail = bound * np.abs(Y[:-1, 0, :n]).max(axis=1)
+        yield (((k0 + k + x) * h, Y[k] @ (x ** _POWERS @ F).reshape(m, m))
+               for k, x in _crossings(coef, tail)), Y[-1]
+        rows = Y[-1]
+        k0 += len(Y) - 1
+        window = min(2 * window, _WINDOW)
+
+
+def _sweep(M, y0, t1):
+    """_scan of the rows y0 with g = y[0, 0], its windows all _WINDOW cells.
+
+    Returns ([(s_i, y(s_i))], y(t1)), the sign changes of y[0, 0] in
+    increasing s, with y in the shape of y0. A zero within _GUARD of s = 0
+    is the terminal tie, not an event; the 2n + 4-th event is read as a
+    chattering extremal.
+    """
+    y = np.asarray(y0, dtype=float)
+    n, m = M.shape
+    c = np.zeros(m)
+    c[0] = 1.0
     events = []
-    for k0 in range(0, cells, _WINDOW):
-        Y = _walk(rows, E, min(_WINDOW, cells - k0))
-        tail = a * np.abs(Y[:-1, 0, :n]).max(axis=1)
-        for k, x in _crossings(Y[:, 0] @ W, tail):
-            s = (k0 + k + x) * h
+    for found, rows in _scan(M, y, t1, c, 0.0, _WINDOW):
+        for s, r in found:
             if s <= _GUARD:
                 continue
             if len(events) == 2 * n + 3:
                 raise IntegrationError(
                     "control keeps switching; chattering extremal")
-            E_x = np.tensordot(x ** _POWERS, P, 1)
-            events.append((s, (Y[k] @ E_x).reshape(y.shape)))
-        rows = Y[-1]
+            events.append((s, r.reshape(y.shape)))
     return events, rows.reshape(y.shape)
 
 
@@ -285,7 +297,12 @@ def full_rate_onset(prob: TimeOptimalProblem) -> float:
     admissible control brings x4 to its target sooner. An x4 that starts at
     or above its target gives no onset, so the seed grid is empty: a valid
     problem that this solver cannot seed, reported as NoConvergenceError
-    with no seed tried.
+    with no seed tried. No onset by _ONSET_HORIZON raises InfeasibleError.
+
+    x4(t) = y(t) . [x0; u_max] for y = [e4 e^(A t) | int_0^t e4 e^(A s) B ds]
+    (Bryson & Ho 1975), and y' = y[:n] [A | B], the sweep's generator: the
+    onset is the first class change of that read less x4's target, scanned
+    in windows of doubling length.
     """
     i = FAST_IDX[1]
     target = prob.target_fast[1]
@@ -293,35 +310,16 @@ def full_rate_onset(prob: TimeOptimalProblem) -> float:
         raise NoConvergenceError(
             "no shooting seed: x4 starts at or above its target, so there "
             "is no full-rate onset to seed t_f from", seeds_tried=0)
-    # v = [x - shift; 1], x4 shifted by its target, obeys v' = L v with
-    # L = [[A, drive], [0, 0]]: the onset is the first sign change of v4
-    A, n = prob.sys.A, prob.sys.n
-    shift = np.zeros(n)
-    shift[i] = target
-    drive = A @ shift + prob.sys.B * prob.u_max
-    L = np.zeros((n + 1, n + 1))
-    L[:n, :n] = A
-    L[:n, n] = drive
-    h = _CELL_NORM / float(np.abs(A).sum(axis=0).max())
-    P = _taylor(L, h)
-    E, W = P.sum(axis=0).T, P[:, i, :].T  # on v as a row, and v4's terms
-    a, b = _tail(A, drive, h)
-    v = np.append(prob.x0 - shift, 1.0)[None]
-    # windows of doubling length, so the scan to _ONSET_HORIZON takes a few
-    # dozen walks
-    t0, cells = 0.0, _MIN_CELLS
-    while t0 < _ONSET_HORIZON:
-        V = _walk(v, E, cells)[:, 0]
-        tail = a * np.abs(V[:-1, :n]).max(axis=1) + b
-        for k, x in _crossings(V @ W, tail):
-            t_on = t0 + (k + x) * h
-            if t_on <= _ONSET_HORIZON:
-                return t_on
-            break
-        t0 += cells * h
-        v = V[-1:]
-        cells = min(2 * cells, _WINDOW)
-    raise InfeasibleError("x4 does not reach its target at full rate")
+    n = prob.sys.n
+    y = np.zeros(n + 1)
+    y[i] = 1.0
+    c = np.concatenate((prob.x0, [prob.u_max]))
+    M = np.column_stack((prob.sys.A, prob.sys.B))
+    for found, _ in _scan(M, y, _ONSET_HORIZON, c, target, _MIN_CELLS):
+        for t_on, _ in found:
+            return t_on
+    raise InfeasibleError("x4 does not reach its target at full rate "
+                          f"within {_ONSET_HORIZON:g} min")
 
 
 def default_seed_grid(t_on: float) -> list:

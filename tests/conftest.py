@@ -1,3 +1,7 @@
+import importlib.util
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +48,22 @@ EXPECTED_X_E = np.array([14.518, 64.2371, 813.008, 3.4])
 EXPECTED_U_E = 6.0907
 EXPECTED_T_C = 0.5467
 EXPECTED_T_F = 1.8397
+
+
+def _script(name):
+    """A module of scripts/, loaded from its file."""
+    path = pathlib.Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the coverage corpus: each route's frozen answer on 200 cases, written by
+# scripts/coverage_corpus.py, whose problem() rebuilds a case's problem
+coverage_corpus = _script("coverage_corpus")
+CORPUS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "coverage.json").read_text())
 
 
 def endpoint(sys, schedule, x0=None):

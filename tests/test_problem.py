@@ -178,6 +178,20 @@ def test_problem_rejects_nonfinite_target(ref_sys, target):
         TimeOptimalProblem(sys=ref_sys, target_fast=target, u_max=106.0907)
 
 
+@pytest.mark.parametrize("shape", [(5,), (3,), (2, 4), (1,), ()],
+                         ids=["5", "3", "2x4", "1", "scalar"])
+def test_x0_of_the_wrong_shape_is_a_domain_error(ref_sys, two_level, shape):
+    # a (5,) start was once accepted and failed in the solvers with a bare
+    # numpy ValueError, the others with an IndexError, and the sampler met
+    # each with a numpy ValueError
+    x0 = np.ones(shape)
+    with pytest.raises(DomainError, match=r"x0 must have shape \(4,\)"):
+        TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 3.4), u_max=1.0,
+                           x0=x0)
+    with pytest.raises(DomainError, match=r"x0 must have shape \(4,\)"):
+        sample_trajectory(ref_sys, two_level, 0.1, x0=x0)
+
+
 def test_problem_rejects_bad_target_shape(ref_sys):
     with pytest.raises(DomainError):
         TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 2.0, 3.0), u_max=1.0)

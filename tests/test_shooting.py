@@ -35,7 +35,8 @@ from anesopt.shooting import (
 from anesopt.strategies import solve_time_optimal
 from anesopt.problem import FAST_IDX, ControlSchedule, build_problem
 
-from conftest import FROZEN, U_MAX_REF, endpoint, expm, extremal
+from conftest import (CORPUS, FROZEN, U_MAX_REF, coverage_corpus, endpoint,
+                      expm, extremal)
 
 
 # ------------------------------------------------------------- pointwise law
@@ -191,6 +192,55 @@ def test_full_rate_onset_bounds_t_f_from_below(ref_problem):
     x = full(ref_problem.x0, t_on)
     assert x[3] == pytest.approx(ref_problem.target_fast[1], abs=1e-9)
     assert 0.0 < t_on < FROZEN["t_f"]
+
+
+def _full_rate_x4(prob, t):
+    """x4(t) under u_max from the closed form e^(A t) x0 + A^-1 (e^(A t) - I)
+    B u_max, on the tests' eigenbasis exponential."""
+    A = prob.sys.A
+    eAt = expm(A, t)
+    x = eAt @ prob.x0 + np.linalg.solve(A, (eAt - np.eye(4)) @ prob.sys.B) \
+        * prob.u_max
+    return x[3]
+
+
+def test_full_rate_onset_meets_the_closed_form_target():
+    # every corpus start with x4 below its target: rest and re-dosing, the
+    # hot starts, and the slow bounds, whose onsets lie 7 to 1250 min out
+    probs = {name: coverage_corpus.problem(case)
+             for name, case in CORPUS.items()}
+    below = {name: prob for name, prob in probs.items()
+             if prob.x0[3] < prob.target_fast[1]}
+    assert set(probs) - set(below) == {"x4hi"}
+    for name, prob in below.items():
+        t_on = full_rate_onset(prob)
+        x4 = _full_rate_x4(prob, t_on)
+        assert abs(x4 - prob.target_fast[1]) <= 1e-9, name
+
+
+def test_full_rate_onset_next_to_t_0_is_reported(ref_problem):
+    # x4 starts 1e-12 below its target and rises at about 3.79 per min: the
+    # onset lies 2.64e-13 min out, far inside the sweep's terminal guard,
+    # and is still an onset
+    target = ref_problem.target_fast[1]
+    prob = dataclasses.replace(
+        ref_problem, x0=np.array([50.0, 0.0, 0.0, target - 1e-12]))
+    rate = (prob.sys.A @ prob.x0 + prob.sys.B * prob.u_max)[3]
+    t_on = full_rate_onset(prob)
+    assert 0.0 < t_on < shooting._GUARD
+    assert t_on == pytest.approx((target - prob.x0[3]) / rate, rel=1e-6)
+    assert t_on == pytest.approx(2.64e-13, rel=1e-2)
+
+
+@pytest.mark.parametrize("name", ["population/p0-r17.4-bis50",
+                                  "slow/male53-1.2ue"])
+def test_full_rate_onset_walks_its_windows_without_seams(name, monkeypatch):
+    # 3 and about 900 cells, walked in windows that double from 16 cells to
+    # _WINDOW, then in windows of at most 5 cells: the same onset
+    prob = coverage_corpus.problem(CORPUS[name])
+    whole = full_rate_onset(prob)
+    monkeypatch.setattr(shooting, "_WINDOW", 5)
+    assert full_rate_onset(prob) == pytest.approx(whole, rel=1e-12)
 
 
 def test_full_rate_onset_scan_to_its_horizon_is_bounded(ref_params,
@@ -433,6 +483,20 @@ def test_sweep_finds_a_close_pair_of_zeros_inside_one_cell():
                                 abs=1e-12)
 
 
+@pytest.mark.parametrize("cap", [37, 36])
+def test_a_cell_decided_in_exactly_the_part_cap_is_decided(monkeypatch, cap):
+    # the close pair's cell is decided after 37 parts: a cap of 37 finds
+    # both zeros, and only a cap of 36 leaves the cell undecided
+    monkeypatch.setattr(shooting, "_MAX_PARTS", cap)
+    r1, r2 = 0.7, 0.7 + 1e-4
+    if cap == 36:
+        with pytest.raises(IntegrationError, match="sign undecided"):
+            shooting._sweep(_NILPOTENT, _quadratic(r1, r2), 2.0)
+        return
+    events, _ = shooting._sweep(_NILPOTENT, _quadratic(r1, r2), 2.0)
+    assert [s for s, _ in events] == pytest.approx([r1, r2], abs=1e-12)
+
+
 def test_sweep_reads_a_zero_at_s_0_as_no_event():
     # psi1 = s (s - 0.5): the zero at s = 0 is the terminal tie, not a switch
     events, _ = shooting._sweep(_NILPOTENT, _quadratic(0.0, 0.5), 2.0)
@@ -449,7 +513,9 @@ def test_cell_map_matches_scipy_expm(ref_problem, share):
     A, B = ref_problem.sys.A, ref_problem.sys.B
     K = np.zeros((5, 5))
     K[:4] = np.column_stack((A, B))
-    h = share * FROZEN["t_f"] / shooting._cells(A, FROZEN["t_f"])
+    # the sweep's cells: uniform, ||A||_1 h <= 0.5, at least 16
+    cells = max(16, np.ceil(FROZEN["t_f"] * np.abs(A).sum(axis=0).max() / 0.5))
+    h = share * FROZEN["t_f"] / cells
     E = shooting._taylor(K, h).sum(axis=0)
     want = scipy.linalg.expm(K * h)
     assert np.linalg.norm(E - want) <= 1e-14 * np.linalg.norm(want)
