@@ -36,6 +36,6 @@ class NoConvergenceError(RuntimeError):
 
 
 class InfeasibleError(RuntimeError):
-    """The target is out of reach within a horizon: no control pattern
-    reaches it within the strategy search horizon, or x4 does not reach its
-    target at full rate within the shooting onset horizon."""
+    """The target is out of reach under the control bound: no control
+    pattern's search finds a root, or x4 does not reach its target at full
+    rate within the shooting onset's 1e4-min scan."""

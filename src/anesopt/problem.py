@@ -78,7 +78,14 @@ class ControlSchedule:
 class TimeOptimalProblem:
     """Steer the fast state (x1, x4) from x0 (rest when None) to target_fast
     in minimum time with 0 <= u <= u_max. x0 and target_fast are kept as
-    read-only copies, so the caller's arrays stay writable."""
+    read-only copies, so the caller's arrays stay writable.
+
+    The system must be stable, every eigenvalue of A negative (DomainError
+    otherwise), as both solvers assume: the shooting costate decays in
+    backward time, and the strategy walk's e^(lam d) stays finite for any
+    duration d. With (A, B) controllable, it also makes an equilibrium
+    target held by an input inside (0, u_max) reachable in finite time
+    (Lee and Markus 1967, ch. 2)."""
 
     sys: LTISystem
     target_fast: np.ndarray
@@ -86,6 +93,9 @@ class TimeOptimalProblem:
     x0: np.ndarray = None
 
     def __post_init__(self):
+        if not np.all(self.sys.eigenvalues < 0.0):
+            raise DomainError(f"spectrum {self.sys.eigenvalues} is not stable: "
+                              "A needs every eigenvalue negative")
         if not 0 < self.u_max < np.inf:
             raise DomainError("u_max must be positive and finite")
         x0 = np.zeros(self.sys.n) if self.x0 is None else np.array(self.x0, float)

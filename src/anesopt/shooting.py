@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -227,10 +228,10 @@ def _scan(M, y0, t1, c, tau, window):
     _crossings rules out a pair of zeros in a cell from a bound on g''.
 
     Yields, window by window, an iterator over its class changes
-    (s_i, y(s_i)) in increasing s, located as they are read (so read them
-    before the next window), and the rows at its end. The first window has
-    `window` cells, each next one twice as many up to _WINDOW, so memory
-    does not grow with t1.
+    (s_i, rows), rows() building y(s_i) from its cell's rows, in increasing
+    s, located as they are read (so read them before the next window), and
+    the rows at its end. The first window has `window` cells, each next one
+    twice as many up to _WINDOW, so memory does not grow with t1.
     """
     n, m = M.shape
     A = M[:, :n]
@@ -244,13 +245,19 @@ def _scan(M, y0, t1, c, tau, window):
     G = (P.reshape(-1, m) @ c).reshape(_TERMS, m)  # g_j = y . G[j] (- tau)
     bound = _tail(norm * h) * sum(map(abs, G[1].tolist()))  # G[1] = h M c
     rows = np.asarray(y0, dtype=float).reshape(-1, m)
+
+    def at(yk, x):
+        """y at x of the cell that starts at rows yk."""
+        return yk @ (x ** _POWERS @ F).reshape(m, m)
+
     k0 = 0
     while k0 < cells:
         Y = _walk(rows, E, min(window, cells - k0))
         coef = Y[:, 0] @ G.T
-        coef[:, 0] -= tau
+        if tau:
+            coef[:, 0] -= tau
         tail = bound * np.abs(Y[:-1, 0, :n]).max(axis=1)
-        yield (((k0 + k + x) * h, Y[k] @ (x ** _POWERS @ F).reshape(m, m))
+        yield (((k0 + k + x) * h, partial(at, Y[k], x))
                for k, x in _crossings(coef, tail)), Y[-1]
         rows = Y[-1]
         k0 += len(Y) - 1
@@ -277,7 +284,7 @@ def _sweep(M, y0, t1):
             if len(events) == 2 * n + 3:
                 raise IntegrationError(
                     "control keeps switching; chattering extremal")
-            events.append((s, r.reshape(y.shape)))
+            events.append((s, r().reshape(y.shape)))
     return events, rows.reshape(y.shape)
 
 
@@ -302,7 +309,8 @@ def full_rate_onset(prob: TimeOptimalProblem) -> float:
     x4(t) = y(t) . [x0; u_max] for y = [e4 e^(A t) | int_0^t e4 e^(A s) B ds]
     (Bryson & Ho 1975), and y' = y[:n] [A | B], the sweep's generator: the
     onset is the first class change of that read less x4's target, scanned
-    in windows of doubling length.
+    in windows of doubling length. Only its time is read: no row is built
+    at it.
     """
     i = FAST_IDX[1]
     target = prob.target_fast[1]
@@ -392,10 +400,11 @@ class _Point:
 def shooting_residual(prob: TimeOptimalProblem, theta, t_f) -> _Point:
     """One backward sweep: switches, psi0, endpoint and exact Jacobian.
 
-    In s = t_f - t the costate obeys dpsi/ds = A^T psi and decays, so the
-    rows y = [psi_theta; psi_perp] are swept in s from psi_theta =
-    (cos theta, 0, 0, sin theta) and its theta-derivative psi_perp, and
-    each zero s_i of psi_theta,1 is a switch at t_i = t_f - s_i.
+    In s = t_f - t the costate obeys dpsi/ds = A^T psi and decays (A is
+    stable, see TimeOptimalProblem), so the rows y = [psi_theta; psi_perp]
+    are swept in s from psi_theta = (cos theta, 0, 0, sin theta) and its
+    theta-derivative psi_perp, and each zero s_i of psi_theta,1 is a
+    switch at t_i = t_f - s_i.
     The control starts at the sign of psi0 and flips at each switch.
 
     One more column carries w(s) = int_0^s y B, and the endpoint comes from

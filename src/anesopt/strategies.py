@@ -15,16 +15,14 @@ same eigenbasis, from the walked modal rows on the two fast rows only; so
 neither the projected Gauss-Newton root search nor the KKT Newton solve of
 min sum(d) s.t. r(d) = 0 touches an ODE solver or leaves the eigenbasis.
 Both read the second derivatives: a one-switch search takes Chebyshev's
-third-order step. The search runs from the starts of one dyadic grid up to
-the first root; a bolus-first pattern from x4 below its target tries the
-grid start of the full-rate onset first, a lower bound on t_f since the
-system is positive, from the walk of its onset scan.
-The Jacobian, the closed-form least-squares step, the KKT check and the
-certificate are Python floats too: past the set-up and the result's arrays,
-numpy runs only np.linalg.lstsq near its rank cut-off and np.linalg.solve
-for a KKT Newton step. The KKT multipliers mu give the terminal costate
-psi(t_f) = C^T mu. A segment vanishes, and its point is dominated, when
-dropping it moves the endpoint by less than FEAS_TOL (see _vanishing).
+third-order step. The search runs from the starts of one dyadic grid (see
+starts) and is bounded by d >= 0 alone, so a root is reached however late
+it lies. The Jacobian, the closed-form least-squares step, the KKT check
+and the certificate are Python floats too: past the set-up and the result's
+arrays, numpy runs only np.linalg.lstsq near its rank cut-off and
+np.linalg.solve for a KKT Newton step. The KKT multipliers mu give the
+terminal costate psi(t_f) = C^T mu. A segment vanishes, and its point is
+dominated, when dropping it moves the endpoint by less than FEAS_TOL.
 
 From an equilibrium of an admissible constant control, a KKT point whose
 switching function psi^T B has exactly as many zeros as switches, with the
@@ -48,7 +46,7 @@ from .errors import DomainError, InfeasibleError
 from .lti import constant_input_propagator  # noqa: F401
 from .problem import FAST_IDX, FEAS_TOL, ControlSchedule, TimeOptimalProblem
 
-T_MAX = 60.0         # search horizon, min
+GRID_TOP = 30.0      # the start grid's largest cut point, min
 GRID_POINTS = 8      # multistart points per time dimension
 STALL_TOL = 1e-6     # relative residual drop below which a search has stalled
 _EQUILIBRIUM_RTOL = 1e-12  # |A x0 + B u0| against |A| |x0|: rounding only
@@ -290,33 +288,19 @@ class _GapSolver:
             tau += gaps[j]
         return (J0, J1), (C0, C1)
 
-    def _clip(self, gaps) -> list:
-        g = [0.0 if d <= 0.0 else d for d in gaps]
-        total = 0.0
-        for d in g:
-            total += d
-        if total > T_MAX:
-            f = T_MAX / total
-            g = [d * f for d in g]
-        return g
-
     def starts(self):
         """Multistart gap vectors, one gap per level, yielded lazily as
         (gaps, zs), zs the start's walked modal rows or None: ordered cut
-        points on the dyadic points T_MAX/2 down to T_MAX/256, which reach
-        the sub-minute root scale that a uniform grid never does; a root
-        past T_MAX/2 is reached by the search, not a start.
+        points on the dyadic points GRID_TOP down to GRID_TOP/128, which
+        reach the sub-minute root scale that a uniform grid never does; a
+        later root is reached by the search, not by a start.
 
         A bolus-first pattern from x4 below its target first tries [p, 0,
-        ..., 0], p the first grid point, in ascending order, at which one
-        u_max segment lifts x4 to its target: the grid start of the
-        full-rate onset, a lower bound on t_f since the system is positive.
-        The rest of the grid follows in its own order, so the set of starts
-        is unchanged. The scan walks one segment per point on Python floats,
-        and the onset start carries the scan's walk of [p]: a zero gap
-        leaves z where it is. With no such p, or for a rest-first pattern,
-        the grid's order stands."""
-        pts = sorted(T_MAX / 2 ** i for i in range(1, GRID_POINTS + 1))
+        ..., 0], p the first grid point at which one u_max segment lifts x4
+        to its target (the full-rate onset, a lower bound on t_f since the
+        system is positive), with the walk of [p] that found it; the grid
+        follows in its own order, so the set of starts is unchanged."""
+        pts = sorted(GRID_TOP / 2 ** i for i in range(GRID_POINTS))
         ndim = len(self.levels)
         first = None
         if self.levels[0] and self.record.x4_low:
@@ -337,15 +321,20 @@ class _GapSolver:
         its walk's modal rows.
 
         The minimum-norm least-squares step (Ben-Israel 1966) serves square,
-        over- and underdetermined patterns alike; it is halved until the
-        clipped point lowers |r|. Step and rank come from _lstsq's closed
-        form, so np.linalg.lstsq runs only near its own rank cut-off, and
-        every stop decision is the one lstsq would make. A square step of
-        rank 2 with no pinned gap, every one-switch step, is Chebyshev's
-        (Traub 1964): the Newton step s plus J^-1 (-H(s, s) / 2), H the
-        second switching-time derivatives C A v_min(i,j) that the same jac
-        call sums (see kkt_system), so it converges at third order for a
-        few multiplies. An iteration makes no other numpy call.
+        over- and underdetermined patterns alike; it is halved until its
+        projection onto d >= 0 lowers |r|; a projection met before is not
+        walked again. No duration is bounded (A is stable, see
+        TimeOptimalProblem): a step that leaps far is halved back, unless
+        two trial points give the same r bitwise, a plateau where the walk
+        no longer sees the step, which ends the search. Step and rank come
+        from _lstsq's closed form, so np.linalg.lstsq runs only near its own
+        rank cut-off, and every stop decision is the one lstsq would make.
+        A square step of rank 2 with no pinned gap, every one-switch step,
+        is Chebyshev's (Traub 1964): the Newton step s plus
+        J^-1 (-H(s, s) / 2), H the second switching-time derivatives
+        C A v_min(i,j) that the same jac call sums (see kkt_system), so it
+        converges at third order for a few multiplies. An iteration makes
+        no other numpy call.
         """
         g = [float(d) for d in gaps0]
         if zs is None:
@@ -379,16 +368,21 @@ class _GapSolver:
                 det = p0 * q1 - p1 * q0
                 step = [s0 - (q1 * h0 - p1 * h1) / det,
                         s1 - (p0 * h1 - q0 * h0) / det]
-            scale = 1.0
+            scale, seen = 1.0, None
             while scale >= 1e-12:
-                gn = self._clip([d + scale * s for d, s in zip(g, step)])
+                gn = [0.0 if (x := d + scale * s) <= 0.0 else x
+                      for d, s in zip(g, step)]
                 if gn == g:
                     return np.array(g), r, zs
-                zn = self.walk(gn)
-                rn = self.residual(zn)
-                nrn = math.sqrt(rn[0] * rn[0] + rn[1] * rn[1])
-                if nrn < nr:
-                    break
+                if gn != seen:  # a repeated projection walks nothing new
+                    zn = self.walk(gn)
+                    rn = self.residual(zn)
+                    nrn = math.sqrt(rn[0] * rn[0] + rn[1] * rn[1])
+                    if nrn < nr:
+                        break
+                    if seen is not None and rn == last:
+                        return np.array(g), r, zs  # on the plateau
+                    seen, last = gn, rn
                 scale *= 0.5
             else:
                 break  # no halving lowers the residual
@@ -478,47 +472,55 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     uncontrollable system). From rest a leading rest segment leaves the
     state where it is, so a rest-first pattern is dominated without a
     search. Otherwise the search runs from each start of the ordered
-    duration simplex up to the first root; past zero switches, the KKT
-    Newton solve takes that root to a KKT point (d, mu) or reports the
-    pattern dominated. A KKT point records whether it is certified (see
-    _certify, which reads mu and the record).
+    duration simplex; past zero switches, the KKT Newton solve takes a root
+    to a KKT point (d, mu), certified or not (see _certify), or reports the
+    pattern dominated. The first root that is certified, dominated or within
+    the grid (sum(d) <= GRID_TOP) ends the search. A feasible root past the
+    grid may hide a shorter one at a later start: it is kept, and the
+    fastest kept KKT point stands when no start ends the search.
     """
     record = _ModalRecord(prob)
     k = pattern.switches
     if not pattern.starts_high and record.rest:
         note = f"dominated by strategy {2 * k - 1}" if k else "never leaves rest"
         return StrategyResult(pattern.strategy, None, np.empty(0), False, note)
-    sol = _GapSolver(record, pattern)
-    best_nr, best_r, zero = math.inf, None, None
+    sol, kept = _GapSolver(record, pattern), []
+    best_nr, best_r = math.inf, None
     for g0, zs0 in sol.starts():
         g, r, zs = sol.search(g0, zs0)
         nr = max(abs(r[0]), abs(r[1]))
         if nr < best_nr:
             best_nr, best_r = nr, r
-        if nr < FEAS_TOL:
-            zero = g.tolist()
-            break
-    if zero is None:
-        return StrategyResult(pattern.strategy, None, best_r, False,
-                              f"no root: best residual {best_nr:.3e}")
-    if k == 0:
-        if _vanishing(zero, sol.jac(zero, zs)[0]):
-            return StrategyResult(pattern.strategy, None, best_r, False,
-                                  "root degenerate: a segment vanishes")
-        return StrategyResult(pattern.strategy, _to_schedule(sol.levels, zero),
-                              r, True, "isolated root")
-    point = sol.kkt(zero, zs)
-    if point is None:
-        return StrategyResult(pattern.strategy, None, best_r, False,
-                              "dominated: the minimum-time representative "
-                              "has a vanishing segment")
-    g, mu, r = point
-    schedule = _to_schedule(sol.levels, g)
-    psi_f = [0.0] * prob.sys.n  # C^T mu
-    for i, m in zip(FAST_IDX, mu):
-        psi_f[i] = m
-    return StrategyResult(pattern.strategy, schedule, r, True, "KKT point",
-                          psi_f, _certify(record, schedule, mu))
+        if nr >= FEAS_TOL:
+            continue
+        zero = g.tolist()
+        if k == 0 and _vanishing(zero, sol.jac(zero, zs)[0]):
+            res = StrategyResult(pattern.strategy, None, best_r, False,
+                                 "root degenerate: a segment vanishes")
+        elif k == 0:
+            res = StrategyResult(pattern.strategy,
+                                 _to_schedule(sol.levels, zero), r, True,
+                                 "isolated root")
+        elif (point := sol.kkt(zero, zs)) is None:
+            res = StrategyResult(pattern.strategy, None, best_r, False,
+                                 "dominated: the minimum-time representative "
+                                 "has a vanishing segment")
+        else:
+            d, mu, rd = point
+            schedule = _to_schedule(sol.levels, d)
+            psi_f = np.zeros(prob.sys.n)  # C^T mu
+            psi_f[list(FAST_IDX)] = mu
+            res = StrategyResult(pattern.strategy, schedule, rd, True,
+                                 "KKT point", psi_f,
+                                 _certify(record, schedule, mu))
+        if res.certified or sum(zero) <= GRID_TOP or not (res.feasible or kept):
+            return res
+        if res.feasible:
+            kept.append(res)
+    if kept:
+        return min(kept, key=lambda x: x.t_f)
+    return StrategyResult(pattern.strategy, None, best_r, False,
+                          f"no root: best residual {best_nr:.3e}")
 
 
 def _certify(record: _ModalRecord, sched: ControlSchedule, mu) -> bool:
@@ -575,18 +577,15 @@ def _select(results) -> StrategyResult:
     """Deterministic reduction: minimal t_f, ties to fewer switches."""
     feas = [r for r in results if r.feasible]
     if not feas:
-        # a search found a root exactly when its residual is below FEAS_TOL;
-        # such a root was then rejected as dominated, so it names no miss.
-        # Every table holds searched bolus-first patterns, so norms is not
-        # empty.
+        # a residual below FEAS_TOL is a root rejected as dominated, no miss
         norms = [float(np.linalg.norm(r.residual, np.inf)) for r in results
                  if r.residual.size]
         rootless = [nr for nr in norms if nr >= FEAS_TOL]
         why = (f"best residual {min(rootless):.3e}" if rootless
                else "every root found was dominated")
         raise InfeasibleError(
-            f"target unreachable under the control bound within the horizon "
-            f"({why})")
+            f"target unreachable under the control bound: no pattern has a "
+            f"root ({why})")
     return min(feas, key=lambda r: (r.schedule.t_f, len(r.schedule.breakpoints),
                                     r.strategy))
 

@@ -217,11 +217,16 @@ def test_solve_both_is_bitwise_deterministic_and_consistent(tmp_path, capsys):
     assert comp["delta_t_c"] < 1e-6
 
 
-def test_solve_infeasible_bound_exits_3(tmp_path, capsys):
-    cfg = write_config(tmp_path, u_max=6.2, method="strategy")
-    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert rc == 3
-    assert "solver failed" in capsys.readouterr().err
+def test_solve_bound_just_above_u_e_exits_0(tmp_path, capsys):
+    # u_max = 6.2 against u_e = 6.09: the target lies 1246 min out, far past
+    # every start of the strategy search, which reaches it
+    cfg = write_config(tmp_path, u_max=6.2, method="strategy", step=1.0)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    assert "solver failed" not in capsys.readouterr().err
+    sched = json.loads((out / "schedule_strategy.json").read_text())
+    assert sched["t_f"] == pytest.approx(1246.1142484778702, abs=1e-6)
+    assert len(sched["breakpoints"]) == 1
 
 
 @pytest.mark.parametrize("method, rc", [("strategy", 0), ("both", 3)])

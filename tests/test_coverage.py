@@ -9,10 +9,10 @@ other route's frozen t_f to 1e-9. Never re-freeze the file to make this
 pass.
 
 Tier-1 replays every shooting answer (about 0.8 s for the 200) and the
-strategy answers from rest, re-dosing and the ray (about 0.2 s). A strategy
-solve that walks all eight patterns takes 18 ms a grid start and about
-90 ms a slow bound that no pattern reaches in its horizon, 2.8 s together,
-so those replay under the corpus marker: pytest -m corpus.
+strategy answers from rest, re-dosing, the slow bounds (under 1 ms each),
+the ray and x4hi (about 0.2 s). A grid start's strategy solve walks all
+eight patterns, about 24 ms, 2.6 s for the 108, so those replay under the
+corpus marker: pytest -m corpus.
 """
 import pytest
 
@@ -24,10 +24,8 @@ GROUPS = {"population": 74, "grid": 108, "ray": 5, "x4hi": 1, "slow": 12}
 
 
 def _slow(name, route):
-    """The replays that walk all eight strategy patterns."""
-    return route == "strategy" and (
-        name.startswith("grid/")
-        or CORPUS[name]["strategy"]["status"] == "InfeasibleError")
+    """The grid's strategy replays, which walk all eight patterns."""
+    return route == "strategy" and name.startswith("grid/")
 
 
 REPLAYS = [pytest.param(name, route, id=f"{name}-{route}",

@@ -4,7 +4,7 @@ import pytest
 
 from anesopt import problem
 from anesopt.errors import DomainError
-from anesopt.lti import constant_input_propagator
+from anesopt.lti import LTISystem, constant_input_propagator
 from anesopt.problem import (
     FAST_IDX,
     FEAS_TOL,
@@ -149,6 +149,18 @@ def test_problem_copies_the_callers_arrays(ref_params, ref_sys):
     for p in (prob, direct):
         assert p.x0[0] == 1.0
     assert direct.target_fast[1] == prob.target_fast[1] != 9.0
+
+
+def test_problem_rejects_an_unstable_system(ref_sys):
+    # the reference eigenbasis with its slowest mode at +0.05: the strategy
+    # walk's e^(lam d) would overflow on a long search, and shooting's
+    # costate would grow in backward time
+    lam = ref_sys.eigenvalues.copy()
+    lam[-1] = 0.05
+    sys = LTISystem.from_matrices((ref_sys.V * lam) @ ref_sys.Vi, ref_sys.B)
+    assert sys.eigenvalues[-1] == pytest.approx(0.05)
+    with pytest.raises(DomainError, match="not stable"):
+        TimeOptimalProblem(sys=sys, target_fast=(14.518, 3.4), u_max=U_MAX_REF)
 
 
 def test_problem_rejects_nonpositive_bound(ref_sys):

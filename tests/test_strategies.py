@@ -26,7 +26,7 @@ from anesopt.problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                              build_problem, sample_trajectory)
 from anesopt.strategies import (
     FEAS_TOL,
-    T_MAX,
+    GRID_TOP,
     Pattern,
     StrategyResult,
     _GapSolver,
@@ -380,13 +380,13 @@ def test_search_and_kkt_walk_each_point_once(ref_problem, monkeypatch):
     assert point is not None and np.array_equal(point[0], g)
     assert walked == [] and jacs == [tuple(g)]
     # female 30 y at 5 u_e: strategy 5's root from the grid start
-    # (T/256, T/256, T/64) is no KKT point, so the Newton steps, walking
-    # each new point once and never the root again
+    # (T/128, T/128, T/32), T = GRID_TOP, is no KKT point, so the Newton
+    # steps, walking each new point once and never the root again
     params = schnider_parameters(PatientDemographics("female", 30.0, 55.0, 160.0))
     prob = build_problem(params, 5.0 * equilibrium(params, bis_inverse(50.0)).u_e)
     sol = _GapSolver(_ModalRecord(prob),
                      Pattern(strategy=5, starts_high=True, switches=2))
-    g0 = [T_MAX / 256, 0.0, 3 * T_MAX / 256]
+    g0 = [GRID_TOP / 128, 0.0, 3 * GRID_TOP / 128]
     assert g0 in _start_gaps(sol)
     g, r, zs = sol.search(g0)
     assert np.linalg.norm(r, np.inf) < FEAS_TOL
@@ -506,7 +506,7 @@ def _start_gaps(sol):
 
 def _grid_order(ndim):
     """The dyadic grid's starts in their own order, as lists."""
-    pts = sorted(T_MAX / 2 ** i for i in range(1, strategies.GRID_POINTS + 1))
+    pts = sorted(GRID_TOP / 2 ** i for i in range(strategies.GRID_POINTS))
     return [[b - a for a, b in zip((0.0,) + c, c)]
             for c in itertools.combinations_with_replacement(pts, ndim)]
 
@@ -525,7 +525,7 @@ def test_bolus_first_search_starts_at_the_full_rate_onset(ref_problem,
     # the onset start carries the scan's walk of [p], which is its own walk
     assert walks[0] == sol.walk(starts[0]) and set(walks[1:]) == {None}
     assert sol.residual(sol.walk([p]))[1] >= 0.0
-    assert p > T_MAX / 256 and sol.residual(sol.walk([p / 2]))[1] < 0.0
+    assert p > GRID_TOP / 128 and sol.residual(sol.walk([p / 2]))[1] < 0.0
     grid = _grid_order(switches + 1)
     grid.remove(starts[0])
     assert list(starts[1:]) == grid
@@ -540,11 +540,11 @@ def test_other_searches_keep_the_grid_order(ref_problem, ref_params, case):
     elif case == "x4hi":  # the CI start with x4 above its target
         prob = dataclasses.replace(ref_problem,
                                    x0=np.array([2.0, 19.2711, 243.9024, 4.0]))
-    else:  # at 1.05 u_e, full rate lifts x4 to its target after T_MAX/2
+    else:  # at 1.05 u_e, full rate lifts x4 to its target after GRID_TOP
         u_e = equilibrium(ref_params, bis_inverse(50.0)).u_e
         prob = build_problem(ref_params, 1.05 * u_e)
         sol = _GapSolver(_ModalRecord(prob), pattern)
-        assert sol.residual(sol.walk([T_MAX / 2]))[1] < 0.0
+        assert sol.residual(sol.walk([GRID_TOP]))[1] < 0.0
     sol = _GapSolver(_ModalRecord(prob), pattern)
     assert list(sol.starts()) == [(g, None) for g in _grid_order(2)]
 
@@ -625,7 +625,7 @@ def test_closed_form_step_matches_lstsq(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["reference", "male80-5ue", "hot-start",
-                                  "unreachable"])
+                                  "slow-u6.2", "unreachable"])
 def test_every_rank_decision_is_lstsqs(ref_problem, ref_params, case,
                                        monkeypatch):
     # the search stops on the rank, so the closed form must never turn it
@@ -633,7 +633,8 @@ def test_every_rank_decision_is_lstsqs(ref_problem, ref_params, case,
             "male80-5ue": _male80_5ue,
             "hot-start": lambda: dataclasses.replace(
                 ref_problem, x0=np.array([43.554, 19.2711, 243.9024, 2.72])),
-            "unreachable": lambda: build_problem(ref_params, u_max=6.2)}[case]()
+            "slow-u6.2": lambda: build_problem(ref_params, u_max=6.2),
+            "unreachable": lambda: build_problem(ref_params, u_max=5.0)}[case]()
     ranks = []  # (closed-form rank, lstsq rank) of each step
     closed = strategies._lstsq
 
@@ -758,12 +759,17 @@ def test_effect_site_rises_monotonically_to_the_target(ref_sys, optimal):
     assert np.all(np.diff(x4)[on] > 0)
 
 
-def test_one_switch_infeasible_when_horizon_too_short(ref_problem,
-                                                     monkeypatch):
-    monkeypatch.setattr(strategies, "T_MAX", 1.0)
+def test_one_switch_root_past_a_one_minute_grid_is_found(ref_problem,
+                                                         monkeypatch):
+    # every start ends by 1 min and the root lies at 1.84: the search,
+    # bounded by d >= 0 alone, walks out to it
+    monkeypatch.setattr(strategies, "GRID_TOP", 1.0)
     pat = Pattern(strategy=3, starts_high=True, switches=1)
+    assert max(sum(g) for g in _start_gaps(
+        _GapSolver(_ModalRecord(ref_problem), pat))) == 1.0
     r = solve_pattern(ref_problem, pat)
-    assert not r.feasible
+    assert r.feasible and r.certified
+    assert r.t_f == pytest.approx(1.839754399944804, abs=1e-12)
 
 
 # ------------------------------------------------------------- validation
@@ -830,10 +836,18 @@ def test_complex_spectrum_rejected():
 
 
 def test_unreachable_target_raises_infeasible(ref_params):
-    # bound barely above the equilibrium rate: induction cannot finish in time
-    prob = build_problem(ref_params, u_max=6.2)
+    # bound below the equilibrium rate u_e = 6.09: no control holds the target
+    prob = build_problem(ref_params, u_max=5.0)
     with pytest.raises(InfeasibleError, match="best residual"):
         solve_time_optimal(prob)
+
+
+def test_bound_just_above_the_equilibrium_rate_is_solved(ref_params):
+    # u_max = 6.2 against u_e = 6.09: the target is reachable, 1246 min out,
+    # far past every start, and the one-switch answer is certified
+    best = solve_time_optimal(build_problem(ref_params, u_max=6.2))
+    assert best.strategy == 3 and best.certified
+    assert abs(best.t_f - 1246.1142484778702) < 1e-9
 
 
 def test_result_invariants():
@@ -1112,14 +1126,14 @@ def test_grid_answers_match_the_frozen_file():
     assert seen == {(3, False), (4, False)}
 
 
-def test_reachable_target_past_the_horizon_is_solved():
-    # male 28.8 y, 44.8 kg, 158.4 cm at u_max = 2 u_e: t_f = 31.02 min, past
-    # the longest start (30 min), is still inside the search horizon T_MAX
+def test_reachable_target_past_the_longest_start_is_solved():
+    # male 28.8 y, 44.8 kg, 158.4 cm at u_max = 2 u_e: t_f = 31.02 min lies
+    # past the longest start (GRID_TOP, 30 min), and the search reaches it
     params = schnider_parameters(PatientDemographics("male", 28.8, 44.8, 158.4))
     prob = build_problem(params, 2.0 * equilibrium(params, bis_inverse(50.0)).u_e)
     alone = solve_pattern(prob, Pattern(3, True, 1))
     assert alone.feasible and alone.certified
-    assert 30.0 < alone.t_f < T_MAX
+    assert alone.t_f > GRID_TOP
     assert alone.t_f == pytest.approx(31.0217001172425, rel=1e-12)
     best = solve_time_optimal(prob)
     assert best.certified and best.strategy == 3
@@ -1219,7 +1233,7 @@ def _recording(monkeypatch):
 def test_unreachable_target_solves_each_pattern_once(ref_params, monkeypatch):
     calls = _recording(monkeypatch)
     with pytest.raises(InfeasibleError):
-        solve_time_optimal(build_problem(ref_params, u_max=6.2))
+        solve_time_optimal(build_problem(ref_params, u_max=5.0))
     assert calls == [3, 1, 2, 4, 5, 6, 7, 8]
 
 
@@ -1239,6 +1253,90 @@ def test_hot_start_is_solved_by_a_rest_first_pattern(ref_problem, monkeypatch):
     x = endpoint(prob.sys, best.schedule, x0=prob.x0)
     assert np.max(np.abs(x[list(FAST_IDX)] - prob.target_fast)) < FEAS_TOL
 
+
+
+def _hot_start_1_2ue(params, f1, f4):
+    """x0 = x_e * (f1, 0.3, 0.3, f4) at u_max = 1.2 u_e: held by no control."""
+    eq = equilibrium(params, bis_inverse(50.0))
+    return build_problem(params, 1.2 * eq.u_e,
+                         x0=eq.x_e * np.array([f1, 0.3, 0.3, f4]))
+
+
+def _counting_searches(monkeypatch):
+    """The list that records the levels of each search."""
+    calls = []
+    search = _GapSolver.search
+
+    def counting(self, gaps0, zs=None):
+        calls.append(self.levels)
+        return search(self, gaps0, zs)
+
+    monkeypatch.setattr(_GapSolver, "search", counting)
+    return calls
+
+
+@pytest.mark.parametrize("demo, t_f", [
+    (("male", 53.0, 77.0, 177.0), 1.6106342399530145),
+    (("male", 80.0, 70.0, 170.0), 1.698726400348011)])
+def test_a_root_past_the_grid_does_not_hide_a_shorter_one(demo, t_f,
+                                                          monkeypatch):
+    # from x_e (3, 0.3, 0.3, 0.2) strategy 3 has a root past 160 min besides
+    # the short one (the reference's is shooting's t_f, 1.61063423995301);
+    # once the first root a search reached ended the pattern, and strategy 4
+    # won at 2.2397 and 2.1326 min
+    prob = _hot_start_1_2ue(schnider_parameters(PatientDemographics(*demo)),
+                            3.0, 0.2)
+    best = solve_time_optimal(prob)
+    assert best.strategy == 3 and not best.certified
+    assert best.t_f == pytest.approx(t_f, rel=1e-12)
+    # a root within the grid ends the pattern's search at once
+    calls = _counting_searches(monkeypatch)
+    assert solve_pattern(prob, Pattern(3, True, 1)).t_f == best.t_f
+    assert len(calls) < 10
+
+
+def test_a_step_onto_the_plateau_ends_the_search(ref_params, monkeypatch):
+    # from the onset start [1.875, 0] a near-singular step leaps 784,308 min,
+    # where every mode has decayed: two trial points there give the same
+    # residual bitwise, and the search ends at its last point instead of
+    # halving back, one walk at a time, into the 165.64-min root
+    prob = _hot_start_1_2ue(ref_params, 3.0, 0.2)
+    sol = _GapSolver(_ModalRecord(prob), Pattern(3, True, 1))
+    far = []
+    walk = _GapSolver.walk
+
+    def recording(self, gaps):
+        if sum(gaps) > 1e4:
+            far.append(list(gaps))
+        return walk(self, gaps)
+
+    monkeypatch.setattr(_GapSolver, "walk", recording)
+    g0, zs0 = next(sol.starts())
+    assert g0 == [1.875, 0.0]
+    g, r, _ = sol.search(g0, zs0)
+    assert len(far) == 2 and far[0][0] > 7e5
+    assert sum(g) < 3.0 and max(map(abs, r)) > FEAS_TOL
+
+
+def test_an_uncertified_root_past_the_grid_is_kept(ref_params, monkeypatch):
+    # every root of strategy 3 lies past the grid and x0 is held by no
+    # control, so its search runs from every start and keeps the fastest KKT
+    # point: shooting's t_f, 172.3337095599344
+    prob = _hot_start_1_2ue(ref_params, 0.5, 0.2)
+    calls = _counting_searches(monkeypatch)
+    res = solve_pattern(prob, Pattern(3, True, 1))
+    assert len(calls) == len(list(_GapSolver(_ModalRecord(prob),
+                                             Pattern(3, True, 1)).starts()))
+    assert res.feasible and not res.certified
+    assert res.t_f > GRID_TOP
+    assert res.t_f == pytest.approx(172.3337095599344, rel=1e-9)
+    # a dominated first root still ends its pattern's search: strategy 7
+    # stops after 41 of its 330 starts
+    calls.clear()
+    assert solve_pattern(prob, Pattern(7, True, 3)).note == DOMINATED
+    assert len(calls) < 100
+    best = solve_time_optimal(prob)
+    assert best.strategy == 3 and best.t_f == res.t_f
 
 # ---------------------------------------------------------------- selection
 
