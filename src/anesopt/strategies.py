@@ -322,13 +322,18 @@ class _GapSolver:
 
         The minimum-norm least-squares step (Ben-Israel 1966) serves square,
         over- and underdetermined patterns alike; it is halved until its
-        projection onto d >= 0 lowers |r|; a projection met before is not
-        walked again. No duration is bounded (A is stable, see
-        TimeOptimalProblem): a step that leaps far is halved back, unless
-        two trial points give the same r bitwise, a plateau where the walk
-        no longer sees the step, which ends the search. Step and rank come
-        from _lstsq's closed form, so np.linalg.lstsq runs only near its own
-        rank cut-off, and every stop decision is the one lstsq would make.
+        projection onto d >= 0 lowers |r|. A step is halved only if it is a
+        descent direction: the slope r^T J s~ of |r|^2 / 2 along its
+        projection at scale 0+ (s~_i = s_i where d_i > 0, max(s_i, 0) where
+        d_i = 0), read from the J in hand, is negative (Nocedal and Wright
+        2006, 3.1); any other step is tried whole, once. No duration is
+        bounded (A is stable, see TimeOptimalProblem): a step that leaps far
+        is halved back, unless two trial points in a row give the same r
+        bitwise, a plateau where the walk no longer sees the step, which
+        ends the search; a projection that repeats the one before is such a
+        pair. Step and rank come from _lstsq's closed form, so
+        np.linalg.lstsq runs only near its own rank cut-off, and every stop
+        decision is the one lstsq would make.
         A square step of rank 2 with no pinned gap, every one-switch step,
         is Chebyshev's (Traub 1964): the Newton step s plus
         J^-1 (-H(s, s) / 2), H the second switching-time derivatives
@@ -368,24 +373,29 @@ class _GapSolver:
                 det = p0 * q1 - p1 * q0
                 step = [s0 - (q1 * h0 - p1 * h1) / det,
                         s1 - (p0 * h1 - q0 * h0) / det]
-            scale, seen = 1.0, None
-            while scale >= 1e-12:
+            # the slope of |r|^2 / 2 along the step's projection at scale
+            # 0+; a step that is no descent direction is tried once, whole
+            slope = 0.0
+            for d, s, a, b in zip(g, step, *J):
+                if d > 0.0 or s > 0.0:
+                    slope += (a * r[0] + b * r[1]) * s
+            scale, last = 1.0, None
+            while scale >= (1e-12 if slope < 0.0 else 1.0):
                 gn = [0.0 if (x := d + scale * s) <= 0.0 else x
                       for d, s in zip(g, step)]
                 if gn == g:
                     return np.array(g), r, zs
-                if gn != seen:  # a repeated projection walks nothing new
-                    zn = self.walk(gn)
-                    rn = self.residual(zn)
-                    nrn = math.sqrt(rn[0] * rn[0] + rn[1] * rn[1])
-                    if nrn < nr:
-                        break
-                    if seen is not None and rn == last:
-                        return np.array(g), r, zs  # on the plateau
-                    seen, last = gn, rn
+                zn = self.walk(gn)
+                rn = self.residual(zn)
+                nrn = math.sqrt(rn[0] * rn[0] + rn[1] * rn[1])
+                if nrn < nr:
+                    break
+                if rn == last:
+                    return np.array(g), r, zs  # on the plateau
+                last = rn
                 scale *= 0.5
             else:
-                break  # no halving lowers the residual
+                break  # no trial point lowers the residual
             stalled = nr - nrn < STALL_TOL * nr
             g, r, nr, zs = gn, rn, nrn, zn
             if stalled:
@@ -532,13 +542,14 @@ def _certify(record: _ModalRecord, sched: ControlSchedule, mu) -> bool:
     (Polya and Szego, Part V) it has at most as many real zeros as c has
     sign changes in ascending lam order. A k-switch point is certified when
     x0 is held (the record's held), that count is exactly k, psi1 vanishes
-    at each switch (|psi1| u_max <= FEAS_TOL) and psi1 < 0 at each
-    segment's midpoint exactly where u = u_max: the midpoint signs
-    alternate, so the switches hold the only zeros. From that equilibrium
-    start the sign law makes the control the unique minimum-time one (Lee
-    and Markus 1967, ch. 2): a faster control, held first at the
-    equilibrium input, would give int psi1 (u - u*) = 0 with a nonnegative
-    integrand. A NaN in mu fails every test.
+    at each switch to rounding (|psi1| <= _MODAL_RTOL max|c|, a test free of
+    the scale of mu and u_max) and psi1 < 0 at each segment's midpoint
+    exactly where u = u_max: the midpoint signs alternate, so the switches
+    hold the only zeros. From that equilibrium start the sign law makes the
+    control the unique minimum-time one (Lee and Markus 1967, ch. 2): a
+    faster control, held first at the equilibrium input, would give
+    int psi1 (u - u*) = 0 with a nonnegative integrand. A NaN in mu fails
+    every test.
     """
     if not record.held:
         return False
@@ -560,7 +571,7 @@ def _certify(record: _ModalRecord, sched: ControlSchedule, mu) -> bool:
     return bool(
         all(abs(x) > _MODAL_RTOL * big for x in cs)
         and sign_changes == len(sched.breakpoints)
-        and all(abs(x) * record.u_max <= FEAS_TOL for x in at_switch)
+        and all(abs(x) <= _MODAL_RTOL * big for x in at_switch)
         and 0.0 not in mid
         and sched.levels == tuple(record.u_max if x < 0 else 0.0 for x in mid))
 

@@ -24,6 +24,7 @@ from anesopt.patient import (SCHNIDER_RANGE, PatientDemographics,
                              schnider_parameters)
 from anesopt.problem import (FAST_IDX, ControlSchedule, TimeOptimalProblem,
                              build_problem, sample_trajectory)
+from anesopt.shooting import solve_shooting
 from anesopt.strategies import (
     FEAS_TOL,
     GRID_TOP,
@@ -39,7 +40,8 @@ from anesopt.strategies import (
     solve_time_optimal,
 )
 
-from conftest import FROZEN, U_MAX_REF, endpoint, expm, kalman_rank
+from conftest import (CORPUS, FROZEN, U_MAX_REF, coverage_corpus, endpoint,
+                      expm, kalman_rank)
 
 
 # ------------------------------------------------------------- enumeration
@@ -917,14 +919,14 @@ def _certifies(prob, res):
     return _certify(_ModalRecord(prob), res.schedule, mu)
 
 
-def _mutations(res):
+def _mutations(res, shift=1e-6):
     """Near misses of a KKT point. A uniform positive scaling of mu is the
     same certificate; scaling one multiplier turns psi(t_f), which moves the
-    zero of psi1 off the switch."""
+    zero of psi1 off the switch. The first switch moves by shift of itself."""
     s = res.schedule
     bumped = res.terminal_costate.copy()
     bumped[FAST_IDX[0]] *= 1 + 1e-6
-    moved = (s.breakpoints[0] * (1 + 1e-6),) + s.breakpoints[1:]
+    moved = (s.breakpoints[0] * (1 + shift),) + s.breakpoints[1:]
     return {
         "flipped-levels": dataclasses.replace(res, schedule=ControlSchedule(
             s.levels[::-1], s.breakpoints, s.t_f)),
@@ -990,6 +992,27 @@ def test_only_an_admissible_equilibrium_start_is_certified(
     assert best.certified is held
     assert best.strategy == strategy
     assert best.t_f == pytest.approx(t_f, rel=1e-9)
+
+
+@pytest.mark.parametrize("demo", coverage_corpus.PANEL,
+                         ids=[f"{d[0]}{d[1]:g}" for d in coverage_corpus.PANEL])
+def test_a_bound_just_above_equilibrium_is_certified(demo):
+    # at 1.001 u_e the switch lies 1.2e-5 min before a t_f of about 2,400
+    # min and max|c| is about 2.7e4 on the reference patient: there psi1 at
+    # the switch is rounding of that size, above FEAS_TOL / u_max, and only
+    # a switch test relative to max|c| certifies the point
+    params = schnider_parameters(PatientDemographics(*demo))
+    prob = build_problem(params, 1.001 * equilibrium(params, bis_inverse(50.0)).u_e)
+    best = solve_time_optimal(prob)
+    assert best.strategy == 3 and best.certified
+    assert best.t_f == pytest.approx(solve_shooting(prob).t_f, rel=1e-10)
+    if demo == coverage_corpus.REFERENCE:
+        assert prob.u_max == 6.096838019720976
+        assert best.t_f == pytest.approx(2461.6853671977215, rel=1e-12)
+        assert np.max(_psi1_at_switches(prob, best)) > FEAS_TOL
+    # the switch moved earlier: 1e-6 of it later would pass t_f
+    for name, bad in _mutations(best, shift=-1e-6).items():
+        assert _certifies(prob, bad) is False, name
 
 
 def _population():
@@ -1337,6 +1360,54 @@ def test_an_uncertified_root_past_the_grid_is_kept(ref_params, monkeypatch):
     assert len(calls) < 100
     best = solve_time_optimal(prob)
     assert best.strategy == 3 and best.t_f == res.t_f
+
+
+def _recording_walks(monkeypatch):
+    """The list that records the gaps of each walk."""
+    walks = []
+    walk = _GapSolver.walk
+
+    def recording(self, gaps):
+        walks.append(list(gaps))
+        return walk(self, gaps)
+
+    monkeypatch.setattr(_GapSolver, "walk", recording)
+    return walks
+
+
+def _corpus_solver(name, pattern):
+    return _GapSolver(_ModalRecord(coverage_corpus.problem(CORPUS[name])),
+                      pattern)
+
+
+def test_a_repeated_projection_ends_the_search_on_its_plateau(monkeypatch):
+    # x4 starts above its target, so strategy 3 has no root; once a trial
+    # point that repeated the one before was not walked, which hid the
+    # plateau, and these two searches walked 81 and 102 times
+    sol = _corpus_solver("x4hi", Pattern(3, True, 1))
+    walks = _recording_walks(monkeypatch)
+    sol.search([0.234375, 0.0])
+    assert len(walks) <= 14
+    walks.clear()
+    # both halvings of the first step project onto one point: its second
+    # walk gives the first one's residual bitwise and the search ends
+    g, _, _ = sol.search([0.234375, 1.640625])
+    assert len(walks) == 3 and walks[-1] == walks[-2] != walks[0]
+    assert g.tolist() == walks[0]
+
+
+def test_a_step_that_is_no_descent_direction_is_not_halved(monkeypatch):
+    # from this start every trial point of the last step, scale 1 down to
+    # 2^-40, has a larger |r| than the point it left: its slope there is
+    # not negative, so the step is walked once, whole, in place of 40 times
+    sol = _corpus_solver("grid/male53-5ue-f13-f40.5", Pattern(4, False, 1))
+    walks = _recording_walks(monkeypatch)
+    g, r, _ = sol.search([0.234375, 0.703125])
+    assert len(walks) <= 3
+    # the point where the 40 halvings left it
+    assert g.tolist() == [1.5201340951906144, 0.050818343530795285]
+    nr = np.hypot(*r)
+    assert nr > FEAS_TOL and np.hypot(*sol.residual(sol.walk(walks[-1]))) > nr
 
 # ---------------------------------------------------------------- selection
 
