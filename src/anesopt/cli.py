@@ -58,15 +58,21 @@ class RunConfig:
             raise ConfigError("x0 must have four components")
 
 
+def _number(v) -> float:
+    if isinstance(v, bool):  # a Python int: "step": true must not read as 1
+        raise TypeError("expected a JSON number, got a boolean")
+    return float(v)
+
+
 def _float_tuple(v) -> tuple:
     # a string is iterable too: "1234" must not read as (1, 2, 3, 4)
     if not isinstance(v, list):
         raise TypeError(f"expected a JSON list, got {type(v).__name__}")
-    return tuple(float(x) for x in v)
+    return tuple(_number(x) for x in v)
 
 
 # coercion per annotation; annotations are strings under postponed evaluation
-_COERCE = {"str": str, "float": float, "tuple": _float_tuple}
+_COERCE = {"str": str, "float": _number, "tuple": _float_tuple}
 
 
 def load_config(path: str, **overrides) -> RunConfig:
@@ -210,8 +216,8 @@ def _cell_tables() -> tuple:
     digits less one that k brings as the first and as the last five of ten
     digits. Entry 100,000 is the carry of N = 1e10: the text "10000" and
     10 more, which `_classify` reads as the next exponent with one digit.
-    Then the masks and templates of the layouts, and the exact powers of
-    ten that scale x to ten integer digits.
+    Then the masks and templates of the layouts, and the factors 10**(9 - X),
+    rounded once for X > 9, that scale x to ten integer digits.
     """
     text = np.zeros((100_001, 8), np.uint8)
     text[-1, :5] = np.frombuffer(b"10000", np.uint8)
@@ -236,11 +242,11 @@ def _cell_tables() -> tuple:
     byte = np.arange(16)
     masks = np.concatenate([byte < point, (byte >= point) & (byte < shown)],
                            axis=1) * np.uint8(0xff)
-    # float(10**k) is exact up to k = 22, whatever pow the platform has
-    up = np.array([float(10 ** max(9 - e, 0)) for e in range(_X_LO, _X_HI)])
-    down = np.array([float(10 ** max(e - 9, 0)) for e in range(_X_LO, _X_HI)])
+    # exact to 10**22 whatever pow the platform has; 1 / 10**k rounds once
+    scale = np.array([float(10 ** (9 - e)) if e <= 9 else 1 / 10 ** (e - 9)
+                      for e in range(_X_LO, _X_HI)])
     tables = (text.view("<u8").ravel(), sig_hi, sig_lo,
-              masks.view("<u8").T.copy(), templates, up, down)
+              masks.view("<u8").T.copy(), templates, scale)
     for t in tables:  # shared by every caller in the process
         t.setflags(write=False)
     return tables
@@ -254,9 +260,9 @@ def _g10_text(x: float) -> bytes:
 def _classify(v: np.ndarray, tables: tuple) -> tuple:
     """The layout row of each x, and the two 5-digit halves of N.
 
-    A finite nonzero x with X = floor(log10|x|) in [-13, 31] has
-    10**(9 - X) exact, so one multiply or one divide scales it to
-    y = |x| 10**(9 - X) within 1.2e-6 of the exact product; log10 may be
+    A finite nonzero x with X = floor(log10|x|) in [-13, 31] is scaled by
+    one multiply to y = |x| 10**(9 - X) within 2.2e-6 of the exact product
+    (a factor rounded only for X > 9, then the product); log10 may be
     one off, and X is corrected once. For y in [1e9, 1e10), rint(y) is the
     correctly rounded ten-digit integer N unless y lies within 1e-5 of a
     tie, and N = 1e10 carries to 1e9 with X + 1. The halves of N give the
@@ -265,19 +271,19 @@ def _classify(v: np.ndarray, tables: tuple) -> tuple:
     [1e-13, 1e32), scalings that stay out of range and near-ties get the
     row `_UNDECIDED`.
     """
-    _, sig_hi, sig_lo, _, _, up, down = tables
+    _, sig_hi, sig_lo, _, _, scale = tables
     a = np.abs(v)
     with np.errstate(all="ignore"):
         # fmax sends NaN to the lowest exponent, and the range check drops it
         e = np.fmin(np.fmax(np.floor(np.log10(a)), _X_LO), _X_HI - 1)
         xi = (e - _X_LO).astype(np.intp)
-        y = a * up[xi] / down[xi]
+        y = a * scale[xi]
         out = np.flatnonzero((y < 1e9) | (y >= 1e10))
         if out.size:  # log10 one off next to a power of ten, or no fit
             xo = np.clip(xi[out] + np.where(y[out] < 1e9, -1, 1), 0,
-                         len(up) - 1)
+                         len(scale) - 1)
             xi[out] = xo
-            y[out] = a[out] * up[xo] / down[xo]
+            y[out] = a[out] * scale[xo]
             out = out[(y[out] < 1e9) | (y[out] >= 1e10)]
         n10 = np.rint(y)
         ok = np.abs(y - n10) < 0.5 - 1e-5
@@ -300,7 +306,7 @@ def _csv_cells(v: np.ndarray) -> np.ndarray:
     text of `_g10_text` for each undecided x."""
     tables = _cell_tables()
     code, hi, lo = _classify(v, tables)
-    digits5, _, _, masks, templates, _, _ = tables
+    digits5, _, _, masks, templates, _ = tables
     head0, head1, tail0, tail1 = masks
     s8, s24, s40, s56 = _SHIFTS
     w0 = digits5[hi] | (digits5[lo] << s40)  # digits 1-8 as text
@@ -405,9 +411,9 @@ def cmd_simulate(cfg: RunConfig, schedule_path: str) -> int:
         raise ConfigError(f"schedule file {schedule_path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"schedule file is not valid JSON: {exc}") from exc
+    traj = sample_trajectory(sys_, schedule, cfg.step, x0=np.array(cfg.x0))
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, "simulated.csv")
-    traj = sample_trajectory(sys_, schedule, cfg.step, x0=np.array(cfg.x0))
     _write_trajectory_csv(out_path, traj)
     print(out_path)
     return 0

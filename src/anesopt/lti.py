@@ -83,10 +83,14 @@ def constant_input_propagator(sys: LTISystem, u: float):
     """Exact flow map (x0, dt) -> x(dt) for constant input u, in modal form:
     x(dt) = V (e^(lam dt) * Vi x0 + expm1(lam dt) * Vi B u / lam), where no
     lam is near 0 (LTISystem admits no other spectrum). dt is a scalar or a
-    1-D array; an array gives one state per entry, as rows.
+    1-D array; an array gives one state per entry, as rows. A u whose modal
+    offset Vi B u / lam overflows raises DomainError.
     """
     lam, V, Vi = sys.eigenvalues, sys.V, sys.Vi
-    w_lam = Vi @ (sys.B * u) / lam
+    with np.errstate(all="ignore"):
+        w_lam = Vi @ (sys.B * u) / lam
+    if not np.all(np.isfinite(w_lam)):
+        raise DomainError(f"input level {u:g} overflows the flow map")
 
     def flow(x0, dt):
         # in place, in two arrays: a long dt array maps fewer fresh pages
@@ -100,7 +104,7 @@ def constant_input_propagator(sys: LTISystem, u: float):
 
     def step(x0, dt):
         x0 = np.asarray(x0, dtype=float)
-        if isinstance(dt, float) or np.ndim(dt) == 0:  # a float skips ndim's cost
+        if np.ndim(dt) == 0:
             if not dt >= 0:
                 raise DomainError("propagation time must be >= 0")
             return flow(x0, dt) if dt > 0 else x0.copy()

@@ -3,6 +3,7 @@ reachability problem for the fast state pair (x1, x4).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,12 @@ class ControlSchedule:
                            tuple(float(t) for t in self.breakpoints))
         if not self.t_f > 0:
             raise DomainError("t_f must be positive")
+        if not all(map(math.isfinite, self.levels)):
+            raise DomainError("levels must be finite")
         if len(self.levels) != len(self.breakpoints) + 1:
             raise DomainError("need exactly one more level than breakpoints")
         knots = (0.0,) + self.breakpoints + (self.t_f,)
-        if any(b >= a for a, b in zip(knots[1:], knots)):
+        if not all(a < b for a, b in zip(knots, knots[1:])):  # NaN fails
             raise DomainError("breakpoints must be strictly increasing inside (0, t_f)")
         if any(a == b for a, b in zip(self.levels, self.levels[1:])):
             raise DomainError("adjacent levels must differ (null switch)")
@@ -66,6 +69,9 @@ class ControlSchedule:
             # a string is iterable too: "10" must not read as levels (1, 0)
             if not (isinstance(levels, list) and isinstance(breakpoints, list)):
                 raise TypeError("u_levels and breakpoints must be JSON lists")
+            if any(isinstance(v, bool)
+                   for v in levels + breakpoints + [d["t_f"]]):
+                raise TypeError("a JSON boolean is not a schedule number")
             return cls(levels=tuple(levels), breakpoints=tuple(breakpoints),
                        t_f=float(d["t_f"]))
         except DomainError:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -227,17 +226,15 @@ def _scan(M, y0, t1, c, tau, window):
     Each class change is located on its cell's Taylor polynomial of g, and
     _crossings rules out a pair of zeros in a cell from a bound on g''.
 
-    Yields, window by window, an iterator over its class changes
-    (s_i, rows), rows() building y(s_i) from its cell's rows, in increasing
-    s, located as they are read (so read them before the next window), and
-    the rows at its end. The first window has `window` cells, each next one
-    twice as many up to _WINDOW, so memory does not grow with t1.
+    Yields, window by window, the list of its class changes (s_i, y(s_i)),
+    in increasing s, each y(s_i) built from its cell's rows, and the rows
+    at its end. The first window has `window` cells, each next one twice as
+    many up to _WINDOW, so memory does not grow with t1.
     """
     n, m = M.shape
-    A = M[:, :n]
     K = np.zeros((m, m))
     K[:n] = M
-    norm = float(np.abs(A).sum(axis=0).max())  # ||A||_1
+    norm = float(np.abs(M[:, :n]).sum(axis=0).max())  # ||A||_1
     cells = max(_MIN_CELLS, math.ceil(t1 * norm / _CELL_NORM))
     h = t1 / cells
     P = _taylor(K, h)
@@ -245,20 +242,14 @@ def _scan(M, y0, t1, c, tau, window):
     G = (P.reshape(-1, m) @ c).reshape(_TERMS, m)  # g_j = y . G[j] (- tau)
     bound = _tail(norm * h) * sum(map(abs, G[1].tolist()))  # G[1] = h M c
     rows = np.asarray(y0, dtype=float).reshape(-1, m)
-
-    def at(yk, x):
-        """y at x of the cell that starts at rows yk."""
-        return yk @ (x ** _POWERS @ F).reshape(m, m)
-
     k0 = 0
     while k0 < cells:
         Y = _walk(rows, E, min(window, cells - k0))
         coef = Y[:, 0] @ G.T
-        if tau:
-            coef[:, 0] -= tau
+        coef[:, 0] -= tau
         tail = bound * np.abs(Y[:-1, 0, :n]).max(axis=1)
-        yield (((k0 + k + x) * h, partial(at, Y[k], x))
-               for k, x in _crossings(coef, tail)), Y[-1]
+        yield [((k0 + k + x) * h, Y[k] @ (x ** _POWERS @ F).reshape(m, m))
+               for k, x in _crossings(coef, tail)], Y[-1]
         rows = Y[-1]
         k0 += len(Y) - 1
         window = min(2 * window, _WINDOW)
@@ -274,17 +265,12 @@ def _sweep(M, y0, t1):
     """
     y = np.asarray(y0, dtype=float)
     n, m = M.shape
-    c = np.zeros(m)
-    c[0] = 1.0
     events = []
-    for found, rows in _scan(M, y, t1, c, 0.0, _WINDOW):
-        for s, r in found:
-            if s <= _GUARD:
-                continue
-            if len(events) == 2 * n + 3:
-                raise IntegrationError(
-                    "control keeps switching; chattering extremal")
-            events.append((s, r().reshape(y.shape)))
+    for found, rows in _scan(M, y, t1, np.eye(m)[0], 0.0, _WINDOW):
+        events += [(s, r.reshape(y.shape)) for s, r in found if s > _GUARD]
+        if len(events) > 2 * n + 3:
+            raise IntegrationError(
+                "control keeps switching; chattering extremal")
     return events, rows.reshape(y.shape)
 
 
@@ -309,8 +295,7 @@ def full_rate_onset(prob: TimeOptimalProblem) -> float:
     x4(t) = y(t) . [x0; u_max] for y = [e4 e^(A t) | int_0^t e4 e^(A s) B ds]
     (Bryson & Ho 1975), and y' = y[:n] [A | B], the sweep's generator: the
     onset is the first class change of that read less x4's target, scanned
-    in windows of doubling length. Only its time is read: no row is built
-    at it.
+    in windows of doubling length.
     """
     i = FAST_IDX[1]
     target = prob.target_fast[1]
@@ -318,14 +303,12 @@ def full_rate_onset(prob: TimeOptimalProblem) -> float:
         raise NoConvergenceError(
             "no shooting seed: x4 starts at or above its target, so there "
             "is no full-rate onset to seed t_f from", seeds_tried=0)
-    n = prob.sys.n
-    y = np.zeros(n + 1)
-    y[i] = 1.0
+    y = np.eye(prob.sys.n + 1)[i]
     c = np.concatenate((prob.x0, [prob.u_max]))
     M = np.column_stack((prob.sys.A, prob.sys.B))
     for found, _ in _scan(M, y, _ONSET_HORIZON, c, target, _MIN_CELLS):
-        for t_on, _ in found:
-            return t_on
+        if found:
+            return found[0][0]
     raise InfeasibleError("x4 does not reach its target at full rate "
                           f"within {_ONSET_HORIZON:g} min")
 

@@ -81,6 +81,21 @@ def test_x0_that_is_not_a_list_exits_2(tmp_path, capsys, x0):
     assert "x0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("step", True), ("u_max", True), ("x0", [0.0, 0.0, False, 0.0]),
+], ids=["step", "u_max", "x0-entry"])
+def test_boolean_number_exits_2(tmp_path, capsys, monkeypatch, field, value):
+    # a JSON boolean is a Python int: "step": true once solved at step 1.0
+    monkeypatch.setattr(cli, "solve_shooting", _never)
+    monkeypatch.setattr(cli, "solve_time_optimal", _never)
+    rc = main(["solve", "--config", write_config(tmp_path, **{field: value}),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and "boolean" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bad_method_exits_2(tmp_path, capsys):
     rc = main(["solve", "--config", write_config(tmp_path, method="triple")])
     assert rc == 2
@@ -447,12 +462,17 @@ def test_cell_tables_equal_their_per_row_construction():
     assert sig_hi[-1] == 10
     assert sig_lo[1:].tolist() == (9 - zeros[1:]).tolist()
     assert sig_lo[0] == -1
+    # the factors 10**(9 - X): exact at or below X = 9, rounded once above
+    scale = cli._cell_tables()[5]
+    want = [float(10 ** (9 - x)) if x <= 9 else 1 / 10 ** (x - 9)
+            for x in range(cli._X_LO, cli._X_HI)]
+    assert scale.tolist() == want
 
 
 def test_csv_cells_leave_near_ties_to_python(monkeypatch):
-    # every tie whose ten-digit scaling is exact in double (exponents
-    # -13 to 31) is undecidable by the tables
-    values = _ties(range(-22, 23))
+    # a tie at every exponent X the tables hold (-13 to 31), whose scaling
+    # is exact for X <= 9 and rounded above it, is undecidable by the tables
+    values = _ties(range(cli._X_LO - 9, cli._X_HI - 9))
     seen = []
     g10 = cli._g10_text
     monkeypatch.setattr(cli, "_g10_text", lambda x: seen.append(x) or g10(x))
@@ -656,6 +676,27 @@ def test_simulate_malformed_schedule_exits_2(tmp_path, capsys):
         assert rc == 2
         assert "schedule" in capsys.readouterr().err
         assert not (tmp_path / "o" / "simulated.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"u_levels": [1.0, 0.0], "breakpoints": [float("nan")], "t_f": 1.84},
+    {"u_levels": [float("nan"), 0.0], "breakpoints": [0.5], "t_f": 1.84},
+    {"u_levels": [True, False], "breakpoints": [0.5], "t_f": 1.84},
+    {"u_levels": [1e308, 0.0], "breakpoints": [0.5], "t_f": 1.84},
+], ids=["nan-breakpoint", "nan-level", "boolean-levels", "overflowing-level"])
+def test_simulate_invalid_schedule_numbers_exit_2(tmp_path, capsys, doc):
+    # each once failed later: a NaN breakpoint as a negative propagation
+    # time, a NaN level as a negative effect-site level, booleans replayed
+    # as levels 1 and 0 with exit 0, and a level of 1e308 overflowed the
+    # modal offset of the flow map (a RuntimeWarning fails this test)
+    cfg = write_config(tmp_path)
+    sched = tmp_path / "bad.json"
+    sched.write_text(json.dumps(doc))
+    rc = main(["simulate", "--config", cfg, str(sched),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_non_json_schedule_exits_2(tmp_path, capsys):
