@@ -1,5 +1,8 @@
 """Command-line front end: parameter reports, solve runs, schedule replay.
 
+Config and schedule files are read here by one reader and one value rule:
+a value of the wrong JSON type or a non-finite number is a ConfigError.
+
 Outputs are plain JSON/CSV with 10-significant-digit numeric emission so
 repeated runs of the same config are bitwise identical. A CSV number is
 the text of "%.10g"; the trajectory writer builds it for whole blocks of
@@ -47,64 +50,68 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
-        # JSON admits NaN and Infinity; no solver stage is defined on them
-        for name in ("age", "weight", "height", "u_max", "bis_target", "step",
-                     "x0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigError(f"{name} must be finite")
         if not self.step > 0:
             raise ConfigError("step must be positive")
         if len(self.x0) != 4:
             raise ConfigError("x0 must have four components")
 
 
-def _number(v) -> float:
-    if isinstance(v, bool):  # a Python int: "step": true must not read as 1
-        raise TypeError("expected a JSON number, got a boolean")
-    return float(v)
-
-
-def _float_tuple(v) -> tuple:
-    # a string is iterable too: "1234" must not read as (1, 2, 3, 4)
-    if not isinstance(v, list):
-        raise TypeError(f"expected a JSON list, got {type(v).__name__}")
-    return tuple(_number(x) for x in v)
-
-
-# coercion per annotation; annotations are strings under postponed evaluation
-_COERCE = {"str": str, "float": _number, "tuple": _float_tuple}
-
-
-def load_config(path: str, **overrides) -> RunConfig:
-    """Read the flat JSON config; command-line overrides (non-None) win."""
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file at path; what names it in errors."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ConfigError(f"{what} file is not valid JSON: {exc}") from exc
+    if type(doc) is not dict:
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
+
+
+def _value(v, kind: str):
+    """v by the one value rule: a "string" is a str, a "number" a finite int
+    or float (not a bool, an int subclass) and an "array" a list of numbers;
+    an integer past the double range raises OverflowError."""
+    got = {bool: "boolean", str: "string", type(None): "null", list: "array",
+           dict: "object"}.get(type(v), "number")
+    if got != kind:
+        raise TypeError(f"expected a JSON {kind}, got {got}")
+    if kind == "array":
+        return tuple(_value(x, "number") for x in v)
+    if kind == "number" and not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v}")
+    return float(v) if kind == "number" else v
+
+
+# the JSON type per annotation (a string under postponed evaluation)
+_COERCE = {"str": "string", "float": "number", "tuple": "array"}
+
+
+def _field(doc: dict, key: str, kind: str, what: str):
+    """doc[key] read by `_value`; a missing key or a value it rejects is a
+    ConfigError that names the document and the key."""
+    if key not in doc:
+        raise ConfigError(f"missing required {what} field: {key}")
+    try:
+        return _value(doc[key], kind)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} field {key}: {exc}") from exc
+
+
+def load_config(path: str, **overrides) -> RunConfig:
+    """Read the flat JSON config; command-line overrides (non-None) win."""
+    merged = _read_json(path, "config")
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(doc) - set(fields))
+    unknown = sorted(set(merged) - set(fields))
     if unknown:
         raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-    for f in fields.values():
-        if f.default is dataclasses.MISSING and f.name not in doc:
-            raise ConfigError(f"missing required config field: {f.name}")
-    merged = dict(doc)
-    for key, val in overrides.items():
-        if val is not None:
-            merged[key] = val
-    kwargs = {}
-    for key, val in merged.items():
-        try:
-            kwargs[key] = _COERCE[fields[key].type](val)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"config field {key} has the wrong type: {exc}") from exc
-    return RunConfig(**kwargs)
+    merged.update((k, v) for k, v in overrides.items() if v is not None)
+    return RunConfig(**{
+        f.name: _field(merged, f.name, _COERCE[f.type], "config")
+        for f in fields.values()
+        if f.name in merged or f.default is dataclasses.MISSING})
 
 
 def _g10(x) -> float:
@@ -400,17 +407,19 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, schedule_path: str) -> int:
+    """Replay a schedule file. Its levels must lie in the admissible set
+    u >= 0; a level above the config's u_max is replayed, since u_max bounds
+    the solvers' controls and not a replay."""
     _, params, _ = _resolve(cfg)
     sys_ = assemble_system(params)
+    doc = _read_json(schedule_path, "schedule")
+    levels = _field(doc, "u_levels", "array", "schedule")
+    breakpoints = _field(doc, "breakpoints", "array", "schedule")
+    t_f = _field(doc, "t_f", "number", "schedule")
     try:
-        with open(schedule_path) as fh:
-            schedule = ControlSchedule.from_dict(json.load(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read schedule file: {exc}") from exc
-    except DomainError as exc:  # before ValueError, its base class
+        schedule = ControlSchedule(levels, breakpoints, t_f)
+    except DomainError as exc:
         raise ConfigError(f"schedule file {schedule_path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"schedule file is not valid JSON: {exc}") from exc
     traj = sample_trajectory(sys_, schedule, cfg.step, x0=np.array(cfg.x0))
     os.makedirs(cfg.out, exist_ok=True)
     out_path = os.path.join(cfg.out, "simulated.csv")

@@ -36,8 +36,9 @@ class ControlSchedule:
                            tuple(float(t) for t in self.breakpoints))
         if not self.t_f > 0:
             raise DomainError("t_f must be positive")
-        if not all(map(math.isfinite, self.levels)):
-            raise DomainError("levels must be finite")
+        if not all(0.0 <= u < math.inf for u in self.levels):  # NaN fails
+            raise DomainError("levels must be finite and in the admissible "
+                              "set u >= 0")
         if len(self.levels) != len(self.breakpoints) + 1:
             raise DomainError("need exactly one more level than breakpoints")
         knots = (0.0,) + self.breakpoints + (self.t_f,)
@@ -61,23 +62,6 @@ class ControlSchedule:
         return {"u_levels": list(self.levels),
                 "breakpoints": list(self.breakpoints),
                 "t_f": self.t_f}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ControlSchedule":
-        try:
-            levels, breakpoints = d["u_levels"], d["breakpoints"]
-            # a string is iterable too: "10" must not read as levels (1, 0)
-            if not (isinstance(levels, list) and isinstance(breakpoints, list)):
-                raise TypeError("u_levels and breakpoints must be JSON lists")
-            if any(isinstance(v, bool)
-                   for v in levels + breakpoints + [d["t_f"]]):
-                raise TypeError("a JSON boolean is not a schedule number")
-            return cls(levels=tuple(levels), breakpoints=tuple(breakpoints),
-                       t_f=float(d["t_f"]))
-        except DomainError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DomainError(f"malformed schedule document: {exc}") from exc
 
 
 @dataclass(frozen=True)

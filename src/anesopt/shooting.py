@@ -322,8 +322,6 @@ def default_seed_grid(t_on: float) -> list:
 @dataclass(frozen=True)
 class ExtremalCertificate:
     psi0: np.ndarray
-    t_f: float
-    switch_times: tuple
     residual_norm: float
     terminal_costate: np.ndarray
     schedule: ControlSchedule
@@ -333,16 +331,20 @@ class ExtremalCertificate:
             p = np.array(getattr(self, name), dtype=float)
             p.setflags(write=False)
             object.__setattr__(self, name, p)
-        object.__setattr__(self, "switch_times",
-                           tuple(float(s) for s in self.switch_times))
         if not self.residual_norm < RESIDUAL_ACCEPT:
             raise DomainError("certificate residual above the acceptance bound")
         if not self.transversality_residual < TRANSVERSALITY_ACCEPT:
             raise DomainError("terminal costate violates transversality")
-        if len(self.switch_times) > 3:
+        if len(self.schedule.breakpoints) > 3:
             raise DomainError("more than n-1 = 3 switches on a certificate")
-        if any(not 0.0 < s < self.t_f for s in self.switch_times):
-            raise DomainError("switch times must lie strictly inside (0, t_f)")
+
+    @property
+    def t_f(self) -> float:
+        return self.schedule.t_f
+
+    @property
+    def switch_times(self) -> tuple:
+        return self.schedule.breakpoints
 
     @property
     def transversality_residual(self) -> float:
@@ -538,6 +540,6 @@ def _certify(prob, p: _Point) -> ExtremalCertificate:
     schedule = ControlSchedule(levels=p.levels, breakpoints=p.switches,
                                t_f=p.t_f)
     return ExtremalCertificate(
-        psi0=psi0, t_f=p.t_f, switch_times=p.switches,
+        psi0=psi0,
         residual_norm=float(np.linalg.norm([p.gap[0], p.gap[1], h0])),
         terminal_costate=psi_f, schedule=schedule)

@@ -96,6 +96,46 @@ def test_boolean_number_exits_2(tmp_path, capsys, monkeypatch, field, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("age", "53"), ("u_max", "106.0907"), ("out", None), ("out", 7),
+    ("sex", 5),
+], ids=["age-string", "u_max-string", "out-null", "out-number", "sex-number"])
+def test_wrong_json_type_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                    monkeypatch, field, value):
+    # "53" once read as 53, and "out": null wrote into a directory "None"
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, **{field: value})
+    rc = main(["params", "--config", cfg])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", ["params", "simulate"])
+@pytest.mark.parametrize("text", [
+    "1" + "0" * 400, "[" * 100_000 + "]" * 100_000,
+], ids=["integer-past-the-double-range", "nested-past-the-parser"])
+def test_json_past_the_double_range_or_the_parser_exits_2(tmp_path, capsys,
+                                                          command, text):
+    # each once raised a traceback: OverflowError from float(), and
+    # RecursionError from json.load
+    out = tmp_path / "o"
+    sched = tmp_path / "sched.json"
+    if command == "params":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BASE)[:-1] + f', "step": {text}}}')
+    else:
+        cfg = write_config(tmp_path)
+        sched.write_text(f'{{"u_levels": [{text}], "breakpoints": [], '
+                         f'"t_f": 1.0}}')
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    rc = main(argv + [str(sched)] if command == "simulate" else argv)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_method_exits_2(tmp_path, capsys):
     rc = main(["solve", "--config", write_config(tmp_path, method="triple")])
     assert rc == 2
@@ -605,7 +645,8 @@ def test_schedule_quantization_preserves_the_endpoint(ref_sys, optimal):
     rounded = {"u_levels": [_g10(u) for u in d["u_levels"]],
                "breakpoints": [_g10(b) for b in d["breakpoints"]],
                "t_f": _g10(d["t_f"])}
-    again = ControlSchedule.from_dict(rounded)
+    again = ControlSchedule(rounded["u_levels"], rounded["breakpoints"],
+                            rounded["t_f"])
     x1 = endpoint(ref_sys, optimal.schedule)
     x2 = endpoint(ref_sys, again)
     assert np.max(np.abs(x1 - x2)) < 1e-9
@@ -683,12 +724,28 @@ def test_simulate_malformed_schedule_exits_2(tmp_path, capsys):
     {"u_levels": [float("nan"), 0.0], "breakpoints": [0.5], "t_f": 1.84},
     {"u_levels": [True, False], "breakpoints": [0.5], "t_f": 1.84},
     {"u_levels": [1e308, 0.0], "breakpoints": [0.5], "t_f": 1.84},
-], ids=["nan-breakpoint", "nan-level", "boolean-levels", "overflowing-level"])
+    {"u_levels": [-50, 0], "breakpoints": [0.5], "t_f": 1.84},
+    {"u_levels": ["50", "0"], "breakpoints": ["0.5"], "t_f": "1.84"},
+    [[50.0, 0.0], [0.5], 1.84],
+    {"u_levels": [50.0, 0.0], "breakpoints": [0.5]},
+    {"u_levels": [1.0], "t_f": 1.0},
+    {"u_levels": None, "breakpoints": [], "t_f": 1.0},
+    {"u_levels": [1.0], "breakpoints": [], "t_f": "soon"},
+    {"u_levels": [1.0, 1.0], "breakpoints": [0.5], "t_f": 1.0},
+    {"u_levels": "10", "breakpoints": "1", "t_f": 3},
+    {"u_levels": "1", "breakpoints": [], "t_f": 3},
+    {"u_levels": [1.0, 0.0], "breakpoints": "1", "t_f": 3},
+], ids=["nan-breakpoint", "nan-level", "boolean-levels", "overflowing-level",
+        "negative-level", "string-numbers", "not-an-object", "no-t_f",
+        "no-breakpoints", "null-levels", "string-t_f", "null-switch",
+        "string-lists", "string-levels", "string-breakpoints"])
 def test_simulate_invalid_schedule_numbers_exit_2(tmp_path, capsys, doc):
-    # each once failed later: a NaN breakpoint as a negative propagation
-    # time, a NaN level as a negative effect-site level, booleans replayed
-    # as levels 1 and 0 with exit 0, and a level of 1e308 overflowed the
-    # modal offset of the flow map (a RuntimeWarning fails this test)
+    # each once failed later or not at all: a NaN breakpoint as a negative
+    # propagation time, a NaN level as a negative effect-site level,
+    # booleans replayed as levels 1 and 0 with exit 0, a level of 1e308
+    # overflowed the modal offset of the flow map (a RuntimeWarning fails
+    # this test), a level of -50 replayed negative drug amounts, and "50"
+    # read as 50
     cfg = write_config(tmp_path)
     sched = tmp_path / "bad.json"
     sched.write_text(json.dumps(doc))
@@ -697,6 +754,20 @@ def test_simulate_invalid_schedule_numbers_exit_2(tmp_path, capsys, doc):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_simulate_admits_a_level_above_u_max(tmp_path, capsys):
+    # u_max bounds the solvers' controls, not a replay: only u >= 0 is
+    # required of a schedule's levels
+    cfg = write_config(tmp_path)
+    sched = tmp_path / "double.json"
+    sched.write_text(json.dumps({"u_levels": [2 * BASE["u_max"], 0.0],
+                                 "breakpoints": [0.5], "t_f": 1.84}))
+    rc = main(["simulate", "--config", cfg, str(sched), "--step", "0.5",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    rows = read_csv(tmp_path / "o" / "simulated.csv")
+    assert [r[5] for r in rows] == [2 * BASE["u_max"], 0.0, 0.0, 0.0, 0.0]
 
 
 def test_simulate_non_json_schedule_exits_2(tmp_path, capsys):

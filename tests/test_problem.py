@@ -84,32 +84,13 @@ def test_schedule_rejects_null_switch():
         ControlSchedule(levels=(1.0, 1.0), breakpoints=(0.5,), t_f=1.0)
 
 
-def test_schedule_dict_round_trip(two_level):
-    d = two_level.as_dict()
-    assert set(d) == {"u_levels", "breakpoints", "t_f"}
-    back = ControlSchedule.from_dict(d)
-    assert back == two_level
-
-
-def test_schedule_from_dict_rejects_malformed():
-    with pytest.raises(DomainError):
-        ControlSchedule.from_dict({"u_levels": [1.0], "t_f": 1.0})
-    with pytest.raises(DomainError):
-        ControlSchedule.from_dict({"u_levels": None, "breakpoints": [], "t_f": 1.0})
-    with pytest.raises(DomainError):
-        ControlSchedule.from_dict(
-            {"u_levels": [1.0], "breakpoints": [], "t_f": "soon"})
-    with pytest.raises(DomainError):
-        ControlSchedule.from_dict(
-            {"u_levels": [1.0, 1.0], "breakpoints": [0.5], "t_f": 1.0})
-    # strings are iterable: "10" and "1" must not read as (1, 0) and (1,)
-    with pytest.raises(DomainError):
-        ControlSchedule.from_dict({"u_levels": "10", "breakpoints": "1", "t_f": 3})
-    with pytest.raises(DomainError):
-        ControlSchedule.from_dict({"u_levels": "1", "breakpoints": [], "t_f": 3})
-    with pytest.raises(DomainError):
-        ControlSchedule.from_dict(
-            {"u_levels": [1.0, 0.0], "breakpoints": "1", "t_f": 3})
+@pytest.mark.parametrize("level", [-50.0, -1e-300, np.nan, np.inf])
+def test_schedule_rejects_levels_outside_the_admissible_set(level):
+    # the admissible set is 0 <= u; a negative level once replayed negative
+    # drug amounts in every compartment
+    with pytest.raises(DomainError, match="admissible"):
+        ControlSchedule(levels=(level, 0.0), breakpoints=(0.5,), t_f=1.0)
+    ControlSchedule(levels=(-0.0, 1.0), breakpoints=(0.5,), t_f=1.0)
 
 
 # ------------------------------------------------------ TimeOptimalProblem

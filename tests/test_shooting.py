@@ -599,16 +599,20 @@ def test_extremal_control_is_right_continuous_at_the_switch(ref_problem,
 
 def test_certificate_invariants_rejected():
     sched = ControlSchedule(levels=(1.0, 0.0), breakpoints=(0.5,), t_f=1.0)
-    ok = dict(psi0=np.zeros(4), t_f=1.0, switch_times=(0.5,),
-              residual_norm=1e-10, terminal_costate=np.array([1.0, 0, 0, 0.5]),
-              schedule=sched)
-    ExtremalCertificate(**ok)  # sanity: the base case is accepted
+    ok = dict(psi0=np.zeros(4), residual_norm=1e-10,
+              terminal_costate=np.array([1.0, 0, 0, 0.5]), schedule=sched)
+    cert = ExtremalCertificate(**ok)  # sanity: the base case is accepted
+    # t_f and the switch times are the schedule's, with nothing to disagree
+    assert cert.t_f == sched.t_f and cert.switch_times == sched.breakpoints
     with pytest.raises(DomainError):
         ExtremalCertificate(**{**ok, "residual_norm": 1e-6})
     with pytest.raises(DomainError):
-        ExtremalCertificate(**{**ok, "switch_times": (0.1, 0.2, 0.3, 0.4)})
-    with pytest.raises(DomainError):
-        ExtremalCertificate(**{**ok, "switch_times": (1.5,)})
+        ExtremalCertificate(**{**ok, "schedule": ControlSchedule(
+            levels=(1.0, 0.0, 1.0, 0.0, 1.0),
+            breakpoints=(0.1, 0.2, 0.3, 0.4), t_f=1.0)})
+    with pytest.raises(DomainError):  # a switch outside (0, t_f)
+        ExtremalCertificate(**{**ok, "schedule": ControlSchedule(
+            levels=(1.0, 0.0), breakpoints=(1.5,), t_f=1.0)})
     with pytest.raises(DomainError):  # psi2(t_f) != 0 on a free compartment
         ExtremalCertificate(**{**ok, "terminal_costate": np.array([1.0, 1e-4, 0, 0])})
     with pytest.raises(DomainError):  # a zero costate is no multiplier
