@@ -36,6 +36,18 @@ _CSV_BLOCK_ROWS = 2048
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
+    """One run of the CLI, as `load_config` reads it from a config file.
+
+    sex, "male" or "female" once `PatientDemographics` checks it; age in
+    years, weight in kg and height in cm; u_max the pump's bound in mg/min;
+    bis_target the BIS score to reach; method one of "shooting", "strategy"
+    and "both"; out the output directory; step the CSV sampling step in
+    min; x0 the start state, x1-x3 in mg and x4 in mg/L. Every number is
+    finite and every string a str (`load_config` is the only constructor);
+    method is one of the three, step is positive and x0 has four
+    components.
+    """
+
     sex: str
     age: float
     weight: float
@@ -264,71 +276,71 @@ def _g10_text(x: float) -> bytes:
     return ("%.10g" % x).encode("ascii")
 
 
-def _classify(v: np.ndarray, tables: tuple) -> tuple:
+def _classify(v: np.ndarray) -> tuple:
     """The layout row of each x, and the two 5-digit halves of N.
 
     A finite nonzero x with X = floor(log10|x|) in [-13, 31] is scaled by
     one multiply to y = |x| 10**(9 - X) within 2.2e-6 of the exact product
-    (a factor rounded only for X > 9, then the product); log10 may be
-    one off, and X is corrected once. For y in [1e9, 1e10), rint(y) is the
+    (a factor rounded only for X > 9, then the product); log10 may be one
+    off, and X is corrected once. For y in [1e9, 1e10), rint(y) is the
     correctly rounded ten-digit integer N unless y lies within 1e-5 of a
     tie, and N = 1e10 carries to 1e9 with X + 1. The halves of N give the
     significant digits, which with the sign and X pick the layout. Zeros
     have layouts of their own. Non-finite values, magnitudes outside
     [1e-13, 1e32), scalings that stay out of range and near-ties get the
-    row `_UNDECIDED`.
+    row `_UNDECIDED` and N = 0. Each 8-byte pass writes into an array returned.
     """
-    _, sig_hi, sig_lo, _, _, scale = tables
+    _, sig_hi, sig_lo, _, _, scale = _cell_tables()
     a = np.abs(v)
     with np.errstate(all="ignore"):
         # fmax sends NaN to the lowest exponent, and the range check drops it
-        e = np.fmin(np.fmax(np.floor(np.log10(a)), _X_LO), _X_HI - 1)
-        xi = (e - _X_LO).astype(np.intp)
-        y = a * scale[xi]
+        y = np.log10(a)
+        np.fmin(np.fmax(np.floor(y, out=y), _X_LO, out=y), _X_HI - 1, out=y)
+        xi = np.subtract(y, _X_LO, out=y).astype(np.intp)
+        # "clip" gathers into out itself, where "raise" fills a copy first
+        y = np.multiply(a, scale.take(xi, out=y, mode="clip"), out=y)
         out = np.flatnonzero((y < 1e9) | (y >= 1e10))
         if out.size:  # log10 one off next to a power of ten, or no fit
-            xo = np.clip(xi[out] + np.where(y[out] < 1e9, -1, 1), 0,
-                         len(scale) - 1)
-            xi[out] = xo
-            y[out] = a[out] * scale[xo]
+            xi[out] = xo = np.clip(xi[out] + np.where(y[out] < 1e9, -1, 1),
+                                   0, len(scale) - 1)
+            y[out] = a[out] * scale.take(xo)
             out = out[(y[out] < 1e9) | (y[out] >= 1e10)]
-        n10 = np.rint(y)
-        ok = np.abs(y - n10) < 0.5 - 1e-5
-    ok[out] = False
-    n = np.where(ok, n10, 0.0).astype(np.int64)
-    hi = n // 100_000
-    lo = n - hi * 100_000
-    neg = np.signbit(v)
-    code = np.where(ok, (neg * _N_X + xi) * 10
-                    + np.maximum(sig_hi[hi], sig_lo[lo]), _UNDECIDED)
-    zero = out[a[out] == 0]
-    code[zero] = _ZERO + neg[zero]
-    return code, hi, lo
+        n = np.rint(y, out=a.view(np.int64), casting="unsafe")
+        undecided = ~(np.abs(np.subtract(y, n, out=y), out=y) < 0.5 - 1e-5)
+    undecided[out] = True
+    np.copyto(n, 0, where=undecided)
+    hi, lo = np.divmod(n, 100_000, out=(y.view(np.int64), n))
+    xi += np.signbit(v) * np.int8(_N_X)
+    xi *= 10
+    xi += np.maximum(sig_hi.take(hi), sig_lo.take(lo))
+    xi[undecided] = _UNDECIDED
+    zero = out[v[out] == 0]
+    xi[zero] = _ZERO + np.signbit(v[zero])
+    return xi, hi, lo
 
 
 def _csv_cells(v: np.ndarray) -> np.ndarray:
     """The (n, 24) uint8 cells of a float vector, each "%.10g" % x then ","
     once the NULs are deleted: the digits of N from the text table, placed
     by the masks of the layout `_classify` picks, in its template, and the
-    text of `_g10_text` for each undecided x."""
-    tables = _cell_tables()
-    code, hi, lo = _classify(v, tables)
-    digits5, _, _, masks, templates, _ = tables
-    head0, head1, tail0, tail1 = masks
+    text of `_g10_text` for each undecided x, all built in place."""
+    code, hi, lo = _classify(v)
+    digits5, _, _, masks, templates, _ = _cell_tables()
     s8, s24, s40, s56 = _SHIFTS
-    w0 = digits5[hi] | (digits5[lo] << s40)  # digits 1-8 as text
-    w1 = digits5[lo] >> s24                   # digits 9-10
+    cells = templates.take(code, axis=0)
+    w0, w1, m = digits5.take(hi), digits5.take(lo), lo.view(np.uint64)
+    w0 |= np.left_shift(w1, s40, out=m)       # digits 1-8 as text
+    w1 >>= s24                                # digits 9-10
     # the digits after the point move one byte up, past it
-    t0 = w0 & tail0[code]
-    cells = np.take(templates, code, axis=0)
-    cells[:, 1] |= (w0 & head0[code]) | (t0 << s8)
-    cells[:, 2] |= ((w1 & head1[code]) | ((w1 & tail1[code]) << s8)
-                    | (t0 >> s56))
-    cells = cells.view(np.uint8)
+    for c, w, head, tail in zip(cells.T[1:], (w0, w1), masks[:2], masks[2:]):
+        c |= np.bitwise_and(w, head.take(code, out=m, mode="clip"), out=m)
+        w &= tail.take(code, out=m, mode="clip")
+        c |= np.left_shift(w, s8, out=m)
+    cells[:, 2] |= np.right_shift(w0, s56, out=w0)  # word 1's last digit
     for i in np.flatnonzero(code == _UNDECIDED).tolist():
         text = _g10_text(float(v[i]))
-        cells[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return cells
+        cells.view(np.uint8)[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return cells.view(np.uint8)
 
 
 def _write_trajectory_csv(path: str, traj) -> None:
@@ -341,7 +353,9 @@ def _write_trajectory_csv(path: str, traj) -> None:
     `_csv_cells` prints the seven columns of 2,048 rows at a time, from
     tables, and leaves each value the tables cannot decide to Python's
     formatter. Each block is written before the next is formatted, so the
-    text of the whole file is never held.
+    text of the whole file is never held, and each step rebinds `block`,
+    so a block is held in one form at a time: its values, its cells, then
+    their bytes.
     """
     cols = (traj.times, traj.states, np.asarray(traj.control, dtype=float),
             bis(np.maximum(traj.states[:, 3], 0.0)))
@@ -349,9 +363,10 @@ def _write_trajectory_csv(path: str, traj) -> None:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
         for i in range(0, len(traj.times), _CSV_BLOCK_ROWS):
             block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in cols])
-            cells = _csv_cells(block.ravel()).reshape(len(block), 7, _CELL)
-            cells[:, -1, -1] = ord("\n")
-            fh.write(cells.tobytes().translate(None, b"\0"))
+            block = _csv_cells(block.ravel()).reshape(-1, 7, _CELL)
+            block[:, -1, -1] = ord("\n")
+            block = block.tobytes()
+            fh.write(block.translate(None, b"\0"))
 
 
 def cmd_params(cfg: RunConfig) -> int:

@@ -120,6 +120,11 @@ def constant_input_propagator(sys: LTISystem, u: float):
 
 @dataclass
 class Trajectory:
+    """States sampled at increasing times: times (n,) in min, states (n, d)
+    with row i the state at times[i] (for the PK/PD model d = 4, x1-x3 in
+    mg and x4 in mg/L), and control (n,) the input at each time in mg/min,
+    or None for an integration that has no input."""
+
     times: np.ndarray
     states: np.ndarray
     control: np.ndarray | None = None

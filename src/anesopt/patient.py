@@ -16,6 +16,10 @@ from .lti import LTISystem
 
 @dataclass(frozen=True)
 class PatientDemographics:
+    """The patient covariates of the Schnider model: sex "male" or
+    "female", age in years, weight in kg and height in cm, each positive.
+    `schnider_parameters` checks them against SCHNIDER_RANGE."""
+
     sex: str
     age: float
     weight: float
@@ -49,6 +53,10 @@ class PKPDParameters:
 
 @dataclass(frozen=True)
 class EquilibriumState:
+    """The steady state that holds the effect site at one level: x_e, a
+    read-only 4-vector (x1-x3 in mg, x4 = the level in mg/L), and u_e, the
+    constant infusion in mg/min that holds it, a10 v1 times the level."""
+
     x_e: np.ndarray
     u_e: float
 

@@ -321,6 +321,13 @@ def default_seed_grid(t_on: float) -> list:
 
 @dataclass(frozen=True)
 class ExtremalCertificate:
+    """A shooting solution that meets the maximum principle's conditions:
+    psi0 the costate at t = 0 and terminal_costate psi(t_f), both
+    read-only and scaled by H(t_f) = 0; residual_norm the norm of the
+    target gap and H(0), below RESIDUAL_ACCEPT; schedule the bang-bang
+    control, with at most 3 switches. Its transversality residual is below
+    TRANSVERSALITY_ACCEPT. t_f and switch_times are the schedule's."""
+
     psi0: np.ndarray
     residual_norm: float
     terminal_costate: np.ndarray

@@ -86,6 +86,14 @@ _SOLVE_ORDER = tuple(sorted(enumerate_patterns(),
 
 @dataclass(frozen=True)
 class StrategyResult:
+    """One pattern's answer: strategy is its number (1-8); schedule the
+    control, None when no root is kept; residual the fast-state gap
+    (x1 in mg, x4 in mg/L) at t_f, read-only; feasible whether that gap is
+    below FEAS_TOL; note why; terminal_costate psi(t_f) = C^T mu of a KKT
+    point, read-only; certified whether it is proven the unique
+    minimum-time control. A feasible result has a schedule, and a
+    certified one is feasible with a terminal costate."""
+
     strategy: int
     schedule: ControlSchedule | None
     residual: np.ndarray

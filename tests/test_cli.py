@@ -329,7 +329,7 @@ def _per_row_csv(traj):
     return "\n".join(lines) + "\n"
 
 
-def test_csv_writer_matches_the_per_row_formula(tmp_path):
+def _edge_trajectory():
     rng = np.random.default_rng(7)
     n = 2 * cli._CSV_BLOCK_ROWS + 37  # two block seams and a short tail
     # magnitudes from 1e-300 to 1e300 with random signs, then edge values:
@@ -349,7 +349,11 @@ def test_csv_writer_matches_the_per_row_formula(tmp_path):
     specials = (-1e-12, -5e-324, -0.0, -0.5, 9.994132051438763)
     x4[len(edges):len(edges) + len(specials)] = specials
     cols[:, 4] = x4
-    traj = Trajectory(cols[:, 0], cols[:, 1:5], cols[:, 5])
+    return Trajectory(cols[:, 0], cols[:, 1:5], cols[:, 5])
+
+
+def test_csv_writer_matches_the_per_row_formula(tmp_path):
+    traj = _edge_trajectory()
     path = tmp_path / "t.csv"
     cli._write_trajectory_csv(str(path), traj)
     got = path.read_text().split("\n")
@@ -358,6 +362,41 @@ def test_csv_writer_matches_the_per_row_formula(tmp_path):
     bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
     assert bad is None, f"line {bad}: {got[bad]!r} != {want[bad]!r}"
     assert len(got) == len(want)
+
+
+def test_csv_writer_bytes_do_not_depend_on_the_block_size(tmp_path,
+                                                         monkeypatch):
+    traj = _edge_trajectory()
+    cli._write_trajectory_csv(str(tmp_path / "default.csv"), traj)
+    want = (tmp_path / "default.csv").read_bytes()
+    for rows in (1, 5, 4096):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", rows)
+        path = tmp_path / f"rows{rows}.csv"
+        cli._write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == want, rows
+
+
+def test_csv_kernel_and_writer_leave_read_only_inputs_unchanged(tmp_path):
+    # the kernel's passes write in place: into arrays of its own, never
+    # into the values it formats or a trajectory column
+    traj = _edge_trajectory()
+    times, states = traj.times.copy(), traj.states.copy()
+    control = np.asarray(traj.control).copy()
+    values = np.concatenate([ORACLE["specials"](),
+                             _ties(range(cli._X_LO - 9, cli._X_HI - 9)),
+                             states.ravel()])
+    kept = values.copy()
+    for a in (values, times, states, control):
+        a.setflags(write=False)
+    assert _cell_texts(values) == ["%.10g" % v for v in kept.tolist()]
+    assert values.tobytes() == kept.tobytes()
+    frozen = Trajectory(times, states, control)
+    path = tmp_path / "ro.csv"
+    cli._write_trajectory_csv(str(path), frozen)
+    assert path.read_text() == _per_row_csv(traj)
+    assert times.tobytes() == traj.times.tobytes()
+    assert states.tobytes() == traj.states.tobytes()
+    assert control.tobytes() == np.asarray(traj.control).tobytes()
 
 
 def test_csv_control_runs_across_block_seams_match_the_per_row_formula(
