@@ -347,22 +347,29 @@ def _write_trajectory_csv(path: str, traj) -> None:
     """One row per sample: t, x1..x4, u and the BIS of max(x4, 0).
 
     A single %.10g prints the same text as _g10 then .10g, since rounding
-    to 10 significant digits twice changes nothing. BIS comes from one
-    array call of `bis`, bitwise its scalar values, before the file is
-    created: a level with no score leaves an old file as it was.
+    to 10 significant digits twice changes nothing. Before the file is
+    created, one scalar `bis` of the largest max(x4, 0) checks the whole
+    column: x4**gamma grows with x4 and np.max passes a NaN on (Python's
+    max does not), so it raises exactly when some row has no score, and
+    such a trajectory leaves an old file as it was. Each block's BIS is
+    then one array call of `bis`, bitwise its scalar values.
     `_csv_cells` prints the seven columns of 2,048 rows at a time, from
     tables, and leaves each value the tables cannot decide to Python's
-    formatter. Each block is written before the next is formatted, so the
-    text of the whole file is never held, and each step rebinds `block`,
-    so a block is held in one form at a time: its values, its cells, then
-    their bytes.
+    formatter. Each block is written before the next is formatted, so
+    neither the text nor any column of the whole file is made, and each
+    step rebinds `block`, so a block is held in one form at a time: its
+    values, its cells, then their bytes.
     """
-    cols = (traj.times, traj.states, np.asarray(traj.control, dtype=float),
-            bis(np.maximum(traj.states[:, 3], 0.0)))
+    x4 = traj.states[:, 3]
+    bis(np.max(x4, initial=0.0))
+    control = np.asarray(traj.control, dtype=float)
     with _create(path, "xb") as fh:
         fh.write(CSV_HEADER.encode("ascii") + b"\n")
         for i in range(0, len(traj.times), _CSV_BLOCK_ROWS):
-            block = np.column_stack([c[i:i + _CSV_BLOCK_ROWS] for c in cols])
+            j = i + _CSV_BLOCK_ROWS
+            block = np.column_stack((traj.times[i:j], traj.states[i:j],
+                                     control[i:j],
+                                     bis(np.maximum(x4[i:j], 0.0))))
             block = _csv_cells(block.ravel()).reshape(-1, 7, _CELL)
             block[:, -1, -1] = ord("\n")
             block = block.tobytes()

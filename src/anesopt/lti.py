@@ -93,7 +93,8 @@ def constant_input_propagator(sys: LTISystem, u: float):
         raise DomainError(f"input level {u:g} overflows the flow map")
 
     def flow(x0, dt):
-        # in place, in two arrays: a long dt array maps fewer fresh pages
+        # in place, in two arrays: a call on m times makes two (m, n)
+        # temporaries, which the sampler keeps small by calling on chunks
         ldt = lam * dt
         y = np.exp(ldt)
         y *= Vi @ x0

@@ -17,6 +17,11 @@ FAST_IDX = (0, 3)
 # sample_trajectory's bound on the row count: far above the 30k rows of a
 # 30-minute horizon at step 1e-3, far below an allocation that fails
 MAX_SAMPLES = 10 ** 7
+# samples per propagator call in sample_trajectory: each (m, 4) float
+# temporary of the flow is then 64 KiB, under glibc's 128 KiB mmap
+# threshold, so a chunk reuses heap pages where a whole segment would map
+# fresh ones
+_SAMPLE_CHUNK = 2048
 # inf-norm bound on the fast residual of a feasible root; a target that x0
 # already meets within it is degenerate
 FEAS_TOL = 1e-9
@@ -126,8 +131,13 @@ def sample_trajectory(sys: LTISystem, schedule: ControlSchedule, step: float,
     """Exact piecewise propagation sampled every `step` minutes.
 
     Sample times are i*step plus the exact final time. One pass over the
-    segments propagates each segment's samples from its start state in a
-    single closed-form call, never an ODE solve.
+    segments propagates each segment's samples from its start state by the
+    segment's closed-form flow map, never an ODE solve. The map is called
+    on at most _SAMPLE_CHUNK samples at a time, each chunk written straight
+    into the result, so past the result's arrays the working memory does
+    not grow with the trajectory. A row of the map's matrix product does
+    not depend on the other rows of a call of two or more, so the chunking
+    changes no bit.
     """
     if not 0 < step < np.inf:
         raise DomainError("step must be positive and finite")
@@ -151,6 +161,11 @@ def sample_trajectory(sys: LTISystem, schedule: ControlSchedule, step: float,
     for u, a, b in schedule.segments():
         prop = constant_input_propagator(sys, u)
         lo, hi = np.searchsorted(times, (a, b), side="right")  # (a, b]
-        states[lo:hi] = prop(x, times[lo:hi] - a)
+        for k in range(lo, hi, _SAMPLE_CHUNK):
+            j = min(k + _SAMPLE_CHUNK, hi)
+            # numpy multiplies a one-row matrix as a vector, which can round
+            # differently, so a lone sample rides with the row before it
+            i = max(lo, min(k, j - 2))
+            states[i:j] = prop(x, times[i:j] - a)
         x = prop(x, b - a)
     return Trajectory(times, states, schedule.u_at(times))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -443,6 +444,53 @@ def test_csv_writer_rejection_leaves_an_old_file_intact(tmp_path):
     with pytest.raises(DomainError):
         cli._write_trajectory_csv(str(path), traj)
     assert path.read_bytes() == b"t,x1,x2,x3,x4,u,bis\n0,1,2,3,4,5,6\n"
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e120], ids=["nan", "overflow"])
+@pytest.mark.parametrize("old", [None, b"t,x1,x2,x3,x4,u,bis\n0,1,2,3,4,5,6\n"],
+                         ids=["no-file", "old-file"])
+def test_csv_writer_checks_every_block_before_the_file_is_made(tmp_path,
+                                                               value, old):
+    # the one bad level sits in the third block, so a writer that scored
+    # BIS only block by block would already have written two blocks
+    n = 3 * cli._CSV_BLOCK_ROWS
+    states = np.ones((n, 4))
+    states[2 * cli._CSV_BLOCK_ROWS + 5, 3] = value
+    traj = Trajectory(np.arange(n) * 1e-3, states, np.ones(n))
+    path = tmp_path / "simulated.csv"
+    if old is not None:
+        path.write_bytes(old)
+    with pytest.raises(DomainError):
+        cli._write_trajectory_csv(str(path), traj)
+    if old is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == old
+
+
+def test_trajectory_output_works_in_block_bounded_memory(tmp_path, ref_sys):
+    # a 300-min hold at step 1e-3 (300,001 rows, 14.4 MB of result): past
+    # the result, the sampler works in chunks and the writer in blocks, so
+    # neither holds a temporary of the trajectory's length but u_at's index
+    # (2.4 MB here); numpy reports its allocations to tracemalloc, so the
+    # peaks repeat exactly
+    s = ControlSchedule(levels=(7.308896726938233,), breakpoints=(),
+                        t_f=300.0)
+    path = tmp_path / "hold.csv"
+    tracemalloc.start()
+    try:
+        traj = cli.sample_trajectory(ref_sys, s, 1e-3)
+        sampler_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cli._write_trajectory_csv(str(path), traj)
+        writer_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = traj.times.nbytes + traj.states.nbytes + traj.control.nbytes
+    assert traj.times.size == 300_001
+    assert sampler_peak <= size + 4e6, (sampler_peak, size)
+    assert writer_peak <= size + 4e6, (writer_peak, size)
+    assert path.stat().st_size > 0
 
 
 # the CSV cell formatter against Python's own %.10g

@@ -297,6 +297,30 @@ def test_sample_matches_closed_form_propagation(ref_sys, two_level):
     assert np.max(np.abs(traj.states[i] - x_03)) < 1e-9
 
 
+def test_sample_output_does_not_depend_on_the_chunk_size(ref_sys,
+                                                        monkeypatch):
+    # 5,002 rows over three segments: a breakpoint inside a chunk, one
+    # exactly on a sample time (that sample ends its segment), and t_f off
+    # the grid, so its row is appended; chunks of 1 and 3 leave lone
+    # samples (3 at the last segment's end), 2,048 splits the long
+    # segments and 10**7 propagates each segment in one call
+    step = 1e-3
+    on_grid = 4100 * step
+    assert (np.arange(4101) * step)[-1] == on_grid
+    s = ControlSchedule(levels=(U_MAX_REF, 0.0, U_MAX_REF),
+                        breakpoints=(0.5467, on_grid), t_f=5.0005)
+    runs = []
+    for rows in (1, 3, 2048, 10 ** 7):
+        monkeypatch.setattr(problem, "_SAMPLE_CHUNK", rows)
+        runs.append(sample_trajectory(ref_sys, s, step=step))
+    want = runs[-1]
+    assert want.times.size == 5002 and want.times[-1] == s.t_f
+    assert np.count_nonzero(want.times == on_grid) == 1
+    for got in runs[:-1]:
+        for name in ("times", "states", "control"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_sample_control_column_right_continuous(ref_sys):
     s = ControlSchedule(levels=(10.0, 0.0), breakpoints=(0.5,), t_f=1.0)
     traj = sample_trajectory(ref_sys, s, step=0.25)
