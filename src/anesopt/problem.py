@@ -14,8 +14,10 @@ from .patient import PKPDParameters, assemble_system, bis_inverse, equilibrium
 
 # compartments whose target values define induction completion
 FAST_IDX = (0, 3)
-# sample_trajectory's bound on the row count: far above the 30k rows of a
-# 30-minute horizon at step 1e-3, far below an allocation that fails
+# sample_trajectory's bound on the row count: far above the 2.46M rows of
+# the slowest certified answer CI solves (2,461.7 min, the reference patient
+# from rest at u_max = 1.001 u_e) at step 1e-3, far below an allocation that
+# fails
 MAX_SAMPLES = 10 ** 7
 # samples per propagator call in sample_trajectory: each (m, 4) float
 # temporary of the flow is then 64 KiB, under glibc's 128 KiB mmap
@@ -151,6 +153,8 @@ def sample_trajectory(sys: LTISystem, schedule: ControlSchedule, step: float,
     x = np.zeros(sys.n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (sys.n,):
         raise DomainError(f"x0 must have shape ({sys.n},)")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x0 must be finite")
     times = np.arange(n_whole + 1) * step
     if schedule.t_f - times[-1] > 1e-12:
         times = np.append(times, schedule.t_f)

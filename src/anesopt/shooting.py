@@ -20,8 +20,9 @@ same adjoint read for the row of x4. Each is one scan (_scan) of M: uniform
 cells, one exact cell map e^(K h) of K = [M; 0] summed from its Taylor
 series, and each zero of a watched g = y . c - tau located on its cell's
 Taylor polynomial, with a curvature bound that rules out a pair of zeros
-inside a cell. Nothing here reads the eigenbasis, so the route shares no
-propagation code with the strategy route.
+inside a cell. The module imports nothing from lti and reads no
+eigenbasis, so the route shares no propagation code with the strategy
+route.
 
 The exact Jacobian comes from the same sweep: the adjoints at each switch,
 and the rate at which each switch moves with theta. So Newton pays one
@@ -44,9 +45,11 @@ import numpy as np
 
 from .errors import (DomainError, InfeasibleError, IntegrationError,
                      NoConvergenceError)
-# not called: kept so that a tracer which wraps this name still finds it
-from .lti import integrate_with_sign_event  # noqa: F401
 from .problem import FAST_IDX, ControlSchedule, TimeOptimalProblem
+
+# perfbench/tracing.py wraps this name and never calls it; ROADMAP item 1,
+# which drops that wrapper, deletes this line together with it
+integrate_with_sign_event = None
 
 THETA_SEEDS = tuple(-np.pi / 2 + k * np.pi / 8 for k in range(16))
 T_F_SEED_FACTORS = (1.5, 1.05, 2.5)

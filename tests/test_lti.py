@@ -15,13 +15,9 @@ from anesopt.errors import DomainError, IntegrationError
 from anesopt.lti import (
     LTISystem,
     Trajectory,
-    _dense,
-    _dense_rows,
     _error_norm,
-    _steps,
     constant_input_propagator,
     integrate,
-    integrate_with_sign_event,
 )
 
 from conftest import EXPECTED_EIGS, FROZEN, U_MAX_REF, expm, kalman_rank
@@ -318,31 +314,19 @@ def test_integrate_rejects_reversed_interval():
         integrate(lambda t, x: -x, np.array([1.0]), 1.0, 0.0, **TOL)
 
 
-def test_integrate_dense_output_between_nodes():
-    # interpolated samples, not just step endpoints, must track the flow
-    def f(t, x):
-        return -x
-
-    ts = np.linspace(0.0, 3.0, 101)
-    got = np.full_like(ts, np.nan)
-    got[0] = 1.0
-    for t, y, h, K, y1 in _steps(f, np.array([1.0]), 0.0, 3.0, 1e-10, 1e-12):
-        F = _dense_rows(f, t, y, h, K, y1)
-        inside = (ts > t) & (ts <= t + h)
-        got[inside] = [_dense(y, F, th)[0] for th in (ts[inside] - t) / h]
-    assert np.max(np.abs(got - np.exp(-ts))) < 1e-9
-
-
 def test_dense_output_coefficients_match_scipy():
-    # the DOP853 tableau is copied in as literals; scipy is the reference
+    # the DOP853 tableau is copied in as literals; scipy is the reference.
+    # The step uses scipy's first 13 nodes and rows: the 12 stages and the
+    # solution weights
     from scipy.integrate._ivp import dop853_coefficients as ref
-    from anesopt.lti import _A_ROWS, _B, _C, _D, _ERR
+    from anesopt.lti import _A_ROWS, _B, _C, _ERR
 
     def close(a, b):
         return np.allclose(a, b, rtol=0, atol=1e-13)
 
-    assert _C.shape == ref.C.shape and close(_C, ref.C)
-    assert len(_A_ROWS) == ref.A.shape[0] and not np.triu(ref.A).any()
+    assert ref.N_STAGES == 12 and not np.triu(ref.A).any()
+    assert _C.shape == (13,) and close(_C, ref.C[:13])
+    assert len(_A_ROWS) == 13
     for i, row in enumerate(_A_ROWS):
         assert row.shape == (i,) and close(row, ref.A[i, :i])
     assert _B.shape == ref.B.shape and close(_B, ref.B)
@@ -350,7 +334,6 @@ def test_dense_output_coefficients_match_scipy():
     assert ref.E5[-1] == ref.E3[-1] == 0.0
     assert _ERR.shape == (2, ref.N_STAGES)
     assert close(_ERR, [ref.E5[:-1], ref.E3[:-1]])
-    assert _D.shape == ref.D.shape and close(_D, ref.D)
 
 
 def test_error_norm_matches_scipy():
@@ -388,105 +371,6 @@ def test_integrate_nonnegative_states_under_nonnegative_input(ref_sys):
     traj = integrate(f, np.zeros(4), 0.0, 0.5, **TOL)
     assert np.all(traj.states >= -1e-9)
     assert np.all(np.isfinite(traj.states))
-
-
-# ---------------------------------------------------------------- events
-
-def test_event_scalar_linear_known_root():
-    # y(t) = exp(-t) - 0.5 crosses zero at ln 2
-    t, x, crossed = integrate_with_sign_event(
-        lambda t, y: -(y + 0.5), np.array([0.5]), 0.0, 3.0, watch=0, **TOL)
-    assert crossed
-    assert abs(t - np.log(2.0)) < 1e-9
-    assert x.shape == (1,)
-
-
-def test_event_reports_all_crossings_in_order():
-    def f(t, y):
-        return np.array([y[1], -y[0]])
-
-    # each call stops at its first crossing; restarting from the returned
-    # event finds the next one
-    events, t, y = [], 0.0, np.array([1.0, 0.0])
-    while True:
-        t, y, crossed = integrate_with_sign_event(f, y, t, 9.0, watch=0, **TOL)
-        if not crossed:
-            break
-        events.append(t)
-    expected = [np.pi / 2, 3 * np.pi / 2, 5 * np.pi / 2]
-    assert len(events) == 3
-    for got, want in zip(events, expected):
-        assert abs(got - want) < 1e-9
-    assert np.all(np.diff(events) > 0)
-
-
-def test_event_finds_a_close_pair_inside_one_step():
-    # y0 = cos t + c dips below zero on pi -+ arccos(c): a pair of roots
-    # 0.009 apart, under a tenth of the step that holds both, at the
-    # tolerances of the shooting route
-    c, tol, atol = 0.99999, 1e-12, 1e-14
-
-    def f(t, y):
-        return np.array([y[1], -(y[0] - c)])
-
-    y0 = np.array([1.0 + c, 0.0])
-    roots = np.pi + np.array([-1.0, 1.0]) * np.arccos(c)
-    holding = [t for t, _, h, _, _ in _steps(f, y0, 0.0, 4.0, tol, atol)
-               if t < roots[0] and roots[1] < t + h]
-    assert len(holding) == 1
-    events, t, y = [], 0.0, y0
-    while True:
-        t, y, crossed = integrate_with_sign_event(f, y, t, 4.0, watch=0,
-                                                  tol=tol, atol=atol)
-        if not crossed:
-            break
-        events.append(t)
-    assert len(events) == 2
-    assert np.max(np.abs(np.array(events) - roots)) < 1e-9
-
-
-def test_event_stop_at_first_truncates_trajectory():
-    def f(t, y):
-        return np.array([y[1], -y[0]])
-
-    t, x, crossed = integrate_with_sign_event(
-        f, np.array([1.0, 0.0]), 0.0, 9.0, watch=0, **TOL)
-    assert crossed
-    assert abs(t - np.pi / 2) < 1e-9
-    assert abs(x[0]) < 1e-9
-
-
-def test_event_no_sign_change_is_empty():
-    t, x, crossed = integrate_with_sign_event(
-        lambda t, y: -y, np.array([1.0]), 0.0, 2.0, watch=0, **TOL)
-    assert not crossed
-
-
-def test_event_identically_positive_component_is_empty():
-    t, x, crossed = integrate_with_sign_event(
-        lambda t, y: np.array([0.0, -y[1]]), np.array([2.0, 1.0]), 0.0, 4.0,
-        watch=0, **TOL)
-    assert not crossed
-
-
-def test_event_zero_start_is_not_a_crossing():
-    # leaving zero at t0 is an initial condition, not a sign change
-    t, x, crossed = integrate_with_sign_event(
-        lambda t, y: np.ones(1), np.array([0.0]), 0.0, 1.0, watch=0, **TOL)
-    assert not crossed
-
-
-def test_event_without_a_crossing_ends_at_the_integrate_state():
-    # both take the same DOP853 step sequence, so the end state is bitwise
-    # the last node of integrate
-    def f(t, y):
-        return np.array([-0.3 * y[0] + 0.1, y[0] - 2.0 * y[1]])
-
-    x0 = np.array([1.0, 0.5])
-    t, x, crossed = integrate_with_sign_event(f, x0, 0.25, 7.5, watch=0, **TOL)
-    assert not crossed
-    assert t == 7.5
-    assert np.array_equal(x, integrate(f, x0, 0.25, 7.5, **TOL).states[-1])
 
 
 # ----------------------------------------------------------- kalman rank

@@ -156,10 +156,15 @@ def test_problem_rejects_nonfinite_bound(ref_sys, u_max):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_problem_rejects_nonfinite_start(ref_sys, bad):
+def test_problem_rejects_nonfinite_start(ref_sys, two_level, bad):
+    x0 = [bad, 0.0, 0.0, 0.0]
     with pytest.raises(DomainError):
         TimeOptimalProblem(sys=ref_sys, target_fast=(1.0, 1.0), u_max=1.0,
-                           x0=[bad, 0.0, 0.0, 0.0])
+                           x0=x0)
+    # the sampler once returned NaN states for a NaN start, and met an
+    # infinite one with numpy's invalid-value warning
+    with pytest.raises(DomainError, match="x0 must be finite"):
+        sample_trajectory(ref_sys, two_level, 0.1, x0=x0)
 
 
 @pytest.mark.parametrize("target", [(np.nan, 3.4), (np.inf, 3.4),
