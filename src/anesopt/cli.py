@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -45,7 +46,7 @@ class RunConfig:
     min; x0 the start state, x1-x3 in mg and x4 in mg/L. Every number is
     finite and every string a str (`load_config` is the only constructor);
     method is one of the three, step is positive and x0 has four
-    components.
+    components, none below 0 (a drug amount; -0.0 is 0).
     """
 
     sex: str
@@ -66,6 +67,9 @@ class RunConfig:
             raise ConfigError("step must be positive")
         if len(self.x0) != 4:
             raise ConfigError("x0 must have four components")
+        if any(v < 0 for v in self.x0):
+            raise ConfigError(f"x0 entries are drug amounts and must be >= 0, "
+                              f"got {list(self.x0)}")
 
 
 def _read_json(path: str, what: str) -> dict:
@@ -495,5 +499,16 @@ def main(argv=None) -> int:
         return 3
 
 
+def run(argv=None) -> int:
+    """The process entry of `python -m anesopt` and the `anesopt` command:
+    `main(argv)`'s exit code, with the collector's heap frozen once `main`
+    returns, so that interpreter exit does not collect what numpy, anesopt
+    and the run leave behind. Files are closed by `with`, and atexit still
+    runs. Call `main` in process: `run` is for a process about to exit."""
+    rc = main(argv)
+    gc.freeze()
+    return rc
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -209,9 +209,10 @@ def _initial_step(f, t0, y0, f0, rtol, atol):
 def integrate(f, x0, t0, t1, tol, atol) -> Trajectory:
     """Adaptive DOP853 integration of x' = f(t, x) from t0 to t1, returning
     the accepted step nodes; tol is the relative tolerance. A step below
-    1e-14, or a NaN step, raises IntegrationError."""
-    if t1 < t0:
-        raise DomainError("integrate: t1 < t0")
+    1e-14, or a NaN step, raises IntegrationError; t1 < t0, or a NaN or
+    infinite t0 or t1, raises DomainError."""
+    if not (t1 >= t0 and math.isfinite(t1 - t0)):  # NaN and inf fail here
+        raise DomainError(f"integrate: need finite t0 <= t1, got t0={t0}, t1={t1}")
     t, y = t0, np.array(x0, dtype=float)
     ts, ys = [t], [y]
     k = np.empty((12, y.size))  # the stages of one step

@@ -1,7 +1,9 @@
 """End-to-end CLI tests: exit codes, file outputs, determinism, replay."""
+import gc
 import json
 import math
 import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -171,6 +173,30 @@ def test_nonfinite_number_exits_2_before_any_solve(tmp_path, capsys,
     assert rc == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["params", "solve", "simulate"])
+def test_negative_drug_amount_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                         monkeypatch, command):
+    # x0 = (-5, 0, 0, 0) once solved through both routes and exited 0
+    monkeypatch.setattr(cli, "solve_shooting", _never)
+    monkeypatch.setattr(cli, "solve_time_optimal", _never)
+    sched = tmp_path / "hold.json"
+    sched.write_text(json.dumps(
+        {"u_levels": [50.0], "breakpoints": [], "t_f": 2.0}))
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, x0=[-5, 0, 0, 0]),
+            "--out", str(out)]
+    rc = main(argv + [str(sched)] if command == "simulate" else argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "x0" in err
+    assert not out.exists()
+
+
+def test_negative_zero_drug_amount_is_accepted(tmp_path):
+    cfg = load_config(write_config(tmp_path, x0=[-0.0, 0.0, 0.0, 0.0]))
+    assert cfg.x0 == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_unknown_sex_exits_2(tmp_path, capsys):
@@ -871,3 +897,59 @@ def test_output_directory_is_created(tmp_path, capsys):
     rc = main(["params", "--config", write_config(tmp_path), "--out", str(out)])
     assert rc == 0
     assert os.path.exists(out / "params.json")
+
+
+# -------------------------------------------------------------------- entry
+# `cli.run` freezes the collector's heap for the rest of its process, so it
+# runs only in child processes here, never in the pytest process.
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _child(args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(tmp_path, capsys):
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    assert main(["params", "--config", write_config(tmp_path),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
+
+
+def test_module_entry_matches_main_in_process(tmp_path, capsys):
+    config = "configs/reference.json"
+    child = _child(["-m", "anesopt", "params", "--config", config,
+                    "--out", str(tmp_path / "child")])
+    assert child.returncode == 0, child.stderr
+    assert main(["params", "--config", str(ROOT / config),
+                 "--out", str(tmp_path / "main")]) == 0
+    captured = capsys.readouterr()
+    assert (child.stdout, child.stderr) == (captured.out, captured.err)
+    assert ((tmp_path / "child" / "params.json").read_bytes()
+            == (tmp_path / "main" / "params.json").read_bytes())
+
+
+def test_module_entry_on_a_bad_config_exits_2_as_main_does(tmp_path, capsys):
+    cfg = write_config(tmp_path, age=90)
+    child = _child(["-m", "anesopt", "params", "--config", cfg,
+                    "--out", str(tmp_path / "o")])
+    assert main(["params", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert child.returncode == 2
+    assert (child.stdout, child.stderr) == (captured.out, captured.err)
+    assert child.stderr.startswith("config error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_freezes_the_heap_of_its_process(tmp_path):
+    code = ("import gc, sys; from anesopt import cli; "
+            "rc = cli.run(sys.argv[1:]); print(gc.get_freeze_count()); "
+            "raise SystemExit(rc)")
+    child = _child(["-c", code, "params", "--config", write_config(tmp_path),
+                    "--out", str(tmp_path / "o")])
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout.splitlines()[-1]) > 0

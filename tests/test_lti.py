@@ -5,6 +5,8 @@ eigendecomposition in its zero-input propagator, is checked against an
 extended-precision Taylor oracle written here, and against scipy as a third
 route. The integrator is checked against the propagator.
 """
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -310,8 +312,18 @@ def test_integrate_order_check_across_tolerances(ref_sys):
 
 
 def test_integrate_rejects_reversed_interval():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="finite t0 <= t1"):
         integrate(lambda t, x: -x, np.array([1.0]), 1.0, 0.0, **TOL)
+
+
+@pytest.mark.parametrize("t0, t1", [
+    (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+], ids=["nan-t1", "nan-t0", "inf-t1", "inf-t0"])
+def test_integrate_rejects_a_nan_or_infinite_bound(t0, t1):
+    # a NaN bound once passed the old t1 < t0 check and returned the
+    # one-row trajectory at t0, and an infinite one did not return
+    with pytest.raises(DomainError, match="finite t0 <= t1"):
+        integrate(lambda t, x: -x, np.array([1.0]), t0, t1, **TOL)
 
 
 def test_dense_output_coefficients_match_scipy():
