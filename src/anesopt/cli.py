@@ -144,8 +144,6 @@ def _fmt(obj):
     """Round every float to 10 significant digits, recursively."""
     if isinstance(obj, float):
         return _g10(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return _g10(float(obj))
     if isinstance(obj, np.ndarray):
         return [_fmt(v) for v in obj.tolist()]
     if isinstance(obj, dict):

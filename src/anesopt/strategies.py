@@ -20,9 +20,10 @@ starts) and is bounded by d >= 0 alone, so a root is reached however late
 it lies. The Jacobian, the closed-form least-squares step, the KKT check
 and the certificate are Python floats too: past the set-up and the result's
 arrays, numpy runs only np.linalg.lstsq near its rank cut-off and
-np.linalg.solve for a KKT Newton step. The KKT multipliers mu give the
-terminal costate psi(t_f) = C^T mu. A segment vanishes, and its point is
-dominated, when dropping it moves the endpoint by less than FEAS_TOL.
+np.linalg.solve for a KKT Newton step. Every root goes through the KKT
+solve, and its multipliers mu give the terminal costate psi(t_f) = C^T mu.
+A segment vanishes, and its point is dominated, when dropping it moves the
+endpoint by less than FEAS_TOL.
 
 From an equilibrium of an admissible constant control, a KKT point whose
 switching function psi^T B has exactly as many zeros as switches, with the
@@ -89,10 +90,11 @@ class StrategyResult:
     """One pattern's answer: strategy is its number (1-8); schedule the
     control, None when no root is kept; residual the fast-state gap
     (x1 in mg, x4 in mg/L) at t_f, read-only; feasible whether that gap is
-    below FEAS_TOL; note why; terminal_costate psi(t_f) = C^T mu of a KKT
-    point, read-only; certified whether it is proven the unique
-    minimum-time control. A feasible result has a schedule, and a
-    certified one is feasible with a terminal costate."""
+    below FEAS_TOL; note why; terminal_costate psi(t_f) = C^T mu of the
+    KKT point, which every feasible solve_pattern result is, read-only;
+    certified whether it is proven the unique minimum-time control. A
+    feasible result has a schedule, and a certified one is feasible with a
+    terminal costate."""
 
     strategy: int
     schedule: ControlSchedule | None
@@ -358,6 +360,8 @@ class _GapSolver:
             if nr < 1e-12:
                 break
             J, (c0, c1) = self.jac(g, zs)
+            if not all(map(math.isfinite, J[0] + J[1])):
+                break  # an overflowed walk has no step; lstsq would raise
             free = len(g)
             if 0.0 in g:
                 # pin gaps held at zero by the projection, so the step runs
@@ -411,12 +415,13 @@ class _GapSolver:
         return np.array(g), r, zs
 
     def kkt_system(self, gaps, zs, mu=None):
-        """(F, K, mu, J): F(d, mu) = [r(d); 1 + J(d)^T mu], square for k >= 1
-        switches, and its Jacobian K = [[J, 0], [M, J^T]], from the modal
-        rows zs = walk(gaps). Since dv_j/dd_i = A v_min(i,j),
-        M_ji = w_min(i,j) with w = mu^T C A v (Maurer, Buskens, Kim and Kaya
-        2005), read from the same modal transports as J. mu defaults to
-        lstsq(J^T, -1), the multipliers that best fit stationarity at d.
+        """(F, K, mu, J): F(d, mu) = [r(d); 1 + J(d)^T mu], square for every
+        pattern (at one gap mu0 meets J^T mu = -1), and its Jacobian
+        K = [[J, 0], [M, J^T]], from the modal rows zs = walk(gaps). Since
+        dv_j/dd_i = A v_min(i,j), M_ji = w_min(i,j) with w = mu^T C A v
+        (Maurer, Buskens, Kim and Kaya 2005), read from the same modal
+        transports as J. mu defaults to lstsq(J^T, -1), the multipliers
+        that best fit stationarity at d.
 
         F, its inf-norm test and mu are Python floats; K is assembled as an
         array only when a Newton step is needed, and is None when every
@@ -490,9 +495,9 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
     uncontrollable system). From rest a leading rest segment leaves the
     state where it is, so a rest-first pattern is dominated without a
     search. Otherwise the search runs from each start of the ordered
-    duration simplex; past zero switches, the KKT Newton solve takes a root
-    to a KKT point (d, mu), certified or not (see _certify), or reports the
-    pattern dominated. The first root that is certified, dominated or within
+    duration simplex, and the KKT Newton solve takes each root to a KKT
+    point (d, mu), certified or not (see _certify), or reports the pattern
+    dominated. The first root that is certified, dominated or within
     the grid (sum(d) <= GRID_TOP) ends the search. A feasible root past the
     grid may hide a shorter one at a later start: it is kept, and the
     fastest kept KKT point stands when no start ends the search.
@@ -512,14 +517,7 @@ def solve_pattern(prob: TimeOptimalProblem, pattern: Pattern) -> StrategyResult:
         if nr >= FEAS_TOL:
             continue
         zero = g.tolist()
-        if k == 0 and _vanishing(zero, sol.jac(zero, zs)[0]):
-            res = StrategyResult(pattern.strategy, None, best_r, False,
-                                 "root degenerate: a segment vanishes")
-        elif k == 0:
-            res = StrategyResult(pattern.strategy,
-                                 _to_schedule(sol.levels, zero), r, True,
-                                 "isolated root")
-        elif (point := sol.kkt(zero, zs)) is None:
+        if (point := sol.kkt(zero, zs)) is None:
             res = StrategyResult(pattern.strategy, None, best_r, False,
                                  "dominated: the minimum-time representative "
                                  "has a vanishing segment")

@@ -194,6 +194,25 @@ def test_negative_drug_amount_exits_2_and_writes_nothing(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x0", [[0, 0, 0], [0, 0, 0, 0, 0]])
+@pytest.mark.parametrize("command", ["params", "solve", "simulate"])
+def test_x0_of_other_than_four_entries_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, command, x0):
+    monkeypatch.setattr(cli, "solve_shooting", _never)
+    monkeypatch.setattr(cli, "solve_time_optimal", _never)
+    sched = tmp_path / "hold.json"
+    sched.write_text(json.dumps(
+        {"u_levels": [50.0], "breakpoints": [], "t_f": 2.0}))
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, x0=x0),
+            "--out", str(out)]
+    rc = main(argv + [str(sched)] if command == "simulate" else argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "x0 must have four components" in err
+    assert not out.exists()
+
+
 def test_negative_zero_drug_amount_is_accepted(tmp_path):
     cfg = load_config(write_config(tmp_path, x0=[-0.0, 0.0, 0.0, 0.0]))
     assert cfg.x0 == (0.0, 0.0, 0.0, 0.0)
@@ -943,6 +962,20 @@ def test_module_entry_on_a_bad_config_exits_2_as_main_does(tmp_path, capsys):
     assert (child.stdout, child.stderr) == (captured.out, captured.err)
     assert child.stderr.startswith("config error: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_an_overflowing_pump_bound_exits_3_with_one_line(tmp_path):
+    # at u_max = 1e200 the strategy search's Jacobian overflows; it once
+    # reached np.linalg.lstsq, which printed a LAPACK complaint and raised
+    # LinAlgError through a traceback
+    out = tmp_path / "o"
+    child = _child(["-W", "error::RuntimeWarning", "-m", "anesopt", "solve",
+                    "--config", write_config(tmp_path, u_max=1e200),
+                    "--method", "strategy", "--out", str(out)])
+    assert child.returncode == 3, child.stderr
+    assert child.stdout == ""
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failed: "), lines
 
 
 def test_run_freezes_the_heap_of_its_process(tmp_path):

@@ -1162,23 +1162,69 @@ def test_reachable_target_past_the_longest_start_is_solved():
     assert best.certified and best.strategy == 3
 
 
+def _full_rate_target(prob, T):
+    """prob with its target moved to the fast rows of the full-rate state
+    at T from its own x0."""
+    full = constant_input_propagator(prob.sys, prob.u_max)
+    return dataclasses.replace(
+        prob, target_fast=full(prob.x0, T)[list(FAST_IDX)])
+
+
 @pytest.mark.parametrize("T", [1e-4, 5e-4, 9e-4, 0.3, 1.0, 2.0])
-def test_full_rate_target_is_the_isolated_root_of_strategy_one(ref_problem, T):
+def test_full_rate_target_is_the_isolated_root_of_strategy_one(ref_problem,
+                                                               monkeypatch, T):
     # the fast rows of the full-rate state at T: strategy 1 reaches them at
     # T, and no control sooner (x1 and x4 rise fastest at full rate). Below
     # 1e-3 min the segment still moves the endpoint by about u_max T, far
-    # above FEAS_TOL, so it is real; its root is read to 1e-9 relative there
+    # above FEAS_TOL, so it is real; its root is read to 1e-9 relative there.
+    # The root takes the KKT path of every pattern: its one gap meets
+    # 1 + J^T mu = 0 at mu0, so it carries psi(t_f) = C^T mu, and from rest
+    # (held by u = 0) its certificate ends solve_time_optimal's walk
     rel = 1e-9 if T < 1e-3 else 1e-12
-    full = constant_input_propagator(ref_problem.sys, ref_problem.u_max)
-    x_T = full(ref_problem.x0, T)
-    prob = dataclasses.replace(ref_problem, target_fast=x_T[list(FAST_IDX)])
+    prob = _full_rate_target(ref_problem, T)
     alone = solve_pattern(prob, Pattern(1, True, 0))
-    assert alone.feasible and alone.note == "isolated root"
+    assert alone.feasible and alone.certified and alone.note == "KKT point"
     assert alone.schedule.levels == (ref_problem.u_max,)
     assert alone.t_f == pytest.approx(T, rel=rel)
+    psi_f = alone.terminal_costate
+    assert psi_f[1] == psi_f[2] == 0.0
+    sol = _GapSolver(_ModalRecord(prob), Pattern(1, True, 0))
+    gaps = [alone.t_f]
+    (j0,), (j1,) = sol.jac(gaps, sol.walk(gaps))[0]
+    m0, m1 = psi_f[list(FAST_IDX)].tolist()
+    assert abs(1.0 + j0 * m0 + j1 * m1) < FEAS_TOL
+    solved = []
+
+    def spy(problem, pattern):
+        solved.append(pattern.strategy)
+        return solve_pattern(problem, pattern)
+
+    monkeypatch.setattr(strategies, "solve_pattern", spy)
     best = solve_time_optimal(prob)
-    assert best.strategy == 1
+    assert solved == [3, 1]
+    assert best.strategy == 1 and best.certified
     assert best.t_f == pytest.approx(T, rel=rel)
+
+
+@pytest.mark.parametrize("T", [1e-4, 0.3, 2.0])
+def test_a_zero_switch_kkt_point_from_a_start_not_held_is_not_certified(
+        ref_problem, T):
+    # no constant control holds x0 = (5, 0, 0, 0): x2 and x3 fill from x1
+    prob = _full_rate_target(
+        dataclasses.replace(ref_problem, x0=np.array([5.0, 0.0, 0.0, 0.0])), T)
+    res = solve_pattern(prob, Pattern(1, True, 0))
+    assert res.feasible and res.note == "KKT point" and not res.certified
+    assert res.terminal_costate is not None
+    assert res.t_f == pytest.approx(T, rel=1e-9)
+
+
+@pytest.mark.parametrize("u_max", [1e160, 1e200, 1e300])
+def test_an_overflowing_pump_bound_is_a_typed_failure(ref_params, u_max):
+    # the walk overflows and the Jacobian goes non-finite; the search once
+    # handed it to np.linalg.lstsq, which raised LinAlgError
+    prob = build_problem(ref_params, u_max=u_max)
+    with pytest.raises(InfeasibleError, match="target unreachable"):
+        solve_time_optimal(prob)
 
 
 @pytest.mark.parametrize("T, vanishes", [(1e-12, True), (1e-10, False)])
@@ -1193,12 +1239,8 @@ def test_zero_switch_root_vanishes_by_its_endpoint_move(ref_problem, T,
     J = sol.jac([T], sol.walk([T]))[0]
     assert strategies._vanishing([T], J) is vanishes
     if not vanishes:
-        full = constant_input_propagator(ref_problem.sys, ref_problem.u_max)
-        x_T = full(ref_problem.x0, T)
-        prob = dataclasses.replace(ref_problem,
-                                   target_fast=x_T[list(FAST_IDX)])
-        r = solve_pattern(prob, Pattern(1, True, 0))
-        assert r.feasible and r.note == "isolated root"
+        r = solve_pattern(_full_rate_target(ref_problem, T), Pattern(1, True, 0))
+        assert r.feasible and r.note == "KKT point"
 
 
 @pytest.mark.parametrize("T, gap", [(1e-12, 1.0609e-10), (1e-11, 1.0609e-9)])
